@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .engine import SimTime, Simulator, to_us
@@ -95,6 +96,18 @@ class LinkStateEntry:
     hna: tuple[IPv4Network, ...]
     expires_at: SimTime
     msg: FloodMsg
+    # (route key, prefix) of each of ``addresses`` as a host route, then of
+    # each ``hna`` prefix: the order in which the origin offers routes.
+    prefixes: tuple[tuple[int, IPv4Network], ...]
+
+
+def route_key(prefix: IPv4Network) -> int:
+    """An int that identifies ``prefix``, cheaper to hash and compare."""
+    return int(prefix.network_address) << 6 | prefix.prefixlen
+
+
+# What a rebuild computes per destination: (prefix, next hop, hop count, origin).
+Route = tuple[IPv4Network, str | None, int, str]
 
 
 @dataclass(frozen=True)
@@ -106,19 +119,49 @@ class RouteEntry:
 
 
 class RoutingTable:
+    """Routes by prefix, answering longest-prefix-match lookups.
+
+    ``entries`` reads back as a read-only view and changes only by assigning a
+    whole new mapping.  Each assignment drops the lookup index, which the next
+    lookup rebuilds, so a lookup never answers from a replaced table.
+    """
+
     def __init__(self) -> None:
-        self.entries: dict[IPv4Network, RouteEntry] = {}
+        self.entries = {}
+
+    @property
+    def entries(self) -> Mapping[IPv4Network, RouteEntry]:
+        return self._view
+
+    @entries.setter
+    def entries(self, entries: Mapping[IPv4Network, RouteEntry]) -> None:
+        self._entries = dict(entries)
+        self._view = MappingProxyType(self._entries)
+        self._index: list[tuple[int, dict[int, RouteEntry]]] | None = None
 
     def lookup(self, addr: IPv4Address) -> RouteEntry | None:
-        best: RouteEntry | None = None
-        for prefix, entry in self.entries.items():
-            if addr in prefix:
-                if best is None or prefix.prefixlen > best.prefix.prefixlen:
-                    best = entry
-        return best
+        index = self._index
+        if index is None:
+            index = self._index = self._build_index()
+        key = int(addr)
+        for mask, routes in index:
+            entry = routes.get(key & mask)
+            if entry is not None:
+                return entry
+        return None
+
+    def _build_index(self) -> list[tuple[int, dict[int, RouteEntry]]]:
+        """One dict per prefix length, keyed by network address, longest first."""
+        by_length: dict[int, dict[int, RouteEntry]] = {}
+        for prefix, entry in self._entries.items():
+            by_length.setdefault(prefix.prefixlen, {})[int(prefix.network_address)] = entry
+        return [
+            (0xFFFFFFFF ^ (0xFFFFFFFF >> length), by_length[length])
+            for length in sorted(by_length, reverse=True)
+        ]
 
     def forwarding_map(self) -> dict[IPv4Network, tuple[str | None, int]]:
-        return {p: (e.next_hop, e.hop_count) for p, e in self.entries.items()}
+        return {p: (e.next_hop, e.hop_count) for p, e in self._entries.items()}
 
 
 def first_hop_tree(
@@ -130,12 +173,14 @@ def first_hop_tree(
 
     Among equal-cost paths the returned first hop is the one with the lowest
     address (node id as a final tie-break), which makes the result unique and
-    independent of adjacency iteration order.
+    independent of adjacency iteration order.  The hop counts are listed in
+    (hop count, node id) order, ``source`` first.
     """
-
-    def hop_key(node: str) -> tuple[int, str]:
-        addr = addr_of(node)
-        return (int(addr) if addr is not None else 1 << 40, node)
+    # Every first hop is a neighbor of the source, so only those need a rank.
+    rank: dict[str, tuple[int, str]] = {}
+    for v in adjacency.get(source, ()):
+        addr = addr_of(v)
+        rank[v] = (int(addr) if addr is not None else 1 << 40, v)
 
     dist: dict[str, int] = {source: 0}
     first: dict[str, str] = {}
@@ -149,7 +194,7 @@ def first_hop_tree(
                     continue
                 via = v if u == source else first[u]
                 held = candidates.get(v)
-                if held is None or hop_key(via) < hop_key(held):
+                if held is None or rank[via] < rank[held]:
                     candidates[v] = via
         depth += 1
         layer = sorted(candidates)
@@ -204,6 +249,11 @@ class OlsrDaemon:
         self.on_routes_changed: list[Callable[[], None]] = []
         self._seen_seq: dict[str, int] = {}
         self._own_seq = 0
+        self._own_prefixes = tuple((route_key(p), p) for p in self.originated_hna)
+        # The keyed /32 network of every address this node has heard of.
+        self._host_routes: dict[IPv4Address, tuple[int, IPv4Network]] = {}
+        # The routes the routing table was last built from, by route key.
+        self._routes: dict[int, Route] = {}
         self._rng = sim.node_rng(node_id)
 
     # -- timers -------------------------------------------------------------
@@ -322,6 +372,14 @@ class OlsrDaemon:
         self._seen_seq[msg.origin] = msg.seq
         now = self.sim.now()
         old = self.link_state.get(msg.origin)
+        if old is not None and old.addresses == msg.addresses and old.hna == msg.hna:
+            prefixes = old.prefixes
+            changed = old.neighbors != msg.neighbors
+        else:
+            prefixes = tuple(self._host_route(addr) for addr in msg.addresses) + tuple(
+                (route_key(prefix), prefix) for prefix in msg.hna
+            )
+            changed = True
         entry = LinkStateEntry(
             origin=msg.origin,
             seq=msg.seq,
@@ -330,6 +388,7 @@ class OlsrDaemon:
             hna=msg.hna,
             expires_at=now + msg.validity_us,
             msg=msg,
+            prefixes=prefixes,
         )
         self.link_state[msg.origin] = entry
         self.sim.schedule(
@@ -339,12 +398,6 @@ class OlsrDaemon:
             kind="ls-expiry",
         )
         self._relay(msg, exclude_link=arrival_link)
-        changed = (
-            old is None
-            or old.neighbors != entry.neighbors
-            or old.addresses != entry.addresses
-            or old.hna != entry.hna
-        )
         if changed:
             self._recompute()
 
@@ -368,18 +421,25 @@ class OlsrDaemon:
         Own edges come from local Hello sensing; remote edges require both
         endpoints to advertise each other, so a half-expired link is unusable.
         """
-        adj: dict[str, set[str]] = {self.node_id: set()}
-        for nbr in self.sym_neighbors():
-            adj[self.node_id].add(nbr)
-            adj.setdefault(nbr, set()).add(self.node_id)
-        for origin, entry in self.link_state.items():
+        me = self.node_id
+        own = set(self.sym_neighbors())
+        adj: dict[str, set[str]] = {me: own}
+        for nbr in own:
+            adj[nbr] = {me}
+        link_state = self.link_state
+        # Each remote edge is confirmed from both of its ends, so each end
+        # adds only its own direction.
+        for origin, entry in link_state.items():
             for other in entry.neighbors:
-                if self.node_id in (origin, other):
+                if other == me or origin == me:
                     continue
-                peer = self.link_state.get(other)
+                peer = link_state.get(other)
                 if peer is not None and origin in peer.neighbors:
-                    adj.setdefault(origin, set()).add(other)
-                    adj.setdefault(other, set()).add(origin)
+                    held = adj.get(origin)
+                    if held is None:
+                        adj[origin] = {other}
+                    else:
+                        held.add(other)
         return adj
 
     def _addr_of(self, node: str) -> IPv4Address | None:
@@ -393,52 +453,52 @@ class OlsrDaemon:
             return rec.address
         return None
 
-    def _build_routes(self) -> dict[IPv4Network, RouteEntry]:
+    def _host_route(self, addr: IPv4Address) -> tuple[int, IPv4Network]:
+        keyed = self._host_routes.get(addr)
+        if keyed is None:
+            prefix = IPv4Network((int(addr), 32))
+            keyed = self._host_routes[addr] = (route_key(prefix), prefix)
+        return keyed
+
+    def _build_routes(self) -> dict[int, Route]:
         dist, first = first_hop_tree(self.graph(), self.node_id, self._addr_of)
-        entries: dict[IPv4Network, RouteEntry] = {}
-
-        def offer(prefix: IPv4Network, entry: RouteEntry) -> None:
-            held = entries.get(prefix)
-            if held is None or (entry.hop_count, entry.origin) < (held.hop_count, held.origin):
-                entries[prefix] = entry
-
-        for prefix in self.originated_hna:
-            offer(prefix, RouteEntry(prefix, None, 0, self.node_id))
-        for node in sorted(dist, key=lambda n: (dist[n], n)):
-            if node == self.node_id:
+        routes: dict[int, Route] = {}
+        for key, prefix in self._own_prefixes:
+            if key not in routes:
+                routes[key] = (prefix, None, 0, self.node_id)
+        # ``dist`` runs in (hop count, node id) order, so the first route
+        # offered for a prefix has the lowest (hop count, origin) and stays.
+        for node, hops in dist.items():
+            if hops == 0:
                 continue
-            hops = dist[node]
-            via = first[node]
             entry = self.link_state.get(node)
-            addresses: Iterable[IPv4Address]
-            hna: Iterable[IPv4Network]
             if entry is not None:
-                addresses, hna = entry.addresses, entry.hna
+                prefixes = entry.prefixes
             else:
                 rec = self.neighbors.get(node)
-                addresses = (rec.address,) if rec is not None else ()
-                hna = ()
-            for addr in addresses:
-                offer(
-                    IPv4Network(f"{addr}/32"),
-                    RouteEntry(IPv4Network(f"{addr}/32"), via, hops, node),
-                )
-            for prefix in hna:
-                offer(prefix, RouteEntry(prefix, via, hops, node))
-        return entries
+                prefixes = (self._host_route(rec.address),) if rec is not None else ()
+            via = first[node]
+            for key, prefix in prefixes:
+                if key not in routes:
+                    routes[key] = (prefix, via, hops, node)
+        return routes
 
     def _recompute(self) -> None:
-        new = self._build_routes()
-        if {p: (e.next_hop, e.hop_count) for p, e in new.items()} == (
-            self.routing_table.forwarding_map()
+        routes = self._build_routes()
+        old, self._routes = self._routes, routes
+        if routes == old:
+            return  # the table and its lookup index stay as they are
+        self.routing_table.entries = {route[0]: RouteEntry(*route) for route in routes.values()}
+        # Only a change of next hop or hop count, or a route gained or lost,
+        # counts as a route change.
+        if routes.keys() == old.keys() and all(
+            old[key][1:3] == route[1:3] for key, route in routes.items()
         ):
-            self.routing_table.entries = new
             return
-        self.routing_table.entries = new
         self.routes_version += 1
         self._log(
             "OlsrRouteChange",
-            {"node": self.node_id, "entries": len(new), "version": self.routes_version},
+            {"node": self.node_id, "entries": len(routes), "version": self.routes_version},
         )
         for callback in list(self.on_routes_changed):
             callback()

@@ -144,10 +144,33 @@ def _expect_map(raw: Any, path: str) -> dict:
     return raw
 
 
+def _list(raw: Any, path: str) -> list | tuple:
+    """A list-valued key; an absent or null one reads as empty."""
+    if raw is None:
+        return []
+    if not isinstance(raw, (list, tuple)):
+        _fail(path, f"expected a list, got {type(raw).__name__}")
+    return raw
+
+
 def _take(raw: dict, path: str, known: set[str]) -> None:
     unknown = set(raw) - known
     if unknown:
         _fail(path, f"unknown keys: {', '.join(sorted(unknown))}")
+
+
+def _required(raw: dict, key: str, path: str) -> Any:
+    if key not in raw:
+        _fail(path, f"missing required key {key!r}")
+    return raw[key]
+
+
+def _number(raw: Any, path: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        _fail(path, f"expected a number, got {raw!r}")
+    raise AssertionError
 
 
 def _addr(raw: Any, path: str) -> IPv4Address:
@@ -178,12 +201,12 @@ def _config(cls: type, raw: Any, path: str) -> Any:
     if "priority_override" in raw and raw["priority_override"] is not None:
         raw["priority_override"] = [
             _addr(a, f"{path}.priority_override[{i}]")
-            for i, a in enumerate(raw["priority_override"])
+            for i, a in enumerate(_list(raw["priority_override"], f"{path}.priority_override"))
         ]
     if "selective_prefixes" in raw:
         raw["selective_prefixes"] = [
             _net(p, f"{path}.selective_prefixes[{i}]")
-            for i, p in enumerate(raw["selective_prefixes"])
+            for i, p in enumerate(_list(raw["selective_prefixes"], f"{path}.selective_prefixes"))
         ]
     try:
         return cls(**raw)
@@ -197,8 +220,8 @@ def _link_defaults(raw: Any, path: str, base: LinkDefaults) -> LinkDefaults:
     raw = _expect_map(raw, path)
     _take(raw, path, {"capacity_mbps", "delay_ms"})
     return LinkDefaults(
-        float(raw.get("capacity_mbps", base.capacity_mbps)),
-        float(raw.get("delay_ms", base.delay_ms)),
+        _number(raw.get("capacity_mbps", base.capacity_mbps), f"{path}.capacity_mbps"),
+        _number(raw.get("delay_ms", base.delay_ms), f"{path}.delay_ms"),
     )
 
 
@@ -237,21 +260,24 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
     )
 
     wmrs: list[WmrSpec] = []
-    for i, raw in enumerate(doc.get("wmrs") or []):
+    for i, raw in enumerate(_list(doc.get("wmrs"), f"{source}.wmrs")):
         path = f"{source}.wmrs[{i}]"
         raw = _expect_map(raw, path)
         _take(raw, path, {"id", "mesh_addr", "access", "gateway"})
         access: list[AccessNetSpec] = []
-        for j, net in enumerate(raw.get("access") or []):
+        for j, net in enumerate(_list(raw.get("access"), f"{path}.access")):
             npath = f"{path}.access[{j}]"
             net = _expect_map(net, npath)
             _take(net, npath, {"subnet", "addr"})
             access.append(
-                AccessNetSpec(_net(net["subnet"], npath), _addr(net["addr"], npath))
+                AccessNetSpec(
+                    _net(_required(net, "subnet", npath), npath),
+                    _addr(_required(net, "addr", npath), npath),
+                )
             )
         wmrs.append(
             WmrSpec(
-                id=str(raw["id"]),
+                id=str(_required(raw, "id", path)),
                 mesh_addr=_addr(raw.get("mesh_addr"), path),
                 access=access,
                 gateway=bool(raw.get("gateway", False)),
@@ -259,19 +285,20 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
         )
 
     controllers: list[ControllerSpec] = []
-    for i, raw in enumerate(doc.get("controllers") or []):
+    for i, raw in enumerate(_list(doc.get("controllers"), f"{source}.controllers")):
         path = f"{source}.controllers[{i}]"
         raw = _expect_map(raw, path)
         _take(raw, path, {"id", "addr", "attach", "path_overrides"})
         overrides: dict[IPv4Network, list[str]] = {}
-        for j, item in enumerate(raw.get("path_overrides") or []):
+        for j, item in enumerate(_list(raw.get("path_overrides"), f"{path}.path_overrides")):
             opath = f"{path}.path_overrides[{j}]"
             item = _expect_map(item, opath)
             _take(item, opath, {"dst", "path"})
-            overrides[_net(item["dst"], opath)] = [str(h) for h in item["path"]]
+            hops = _list(_required(item, "path", opath), f"{opath}.path")
+            overrides[_net(_required(item, "dst", opath), opath)] = [str(h) for h in hops]
         controllers.append(
             ControllerSpec(
-                id=str(raw["id"]),
+                id=str(_required(raw, "id", path)),
                 addr=_addr(raw.get("addr"), path),
                 attach=str(raw.get("attach", "")),
                 path_overrides=overrides,
@@ -279,12 +306,16 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
         )
 
     hosts: list[HostSpec] = []
-    for i, raw in enumerate(doc.get("hosts") or []):
+    for i, raw in enumerate(_list(doc.get("hosts"), f"{source}.hosts")):
         path = f"{source}.hosts[{i}]"
         raw = _expect_map(raw, path)
         _take(raw, path, {"id", "addr", "attach"})
         hosts.append(
-            HostSpec(str(raw["id"]), _addr(raw.get("addr"), path), str(raw.get("attach", "")))
+            HostSpec(
+                str(_required(raw, "id", path)),
+                _addr(raw.get("addr"), path),
+                str(raw.get("attach", "")),
+            )
         )
 
     by_id = {n.id: n for n in [*wmrs, *controllers, *hosts]}
@@ -298,7 +329,7 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
         return _addr(raw_dst, path)
 
     links: list[LinkSpec] = []
-    for i, raw in enumerate(doc.get("links") or []):
+    for i, raw in enumerate(_list(doc.get("links"), f"{source}.links")):
         path = f"{source}.links[{i}]"
         raw = _expect_map(raw, path)
         _take(raw, path, {"a", "b", "capacity_mbps", "delay_ms", "initial"})
@@ -309,54 +340,63 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
             LinkSpec(
                 a=str(raw.get("a", "")),
                 b=str(raw.get("b", "")),
-                capacity_mbps=float(raw.get("capacity_mbps", mesh_link.capacity_mbps)),
-                delay_ms=float(raw.get("delay_ms", mesh_link.delay_ms)),
+                capacity_mbps=_number(
+                    raw.get("capacity_mbps", mesh_link.capacity_mbps), f"{path}.capacity_mbps"
+                ),
+                delay_ms=_number(raw.get("delay_ms", mesh_link.delay_ms), f"{path}.delay_ms"),
                 initial_up=initial == "up",
             )
         )
 
     pings: list[PingSpec] = []
-    for i, raw in enumerate(doc.get("pings") or []):
+    for i, raw in enumerate(_list(doc.get("pings"), f"{source}.pings")):
         path = f"{source}.pings[{i}]"
         raw = _expect_map(raw, path)
         _take(raw, path, {"id", "src", "dst", "interval_s", "start_s"})
         pings.append(
             PingSpec(
-                id=str(raw["id"]),
+                id=str(_required(raw, "id", path)),
                 src=str(raw.get("src", "")),
                 dst=resolve_dst(raw.get("dst"), f"{path}.dst"),
-                interval_s=float(raw.get("interval_s", 1.0)),
-                start_s=float(raw.get("start_s", 0.0)),
+                interval_s=_number(raw.get("interval_s", 1.0), f"{path}.interval_s"),
+                start_s=_number(raw.get("start_s", 0.0), f"{path}.start_s"),
             )
         )
 
     flows: list[FlowSpec] = []
-    for i, raw in enumerate(doc.get("flows") or []):
+    for i, raw in enumerate(_list(doc.get("flows"), f"{source}.flows")):
         path = f"{source}.flows[{i}]"
         raw = _expect_map(raw, path)
         _take(raw, path, {"id", "src", "dst", "demand_mbps", "start_s", "stop_s", "loss_recovery_s"})
         demand = raw.get("demand_mbps")
+        stop = raw.get("stop_s")
         flows.append(
             FlowSpec(
-                id=str(raw["id"]),
+                id=str(_required(raw, "id", path)),
                 src=str(raw.get("src", "")),
                 dst=resolve_dst(raw.get("dst"), f"{path}.dst"),
-                demand_mbps=float(demand) if demand is not None else None,
-                start_s=float(raw.get("start_s", 0.0)),
-                stop_s=float(raw["stop_s"]) if raw.get("stop_s") is not None else None,
-                loss_recovery_s=float(raw.get("loss_recovery_s", 1.0)),
+                demand_mbps=(
+                    _number(demand, f"{path}.demand_mbps") if demand is not None else None
+                ),
+                start_s=_number(raw.get("start_s", 0.0), f"{path}.start_s"),
+                stop_s=_number(stop, f"{path}.stop_s") if stop is not None else None,
+                loss_recovery_s=_number(
+                    raw.get("loss_recovery_s", 1.0), f"{path}.loss_recovery_s"
+                ),
             )
         )
 
     events: list[EventSpec] = []
-    for i, raw in enumerate(doc.get("events") or []):
+    for i, raw in enumerate(_list(doc.get("events"), f"{source}.events")):
         path = f"{source}.events[{i}]"
         raw = _expect_map(raw, path)
         _take(raw, path, {"at_s", "action", "link", "flow"})
         link = raw.get("link")
+        if link is not None and not (isinstance(link, (list, tuple)) and len(link) == 2):
+            _fail(f"{path}.link", f"expected a list of two wmr ids, got {link!r}")
         events.append(
             EventSpec(
-                at_s=float(raw.get("at_s", -1.0)),
+                at_s=_number(raw.get("at_s", -1.0), f"{path}.at_s"),
                 action=str(raw.get("action", "")),
                 link=(str(link[0]), str(link[1])) if link is not None else None,
                 flow=str(raw["flow"]) if raw.get("flow") is not None else None,
@@ -370,15 +410,15 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
         _take(raw, path, {"kind", "event_at_s", "wmrs", "probe", "flow"})
         measure = MeasureSpec(
             kind=str(raw.get("kind", "")),
-            event_at_s=float(raw.get("event_at_s", -1.0)),
-            wmrs=[str(w) for w in raw.get("wmrs") or []],
+            event_at_s=_number(raw.get("event_at_s", -1.0), f"{path}.event_at_s"),
+            wmrs=[str(w) for w in _list(raw.get("wmrs"), f"{path}.wmrs")],
             probe=str(raw["probe"]) if raw.get("probe") is not None else None,
             flow=str(raw["flow"]) if raw.get("flow") is not None else None,
         )
 
     return Scenario(
         name=str(doc["name"]),
-        duration_s=float(doc["duration_s"]),
+        duration_s=_number(doc["duration_s"], f"{source}.duration_s"),
         control_subnet=_net(doc.get("control_subnet", "10.0.0.0/16"), f"{source}.control_subnet"),
         olsr=_config(OlsrConfig, doc.get("olsr"), f"{source}.olsr"),
         eftm=_config(EftmConfig, doc.get("eftm"), f"{source}.eftm"),

@@ -39,6 +39,20 @@ class WmrRuntime:
         self.sim = sim
         self.node = node
         scenario = sim.scenario
+        self._mesh_address = node.mesh_address
+        # The topology is complete before any runtime exists and its links
+        # never change, so the routing links and their peers are fixed.
+        topo = sim.topo
+        peers = sorted(
+            (
+                (peer, link)
+                for link in topo.links_of(node.id)
+                if (peer := topo.nodes[link.other(node.id)]).kind in ("wmr", "controller")
+            ),
+            key=lambda pair: pair[0].id,
+        )
+        self._olsr_links = tuple((peer.id, link) for peer, link in peers)
+        self._peer_address = {peer.id: peer.mesh_address for peer, _ in peers}
         hna: list[IPv4Network] = [itf.network for itf in node.access_interfaces]
         if spec_gateway:
             hna.append(IPv4Network("0.0.0.0/0"))
@@ -48,7 +62,7 @@ class WmrRuntime:
             hna,
             scenario.olsr,
             sim.engine,
-            links=self._olsr_links,
+            links=lambda: self._olsr_links,
             send=self._olsr_send,
             log=sim.log.append,
         )
@@ -82,23 +96,9 @@ class WmrRuntime:
 
     # -- transport adapters -------------------------------------------------
 
-    def _olsr_links(self) -> list[tuple[str, Link]]:
-        out = []
-        for link in self.sim.topo.links_of(self.node.id):
-            peer = self.sim.topo.nodes[link.other(self.node.id)]
-            if peer.kind in ("wmr", "controller"):
-                out.append((peer.id, link))
-        return sorted(out, key=lambda pair: pair[0])
-
     def _olsr_send(self, link: Link, msg: object) -> None:
-        peer = self.sim.topo.nodes[link.other(self.node.id)]  # type: ignore[union-attr]
-        packet = Packet(
-            src=self.node.mesh_address,
-            dst=peer.mesh_address,
-            kind="olsr",
-            payload=msg,
-        )
-        self.sim.transmit(link, self.node.id, packet)  # type: ignore[arg-type]
+        dst = self._peer_address[link.other(self.node.id)]
+        self.sim.transmit(link, self.node.id, Packet(self._mesh_address, dst, "olsr", msg))
 
     def _send_to_neighbor(self, neighbor: str, packet: Packet) -> None:
         link = self.sim.topo.link_between(self.node.id, neighbor)
@@ -124,7 +124,7 @@ class WmrRuntime:
         )
 
     def originate(self, dst: IPv4Address, kind: str, payload: object) -> None:
-        self.switch.forward(Packet(self.node.mesh_address, dst, kind, payload))  # type: ignore[arg-type]
+        self.switch.forward(Packet(self._mesh_address, dst, kind, payload))  # type: ignore[arg-type]
 
     # -- receive path -------------------------------------------------------
 
@@ -173,14 +173,16 @@ class ControllerRuntime:
         self.node = node
         self.attach_wmr = attach
         self.attach_link = sim.topo.link_between(node.id, attach)
-        addr = node.mesh_address
+        addr = self._mesh_address = node.mesh_address
+        self._attach_address = sim.topo.nodes[attach].mesh_address
+        olsr_links = ((attach, self.attach_link),)
         self.daemon = OlsrDaemon(
             node.id,
             [addr],
             [IPv4Network(f"{addr}/32")],
             sim.scenario.olsr,
             sim.engine,
-            links=lambda: [(attach, self.attach_link)],
+            links=lambda: olsr_links,
             send=self._olsr_send,
             log=sim.log.append,
         )
@@ -202,13 +204,12 @@ class ControllerRuntime:
         self.controller.start()
 
     def _olsr_send(self, link: Link, msg: object) -> None:
-        peer = self.sim.topo.nodes[link.other(self.node.id)]
-        packet = Packet(self.node.mesh_address, peer.mesh_address, "olsr", msg)
+        packet = Packet(self._mesh_address, self._attach_address, "olsr", msg)
         self.sim.transmit(link, self.node.id, packet)
 
     def _originate(self, dst: IPv4Address, payload: object) -> None:
         kind = "ping" if isinstance(payload, (cp.PingRequest, cp.PingReply)) else "control"
-        packet = Packet(self.node.mesh_address, dst, kind, payload)  # type: ignore[arg-type]
+        packet = Packet(self._mesh_address, dst, kind, payload)  # type: ignore[arg-type]
         self.sim.transmit(self.attach_link, self.node.id, packet)
 
     def on_packet(self, packet: Packet, link: Link) -> None:
@@ -336,6 +337,11 @@ class Simulation:
             runtime = HostRuntime(self, self.topo.nodes[h.id], h.attach)
             self.hosts[h.id] = runtime
             self.host_by_address[runtime.address] = runtime
+        self._runtimes: dict[str, WmrRuntime | ControllerRuntime | HostRuntime] = {
+            **self.wmrs,
+            **self.controllers,
+            **self.hosts,
+        }
 
         self.pings = PingManager(self.engine, self._originate_ping, self.log.append)
         self.fluid = FluidTraffic(
@@ -398,17 +404,11 @@ class Simulation:
         if not link.up:
             return
         receiver = link.other(sender)
+        runtime = self._runtimes[receiver]
 
         def deliver() -> None:
-            if not link.up:
-                return  # went down while in flight
-            runtime = (
-                self.wmrs.get(receiver)
-                or self.controllers.get(receiver)
-                or self.hosts.get(receiver)
-            )
-            assert runtime is not None
-            runtime.on_packet(packet, link)
+            if link.up:  # a link that went down while in flight drops it
+                runtime.on_packet(packet, link)
 
         self.engine.schedule(link.delay_us, deliver, target=receiver, kind="deliver")
 

@@ -40,6 +40,13 @@ def test_validate_reports_broken_file(tmp_path, capsys):
     assert "duration_s must be positive" in capsys.readouterr().err
 
 
+def test_validate_reports_hostile_value_in_one_line(tmp_path, capsys):
+    path = tiny_path(tmp_path, {"duration_s": "long"})
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}.duration_s: expected a number, got 'long'\n"
+
+
 def test_unknown_scenario_lists_builtins(capsys):
     assert main(["run", "no-such-thing"]) == 1
     err = capsys.readouterr().err

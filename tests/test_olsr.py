@@ -7,11 +7,20 @@ and a 1 ms wire delay puts every arrival at a known microsecond.
 import random
 from ipaddress import IPv4Address, IPv4Network
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsdn.engine import Simulator, to_us
-from meshsdn.olsr import FloodMsg, HelloMsg, OlsrConfig, OlsrDaemon, first_hop_tree
+from meshsdn.olsr import (
+    FloodMsg,
+    HelloMsg,
+    OlsrConfig,
+    OlsrDaemon,
+    RouteEntry,
+    RoutingTable,
+    first_hop_tree,
+)
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
 from meshsdn.topology import Link
@@ -227,11 +236,15 @@ def test_first_hop_tree_matches_bfs_oracle(case_seed):
 
     dist, first = first_hop_tree(adj, source, addrs.get)
     assert dist == oracle
+    from_neighbor = {f: first_hop_tree(adj, f, addrs.get)[0] for f in adj[source]}
     for v, f in first.items():
         assert f in adj[source]
         # Stepping to the first hop shortens the distance by exactly one.
         sub = first_hop_tree(adj, f, addrs.get)[0]
         assert sub[v] == dist[v] - 1
+        # No other neighbor on a shortest path has a lower address.
+        on_shortest = [g for g in adj[source] if from_neighbor[g].get(v) == dist[v] - 1]
+        assert f == min(on_shortest, key=lambda g: int(addrs[g]))
 
     # Iteration order of the adjacency must not matter.
     shuffled_nodes = nodes[:]
@@ -308,13 +321,61 @@ def test_equal_cost_routes_prefer_lower_first_hop_address():
 
 
 def test_longest_prefix_lookup():
-    from meshsdn.olsr import RouteEntry, RoutingTable
-
     table = RoutingTable()
-    for prefix, hop in [("10.0.0.0/16", "x"), ("10.0.2.0/24", "y"), ("10.0.2.7/32", "z")]:
-        net = IPv4Network(prefix)
-        table.entries[net] = RouteEntry(net, hop, 1, hop)
+    table.entries = {
+        IPv4Network(prefix): RouteEntry(IPv4Network(prefix), hop, 1, hop)
+        for prefix, hop in [("10.0.0.0/16", "x"), ("10.0.2.0/24", "y"), ("10.0.2.7/32", "z")]
+    }
     assert table.lookup(IPv4Address("10.0.2.7")).next_hop == "z"
     assert table.lookup(IPv4Address("10.0.2.9")).next_hop == "y"
     assert table.lookup(IPv4Address("10.0.9.9")).next_hop == "x"
     assert table.lookup(IPv4Address("172.16.0.1")) is None
+
+
+def linear_lookup(entries, addr):
+    """Reference longest-prefix match: scan every route."""
+    best = None
+    for prefix, entry in entries.items():
+        if addr in prefix and (best is None or prefix.prefixlen > best.prefix.prefixlen):
+            best = entry
+    return best
+
+
+# A small address pool, so random prefixes overlap and probes also miss.
+pool_addresses = st.builds(
+    lambda a, b, c, d: IPv4Address(f"{a}.{b}.{c}.{d}"),
+    st.sampled_from([10, 172]),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.integers(0, 5),
+)
+route_tables = st.dictionaries(
+    st.builds(
+        lambda addr, length: IPv4Network(f"{addr}/{length}", strict=False),
+        pool_addresses,
+        st.sampled_from([0, 16, 24, 32]),
+    ),
+    st.sampled_from(["a", "b", "c"]),
+    max_size=12,
+).map(lambda hops: {p: RouteEntry(p, hop, 1, hop) for p, hop in hops.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(route_tables, route_tables, st.lists(pool_addresses, min_size=1, max_size=8))
+def test_lookup_matches_linear_scan_after_replacement(first, second, probes):
+    table = RoutingTable()
+    routes = dict(first)
+    table.entries = routes
+    for addr in probes:
+        assert table.lookup(addr) is linear_lookup(first, addr)
+    # Changing the assigned dict afterwards does not reach the table ...
+    routes.clear()
+    routes.update(second)
+    for addr in probes:
+        assert table.lookup(addr) is linear_lookup(first, addr)
+    # ... and the table itself only changes by replacement.
+    with pytest.raises(TypeError):
+        table.entries[IPv4Network("0.0.0.0/0")] = RouteEntry(IPv4Network("0.0.0.0/0"), "d", 1, "d")
+    table.entries = second
+    for addr in probes:
+        assert table.lookup(addr) is linear_lookup(second, addr)

@@ -89,6 +89,17 @@ def _set(path, value):
     return mutate
 
 
+def _del(path):
+    def mutate(doc):
+        cursor = doc
+        for part in path[:-1]:
+            cursor = cursor[part]
+        del cursor[path[-1]]
+        return doc
+
+    return mutate
+
+
 REJECTIONS = [
     (lambda doc: {}, "name and duration_s are required"),
     (lambda doc: "not a mapping", "expected a mapping"),
@@ -141,6 +152,16 @@ REJECTIONS = [
         _set(["eftm"], {"controller_range": "172.16.0.0/24"}),
         "must lie inside control_subnet",
     ),
+    # Hostile values name the offending path instead of escaping as a
+    # KeyError, TypeError or plain ValueError.
+    (_del(["wmrs", 1, "id"]), r"^t\.wmrs\[1\]: missing required key 'id'$"),
+    (
+        _set(["links", 0, "capacity_mbps"], "fast"),
+        r"^t\.links\[0\]\.capacity_mbps: expected a number, got 'fast'$",
+    ),
+    (_set(["duration_s"], "long"), r"^t\.duration_s: expected a number, got 'long'$"),
+    (_set(["events", 0, "link"], "ab"), r"^t\.events\[0\]\.link: expected a list of two"),
+    (_set(["wmrs"], 5), r"^t\.wmrs: expected a list, got int$"),
 ]
 
 
