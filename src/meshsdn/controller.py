@@ -31,6 +31,14 @@ class ControllerConfig:
     # considered gone even if it never said goodbye.
     switch_timeout_s: float = 5.0
 
+    def __post_init__(self) -> None:
+        if self.refresh_interval_s <= 0:
+            raise ValueError("refresh interval must be positive")
+        if min(
+            self.rule_idle_timeout_s, self.unknown_dst_hard_timeout_s, self.switch_timeout_s
+        ) < 0:
+            raise ValueError("timeouts must be >= 0")
+
 
 class Controller:
     def __init__(

@@ -76,17 +76,6 @@ def network_connectivity_time(
     return None
 
 
-def _master_at(records: list[MetricRecord], wmr: str, at: SimTime) -> str | None:
-    master: str | None = None
-    for record in records:
-        if record.time > at:
-            break
-        if record.kind != "EftmTransition" or record.data.get("node") != wmr:
-            continue
-        master = record.data.get("master") if record.data.get("to") == "connected" else None
-    return master
-
-
 def master_selection_delay(
     records: Iterable[MetricRecord],
     event_at: SimTime,
@@ -99,25 +88,22 @@ def master_selection_delay(
     with a master different from the one held at ``event_at``.  Returns None
     if any router in the set never completes such a transition.
     """
-    ordered = sorted(records, key=lambda r: (r.time, r.seq))
-    worst: SimTime | None = None
-    for wmr in wmrs:
-        before = _master_at(ordered, wmr, event_at)
-        completed: SimTime | None = None
-        for record in ordered:
-            if record.time <= event_at:
-                continue
-            if record.kind != "EftmTransition" or record.data.get("node") != wmr:
-                continue
-            if record.data.get("to") == "connected" and record.data.get("master") != before:
-                completed = record.time
-                break
-        if completed is None:
-            return None
-        delay = completed - reference
-        if worst is None or delay > worst:
-            worst = delay
-    return worst
+    held: dict[str, str | None] = dict.fromkeys(wmrs)  # master at event_at
+    completed: dict[str, SimTime] = {}
+    for record in sorted(records, key=lambda r: (r.time, r.seq)):
+        if record.kind != "EftmTransition":
+            continue
+        wmr = record.data.get("node")
+        if wmr not in held or wmr in completed:
+            continue
+        master = record.data.get("master") if record.data.get("to") == "connected" else None
+        if record.time <= event_at:
+            held[wmr] = master
+        elif record.data.get("to") == "connected" and master != held[wmr]:
+            completed[wmr] = record.time
+    if not wmrs or len(completed) < len(held):
+        return None
+    return max(completed.values()) - reference
 
 
 def throughput_series(

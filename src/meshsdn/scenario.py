@@ -9,6 +9,7 @@ location in the message.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
@@ -167,10 +168,12 @@ def _required(raw: dict, key: str, path: str) -> Any:
 
 def _number(raw: Any, path: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         _fail(path, f"expected a number, got {raw!r}")
-    raise AssertionError
+    if not math.isfinite(value):
+        _fail(path, f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _addr(raw: Any, path: str) -> IPv4Address:
@@ -208,6 +211,9 @@ def _config(cls: type, raw: Any, path: str) -> Any:
             _net(p, f"{path}.selective_prefixes[{i}]")
             for i, p in enumerate(_list(raw["selective_prefixes"], f"{path}.selective_prefixes"))
         ]
+    for key, value in raw.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
@@ -535,14 +541,26 @@ def validate_scenario(s: Scenario) -> None:
         seen_links.add(key)
         if link.capacity_mbps <= 0:
             _fail(s.name, f"{where}: capacity must be positive")
+        if link.delay_ms < 0:
+            _fail(s.name, f"{where}: delay must be >= 0")
+    if s.attach_link.capacity_mbps <= 0:
+        _fail(s.name, "defaults.attach_link: capacity must be positive")
+    if s.attach_link.delay_ms < 0:
+        _fail(s.name, "defaults.attach_link: delay must be >= 0")
 
     flow_ids = {f.id for f in s.flows}
-    for p in s.pings:
+    for i, p in enumerate(s.pings):
         if p.src not in hosts_by_id and p.src not in ids:
             _fail(s.name, f"ping {p.id}: unknown src {p.src!r}")
-    for f in s.flows:
+        if p.interval_s <= 0:
+            _fail(s.name, f"pings[{i}]: interval_s must be positive")
+    for i, f in enumerate(s.flows):
         if f.src not in hosts_by_id:
             _fail(s.name, f"flow {f.id}: src {f.src!r} is not a host")
+        if f.demand_mbps is not None and f.demand_mbps <= 0:
+            _fail(s.name, f"flows[{i}]: demand_mbps must be positive")
+        if f.loss_recovery_s < 0:
+            _fail(s.name, f"flows[{i}]: loss_recovery_s must be >= 0")
 
     last_at = 0.0
     for i, ev in enumerate(s.events):

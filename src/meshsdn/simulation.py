@@ -41,18 +41,18 @@ class WmrRuntime:
         scenario = sim.scenario
         self._mesh_address = node.mesh_address
         # The topology is complete before any runtime exists and its links
-        # never change, so the routing links and their peers are fixed.
+        # never change, so the addresses, links and routing peers are fixed.
         topo = sim.topo
-        peers = sorted(
-            (
+        self._addresses = frozenset(itf.address for itf in node.interfaces)
+        self._link_to = {link.other(node.id): link for link in topo.links_of(node.id)}
+        self._olsr_links = tuple(
+            sorted(
                 (peer, link)
-                for link in topo.links_of(node.id)
-                if (peer := topo.nodes[link.other(node.id)]).kind in ("wmr", "controller")
-            ),
-            key=lambda pair: pair[0].id,
+                for peer, link in self._link_to.items()
+                if topo.nodes[peer].kind in ("wmr", "controller")
+            )
         )
-        self._olsr_links = tuple((peer.id, link) for peer, link in peers)
-        self._peer_address = {peer.id: peer.mesh_address for peer, _ in peers}
+        self._peer_address = {peer: topo.nodes[peer].mesh_address for peer, _ in self._olsr_links}
         hna: list[IPv4Network] = [itf.network for itf in node.access_interfaces]
         if spec_gateway:
             hna.append(IPv4Network("0.0.0.0/0"))
@@ -79,7 +79,7 @@ class WmrRuntime:
             log=sim.log.append,
         )
         self.switch.route_lookup = self.daemon.routing_table.lookup
-        self.switch.owns_address = self.node.owns
+        self.switch.owns_address = self._addresses.__contains__
         self.switch.local_subnets = lambda: [
             itf.network for itf in self.node.access_interfaces
         ]
@@ -87,7 +87,7 @@ class WmrRuntime:
         self.switch.deliver_local = self._deliver_local
         self.switch.controller_connected = lambda: self.selector.master is not None
         self.switch.raise_packet_in = self._raise_packet_in
-        self.switch.is_neighbor = self._is_neighbor
+        self.switch.is_neighbor = self._link_to.__contains__
 
     def start(self) -> None:
         self.daemon.start()
@@ -101,15 +101,7 @@ class WmrRuntime:
         self.sim.transmit(link, self.node.id, Packet(self._mesh_address, dst, "olsr", msg))
 
     def _send_to_neighbor(self, neighbor: str, packet: Packet) -> None:
-        link = self.sim.topo.link_between(self.node.id, neighbor)
-        self.sim.transmit(link, self.node.id, packet)
-
-    def _is_neighbor(self, neighbor: str) -> bool:
-        try:
-            self.sim.topo.link_between(self.node.id, neighbor)
-            return True
-        except KeyError:
-            return False
+        self.sim.transmit(self._link_to[neighbor], self.node.id, packet)
 
     def _raise_packet_in(self, packet: Packet) -> None:
         master = self.selector.master
@@ -138,7 +130,7 @@ class WmrRuntime:
         self.switch.forward(packet)
 
     def _deliver_local(self, packet: Packet) -> None:
-        if self.node.owns(packet.dst):
+        if packet.dst in self._addresses:
             self._dispatch_up(packet)
             return
         host = self.sim.host_by_address.get(packet.dst)

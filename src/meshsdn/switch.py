@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Literal
+from types import MappingProxyType
+from typing import Callable, Literal, Mapping
 
 from .engine import SimTime, Simulator, to_us
 from .olsr import RouteEntry
@@ -93,26 +94,44 @@ class FlowRule:
 
 
 class FlowTable:
+    """Rules keyed by match space, indexed for best-first lookup.
+
+    ``rules`` is a read-only view: every change goes through install, remove,
+    remove_expired or flush and drops the index, which the next match
+    rebuilds, so a match never answers from a stale index.
+    """
+
     def __init__(self) -> None:
-        self.rules: dict[tuple, FlowRule] = {}
+        self._rules: dict[tuple, FlowRule] = {}
+        self.rules: Mapping[tuple, FlowRule] = MappingProxyType(self._rules)
         self._install_counter = 0
+        self._index: list[tuple[int, dict[int, list[FlowRule]]]] | None = None
 
     def install(self, rule: FlowRule) -> FlowRule:
         self._install_counter += 1
         rule.install_order = self._install_counter
-        self.rules[rule.key] = rule
+        self._rules[rule.key] = rule
+        self._index = None
         return rule
 
+    def remove(self, rule: FlowRule) -> None:
+        if self._rules.get(rule.key) is not rule:
+            raise KeyError(f"rule not installed: {rule.summary()}")
+        self._discard([rule])
+
     def match(self, packet: Packet, now: SimTime, touch: bool = True) -> FlowRule | None:
-        best: FlowRule | None = None
-        for rule in self.rules.values():
-            if rule.expired(now) or not rule.matches(packet):
-                continue
-            if best is None or self._rank(rule) > self._rank(best):
-                best = rule
-        if best is not None and touch:
-            best.last_hit = now
-        return best
+        """The unexpired matching rule of highest rank; only it is touched."""
+        if self._index is None:
+            self._index = self._build_index()
+        dst = int(packet.dst)
+        for mask, by_network in self._index:
+            for rule in by_network.get(dst & mask, ()):
+                src = rule.src_prefix
+                if (src is None or packet.src in src) and not rule.expired(now):
+                    if touch:
+                        rule.last_hit = now
+                    return rule
+        return None
 
     @staticmethod
     def _rank(rule: FlowRule) -> tuple[int, int, int, int]:
@@ -120,11 +139,25 @@ class FlowTable:
         # Later install wins only as a final, never-ambiguous tie-break.
         return (rule.priority, rule.dst_prefix.prefixlen, src_len, rule.install_order)
 
-    def remove_expired(self, now: SimTime) -> list[FlowRule]:
-        gone = [r for r in self.rules.values() if r.expired(now)]
+    def _build_index(self) -> list[tuple[int, dict[int, list[FlowRule]]]]:
+        """One bucket per (priority, dst prefix length), keyed by dst network;
+        buckets and each network's rules come best first."""
+        buckets: dict[tuple[int, int], dict[int, list[FlowRule]]] = {}
+        for rule in sorted(self._rules.values(), key=self._rank, reverse=True):
+            dst = rule.dst_prefix
+            bucket = buckets.setdefault((rule.priority, dst.prefixlen), {})
+            bucket.setdefault(int(dst.network_address), []).append(rule)
+        return [(0xFFFFFFFF ^ (0xFFFFFFFF >> n), b) for (_, n), b in buckets.items()]
+
+    def _discard(self, gone: list[FlowRule]) -> list[FlowRule]:
         for rule in gone:
-            del self.rules[rule.key]
+            del self._rules[rule.key]
+        if gone:
+            self._index = None
         return gone
+
+    def remove_expired(self, now: SimTime) -> list[FlowRule]:
+        return self._discard([r for r in self.rules.values() if r.expired(now)])
 
     def flush(self, origin_filter: str) -> list[FlowRule]:
         if origin_filter == "*":
@@ -133,9 +166,7 @@ class FlowTable:
             gone = [r for r in self.rules.values() if r.origin.startswith("controller:")]
         else:
             gone = [r for r in self.rules.values() if r.origin == origin_filter]
-        for rule in gone:
-            del self.rules[rule.key]
-        return gone
+        return self._discard(gone)
 
     def dump(self) -> list[str]:
         ordered = sorted(
@@ -149,6 +180,10 @@ class FlowTable:
 class SwitchConfig:
     buffer_timeout_s: float = 1.0
     sweep_interval_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.sweep_interval_s <= 0 or self.buffer_timeout_s < 0:
+            raise ValueError("sweep interval must be positive and buffer timeout >= 0")
 
     @property
     def buffer_timeout_us(self) -> SimTime:

@@ -8,6 +8,7 @@ own Hello traffic, exactly like the deployed system would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Iterator, Literal
 
@@ -65,7 +66,7 @@ class Link:
         if self.delay_us < 0:
             raise ValueError(f"link {self.id}: delay must be >= 0")
 
-    @property
+    @cached_property
     def id(self) -> str:
         return link_id(self.a, self.b)
 
@@ -84,6 +85,8 @@ class Topology:
         self.nodes: dict[str, Node] = {}
         self.links: dict[str, Link] = {}
         self._incident: dict[str, list[Link]] = {}
+        self._owners: dict[IPv4Address, Node] = {}
+        self._between: dict[tuple[str, str], Link] = {}
         # Called as (link, up) after every applied state change.
         self.on_link_event: Callable[[Link, bool], None] | None = None
 
@@ -92,6 +95,8 @@ class Topology:
             raise ValueError(f"duplicate node id {node.id!r}")
         self.nodes[node.id] = node
         self._incident[node.id] = []
+        for itf in node.interfaces:
+            self._owners.setdefault(itf.address, node)  # the first node added owns it
 
     def add_link(self, link: Link) -> None:
         for end in (link.a, link.b):
@@ -102,12 +107,13 @@ class Topology:
         self.links[link.id] = link
         self._incident[link.a].append(link)
         self._incident[link.b].append(link)
+        self._between[link.a, link.b] = self._between[link.b, link.a] = link
 
     def link_between(self, a: str, b: str) -> Link:
-        key = link_id(a, b)
-        if key not in self.links:
-            raise KeyError(f"no link {key}")
-        return self.links[key]
+        try:
+            return self._between[a, b]
+        except KeyError:
+            raise KeyError(f"no link {link_id(a, b)}") from None
 
     def links_of(self, node_id: str) -> list[Link]:
         return self._incident[node_id]
@@ -149,7 +155,4 @@ class Topology:
         return dst in self.component_of(src)
 
     def owner_of(self, addr: IPv4Address) -> Node | None:
-        for node in self.nodes.values():
-            if node.owns(addr):
-                return node
-        return None
+        return self._owners.get(addr)

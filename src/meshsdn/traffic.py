@@ -171,6 +171,11 @@ class FluidTraffic:
         self._log = log
         self._flows: dict[str, _FlowState] = {}
         self._ticking = False
+        # The last allocation and its inputs.  Link capacities never change
+        # and a Down link never reaches a path, so equal inputs give equal
+        # shares.
+        self._allocated: tuple[dict[str, float], dict[str, list[Link]]] | None = None
+        self._shares: dict[str, float] = {}
 
     def add_flow(self, cfg: BulkFlowCfg) -> None:
         self._flows[cfg.flow_id] = _FlowState(cfg)
@@ -200,6 +205,7 @@ class FluidTraffic:
     def _tick(self) -> None:
         now = self.sim.now()
         paths: dict[str, list[Link]] = {}
+        demands: dict[str, float] = {}
         for flow_id in sorted(self._flows):
             state = self._flows[flow_id]
             if not state.active:
@@ -212,16 +218,13 @@ class FluidTraffic:
                 if state.path_ok_since is None:
                     state.path_ok_since = now
                 paths[flow_id] = links
+                demand = state.cfg.demand_bps
+                demands[flow_id] = math.inf if demand is None else demand
         if paths:
-            demands = {
-                f: (
-                    self._flows[f].cfg.demand_bps
-                    if self._flows[f].cfg.demand_bps is not None
-                    else math.inf
-                )
-                for f in paths
-            }
-            shares = max_min_allocate(demands, paths)
+            if self._allocated != (demands, paths):
+                self._shares = max_min_allocate(demands, paths)
+                self._allocated = (demands, paths)
+            shares = self._shares
             for flow_id in sorted(paths):
                 state = self._flows[flow_id]
                 assert state.path_ok_since is not None

@@ -47,6 +47,13 @@ def test_validate_reports_hostile_value_in_one_line(tmp_path, capsys):
     assert err == f"error: {path}.duration_s: expected a number, got 'long'\n"
 
 
+def test_validate_reports_hostile_number_in_one_line(tmp_path, capsys):
+    path = tiny_path(tmp_path, {"pings": [{**TINY["pings"][0], "interval_s": 0}]})
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: tiny: pings[0]: interval_s must be positive\n"
+
+
 def test_unknown_scenario_lists_builtins(capsys):
     assert main(["run", "no-such-thing"]) == 1
     err = capsys.readouterr().err

@@ -162,6 +162,36 @@ REJECTIONS = [
     (_set(["duration_s"], "long"), r"^t\.duration_s: expected a number, got 'long'$"),
     (_set(["events", 0, "link"], "ab"), r"^t\.events\[0\]\.link: expected a list of two"),
     (_set(["wmrs"], 5), r"^t\.wmrs: expected a list, got int$"),
+    # Numbers that would hang a run, fail at build time or log negative
+    # throughput are refused up front.
+    (_set(["pings", 0, "interval_s"], 0), r"^tiny: pings\[0\]: interval_s must be positive$"),
+    (_set(["pings", 0, "interval_s"], -1), r"^tiny: pings\[0\]: interval_s must be positive$"),
+    (_set(["flows", 0, "demand_mbps"], -3), r"^tiny: flows\[0\]: demand_mbps must be positive$"),
+    (
+        _set(["flows", 0, "loss_recovery_s"], -1),
+        r"^tiny: flows\[0\]: loss_recovery_s must be >= 0$",
+    ),
+    (
+        _set(["links", 0, "capacity_mbps"], float("nan")),
+        r"^t\.links\[0\]\.capacity_mbps: expected a finite number, got nan$",
+    ),
+    (_set(["duration_s"], float("inf")), r"^t\.duration_s: expected a finite number, got inf$"),
+    (_set(["links", 0, "delay_ms"], -1), r"^tiny: links\[0\]: delay must be >= 0$"),
+    (
+        _set(["defaults"], {"attach_link": {"capacity_mbps": 0}}),
+        r"^tiny: defaults\.attach_link: capacity must be positive$",
+    ),
+    (
+        _set(["olsr"], {"hello_interval_s": float("nan")}),
+        r"^t\.olsr\.hello_interval_s: expected a finite number, got nan$",
+    ),
+    (_set(["switch"], {"sweep_interval_s": 0}), r"^t\.switch: sweep interval must be positive"),
+    (_set(["switch"], {"buffer_timeout_s": -1}), r"^t\.switch: .*buffer timeout >= 0$"),
+    (
+        _set(["controller"], {"refresh_interval_s": 0}),
+        r"^t\.controller: refresh interval must be positive$",
+    ),
+    (_set(["controller"], {"switch_timeout_s": -1}), r"^t\.controller: timeouts must be >= 0$"),
 ]
 
 

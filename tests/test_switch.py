@@ -2,7 +2,7 @@
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsdn.engine import Simulator, to_us
@@ -78,9 +78,9 @@ def test_match_prefers_priority_then_prefix_length_then_src():
     high = table.install(rule(priority=50, dst="192.168.0.0/16", origin="c"))
     packet = data_packet()
     assert table.match(packet, 0) is high
-    del table.rules[high.key]
+    table.remove(high)
     assert table.match(packet, 0) is longer
-    del table.rules[longer.key]
+    table.remove(longer)
     assert table.match(packet, 0) is low
 
 
@@ -279,3 +279,117 @@ def test_rule_spec_round_trip():
     assert built.key == (100, IPv4Network("192.168.2.0/24"), None)
     assert built.idle_timeout_us == to_us(30.0)
     assert built.origin == "controller:10.0.255.1"
+
+
+# -- indexed match against a linear scan --------------------------------------
+
+# Few addresses sharing long prefixes, so that rules overlap and collide.
+POOL = ["10.0.0.1", "192.168.2.10", "192.168.2.11", "192.168.3.10"]
+ORIGINS = ["controller:10.0.255.1", "controller:10.0.255.2", ORIGIN_EFTM]
+FILTERS = ["*", "controller:*", "controller:10.0.255.1", ORIGIN_EFTM]
+
+# Mostly a few shared prefixes, so that rules often tie on dst and differ on
+# src; sometimes any prefix of a pool address.
+prefixes = st.sampled_from(
+    [IPv4Network(p) for p in ("0.0.0.0/0", "192.168.0.0/16", "192.168.2.0/24", "192.168.2.10/31")]
+) | st.builds(
+    lambda addr, length: IPv4Network((addr, length), strict=False),
+    st.sampled_from(POOL),
+    st.integers(min_value=0, max_value=32),
+)
+rule_args = st.fixed_dictionaries(
+    {
+        "priority": st.sampled_from([10, 100]),
+        "dst_prefix": prefixes,
+        "src_prefix": st.none() | prefixes,
+        "origin": st.sampled_from(ORIGINS),
+        "idle_timeout_us": st.sampled_from([0, 5, 10]),
+        "hard_timeout_us": st.sampled_from([0, 7, 20]),
+    }
+)
+operations = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),  # time step before the operation
+        st.one_of(
+            # Installs are listed twice to draw them more often.
+            installs := st.tuples(st.just("install"), rule_args),
+            installs,
+            st.tuples(st.just("match"), st.booleans()),
+            st.tuples(st.just("remove"), st.integers(min_value=0, max_value=50)),
+            st.tuples(st.just("expire")),
+            st.tuples(st.just("flush"), st.sampled_from(FILTERS)),
+        ),
+    ),
+    min_size=10,
+    max_size=60,
+)
+PACKETS = [Packet(IPv4Address(src), IPv4Address(dst), "data") for src in POOL for dst in POOL]
+
+
+def scan_match(rules, packet, now):
+    """Scan every rule for the highest (priority, dst length, src length,
+    install order) among the unexpired rules that match."""
+
+    def rank(r):
+        src_len = r.src_prefix.prefixlen if r.src_prefix is not None else -1
+        return (r.priority, r.dst_prefix.prefixlen, src_len, r.install_order)
+
+    live = [r for r in rules if not r.expired(now) and r.matches(packet)]
+    return max(live, key=rank, default=None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operations)
+def test_indexed_match_equals_linear_scan(ops):
+    table = FlowTable()
+    reference: dict[tuple, FlowRule] = {}
+    now = 0
+    for step, op in ops:
+        now += step
+        if op[0] == "install":
+            r = FlowRule(action=DropAction(), **op[1])
+            r.installed_at = r.last_hit = now
+            reference[r.key] = table.install(r)
+        elif op[0] == "remove" and reference:
+            victim = list(reference.values())[op[1] % len(reference)]
+            table.remove(victim)
+            del reference[victim.key]
+        elif op[0] == "expire":
+            gone = table.remove_expired(now)
+            expected = [r for r in reference.values() if r.expired(now)]
+            assert gone == expected
+            for r in gone:
+                del reference[r.key]
+        elif op[0] == "flush":
+            gone = table.flush(op[1])
+            for r in gone:
+                del reference[r.key]
+        elif op[0] == "match":
+            touch = op[1]
+            for packet in PACKETS:
+                before = {key: r.last_hit for key, r in reference.items()}
+                expected = scan_match(reference.values(), packet, now)
+                got = table.match(packet, now, touch=touch)
+                assert got is expected
+                for key, r in reference.items():
+                    assert r.last_hit == (now if touch and r is got else before[key])
+        assert dict(table.rules) == reference
+
+
+def test_remove_refuses_a_rule_not_in_the_table():
+    table = FlowTable()
+    first = table.install(rule(dst="192.168.2.0/24", origin="first"))
+    table.install(rule(dst="192.168.2.0/24", origin="second"))  # replaces first
+    with pytest.raises(KeyError):
+        table.remove(first)
+    assert [r.origin for r in table.rules.values()] == ["second"]
+
+
+def test_rules_view_refuses_writes():
+    table = FlowTable()
+    r = table.install(rule())
+    with pytest.raises(TypeError):
+        table.rules[r.key] = rule(origin="sneaky")
+    with pytest.raises(TypeError):
+        del table.rules[r.key]
+    assert table.match(data_packet(), 0) is r

@@ -95,3 +95,20 @@ def test_owner_of():
     owner = topo.owner_of(IPv4Address("10.0.0.2"))
     assert owner is not None and owner.id == "n2"
     assert topo.owner_of(IPv4Address("10.0.9.9")) is None
+
+
+def test_owner_of_returns_the_first_node_added():
+    topo = chain(2)
+    topo.add_node(mesh_node("n9", "10.0.0.2"))  # claims n2's address again
+    assert topo.owner_of(IPv4Address("10.0.0.2")).id == "n2"
+    assert topo.owner_of(IPv4Address("10.0.0.1")).id == "n1"
+    assert topo.owner_of(IPv4Address("10.0.0.3")) is None
+
+
+def test_link_between_finds_either_order_and_rejects_missing_pairs():
+    topo = chain(3)
+    link = topo.link_between("n1", "n2")
+    assert topo.link_between("n2", "n1") is link and link.id == "n1<->n2"
+    for a, b in (("n1", "n3"), ("n3", "n1"), ("n1", "ghost"), ("n1", "n1")):
+        with pytest.raises(KeyError, match=f"no link {link_id(a, b)}"):
+            topo.link_between(a, b)

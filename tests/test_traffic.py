@@ -1,17 +1,25 @@
 """Max-min allocation, ping bookkeeping, and the fluid-flow ramp."""
 import math
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsdn import control_plane as cp
+from meshsdn import traffic
 from meshsdn.engine import Simulator, to_us
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
-from meshsdn.topology import Link
-from meshsdn.traffic import PingManager, PingProbeCfg, max_min_allocate
+from meshsdn.switch import DeliverLocal, FlowRule, FlowSwitch, ForwardTo, SwitchConfig
+from meshsdn.topology import Interface, Link, Node, Topology
+from meshsdn.traffic import (
+    BulkFlowCfg,
+    FluidTraffic,
+    PingManager,
+    PingProbeCfg,
+    max_min_allocate,
+)
 
 
 def link(lid_a, lid_b, capacity_bps):
@@ -189,3 +197,84 @@ def test_flow_ramps_linearly_after_rules_install():
     # Past the 1 s recovery window the flow holds the full link.
     assert by_time[to_us(18.0)] == 10_000_000.0
     assert max(bps for _, bps in samples) == 10_000_000.0
+
+
+def test_allocation_is_reused_until_a_demand_or_path_changes(monkeypatch):
+    # h1 - w1 - w2 - w3 - h2, plus a wider shortcut w1 - w3.
+    sim = Simulator()
+    topo = Topology()
+    mesh = IPv4Network("10.0.0.0/16")
+    for i in (1, 2, 3):
+        topo.add_node(Node(f"w{i}", "wmr", [Interface(IPv4Address(f"10.0.0.{i}"), mesh, "mesh")]))
+    src, dst = IPv4Address("192.168.1.10"), IPv4Address("192.168.3.10")
+    topo.add_node(Node("h1", "host", [Interface(src, IPv4Network("192.168.1.0/24"), "access")]))
+    topo.add_node(Node("h2", "host", [Interface(dst, IPv4Network("192.168.3.0/24"), "access")]))
+    access1, w12, w23, w13, access3 = (
+        Link("h1", "w1", 100_000_000, 500),
+        Link("w1", "w2", 10_000_000, 1000),
+        Link("w2", "w3", 10_000_000, 1000),
+        Link("w1", "w3", 20_000_000, 1000),
+        Link("w3", "h2", 100_000_000, 500),
+    )
+    for lk in (access1, w12, w23, w13, access3):
+        topo.add_link(lk)
+    switches = {
+        w: FlowSwitch(w, mesh, SwitchConfig(), sim, lambda k, d: None) for w in ("w1", "w2", "w3")
+    }
+
+    def install(wmr, action, priority=100):
+        switches[wmr].install_rule(FlowRule(priority, IPv4Network("192.168.3.0/24"), action, "t"))
+
+    install("w1", ForwardTo("w2"))
+    install("w2", ForwardTo("w3"))
+    install("w3", DeliverLocal())
+
+    calls = []
+
+    def counting_allocate(demands, flow_links):
+        calls.append((demands, flow_links))
+        return max_min_allocate(demands, flow_links)
+
+    monkeypatch.setattr(traffic, "max_min_allocate", counting_allocate)
+    samples = []
+    fluid = FluidTraffic(
+        sim,
+        topo,
+        attachment_of=lambda host: ("w1", access1),
+        switch_of=switches.__getitem__,
+        host_address=lambda host: src,
+        log=lambda kind, data: samples.append((sim.now(), data["flow"], data["bps"])),
+    )
+    capped = BulkFlowCfg("capped", "h1", dst, demand_bps=2e6, loss_recovery_s=0.0)
+    fluid.add_flow(BulkFlowCfg("greedy", "h1", dst, loss_recovery_s=0.0))
+    fluid.add_flow(capped)
+
+    def tick_at(t):
+        sim.run_until(to_us(t))
+        return {flow: bps for at, flow, bps in samples if at == to_us(t)}
+
+    def direct(demand, path):
+        demands = {"capped": demand, "greedy": math.inf}
+        return max_min_allocate(demands, {"capped": path, "greedy": path})
+
+    long_path, short_path = [access1, w12, w23, access3], [access1, w13, access3]
+    # The first tick sees only the flow started first; both run from 0.1 s.
+    tick_at(0.0)
+    assert tick_at(0.1) == direct(2e6, long_path) == {"capped": 2e6, "greedy": 8e6}
+    assert len(calls) == 2
+    assert tick_at(0.2) == direct(2e6, long_path)
+    assert len(calls) == 2  # unchanged inputs: the last shares are reused
+
+    capped.demand_bps = 4e6
+    assert tick_at(0.3) == direct(4e6, long_path) == {"capped": 4e6, "greedy": 6e6}
+    assert len(calls) == 3
+    assert tick_at(0.4) == direct(4e6, long_path) and len(calls) == 3
+
+    install("w1", ForwardTo("w3"), priority=200)
+    assert tick_at(0.5) == direct(4e6, short_path) == {"capped": 4e6, "greedy": 16e6}
+    assert len(calls) == 4
+    assert calls[-1] == (
+        {"capped": 4e6, "greedy": math.inf},
+        {"capped": short_path, "greedy": short_path},
+    )
+    assert tick_at(0.6) == direct(4e6, short_path) and len(calls) == 4
