@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
 from typing import Any
@@ -127,9 +127,10 @@ class Scenario:
     flows: list[FlowSpec] = field(default_factory=list)
     events: list[EventSpec] = field(default_factory=list)
     measure: MeasureSpec | None = None
+    source: InitVar[str | None] = None  # the document; names it in errors
 
-    def __post_init__(self) -> None:
-        validate_scenario(self)
+    def __post_init__(self, source: str | None) -> None:
+        validate_scenario(self, source)
 
 
 # -- parsing helpers ---------------------------------------------------------
@@ -440,6 +441,7 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
         flows=flows,
         events=events,
         measure=measure,
+        source=source,
     )
 
 
@@ -470,59 +472,62 @@ def apply_overrides(doc: Any, overrides: dict[str, Any]) -> Any:
 # -- validation --------------------------------------------------------------
 
 
-def validate_scenario(s: Scenario) -> None:
+def validate_scenario(s: Scenario, source: str | None = None) -> None:
+    """Check the cross-references and values parsing cannot; errors start
+    with ``source``, or with the scenario's name when there is none."""
+    doc = source or s.name
     if s.duration_s <= 0:
-        _fail(s.name, "duration_s must be positive")
+        _fail(doc, "duration_s must be positive")
 
     ids: set[str] = set()
     for node_id in [*(w.id for w in s.wmrs), *(c.id for c in s.controllers), *(h.id for h in s.hosts)]:
         if node_id in ids:
-            _fail(s.name, f"duplicate node id {node_id!r}")
+            _fail(doc, f"duplicate node id {node_id!r}")
         ids.add(node_id)
 
     wmr_ids = {w.id for w in s.wmrs}
     if not s.eftm.controller_range.subnet_of(s.control_subnet):
-        _fail(s.name, "eftm.controller_range must lie inside control_subnet")
+        _fail(doc, "eftm.controller_range must lie inside control_subnet")
 
     addresses: set[IPv4Address] = set()
 
     def claim(addr: IPv4Address, owner: str) -> None:
         if addr in addresses:
-            _fail(s.name, f"{owner}: address {addr} is already assigned")
+            _fail(doc, f"{owner}: address {addr} is already assigned")
         addresses.add(addr)
 
     for w in s.wmrs:
         if w.mesh_addr not in s.control_subnet:
-            _fail(s.name, f"wmr {w.id}: mesh_addr {w.mesh_addr} outside control subnet")
+            _fail(doc, f"wmr {w.id}: mesh_addr {w.mesh_addr} outside control subnet")
         if w.mesh_addr in s.eftm.controller_range:
-            _fail(s.name, f"wmr {w.id}: mesh_addr {w.mesh_addr} inside controller range")
+            _fail(doc, f"wmr {w.id}: mesh_addr {w.mesh_addr} inside controller range")
         claim(w.mesh_addr, f"wmr {w.id}")
         for net in w.access:
             if net.subnet.overlaps(s.control_subnet):
-                _fail(s.name, f"wmr {w.id}: access subnet {net.subnet} overlaps control subnet")
+                _fail(doc, f"wmr {w.id}: access subnet {net.subnet} overlaps control subnet")
             if net.addr not in net.subnet:
-                _fail(s.name, f"wmr {w.id}: access addr {net.addr} outside {net.subnet}")
+                _fail(doc, f"wmr {w.id}: access addr {net.addr} outside {net.subnet}")
             claim(net.addr, f"wmr {w.id}")
 
     for c in s.controllers:
         if c.addr not in s.eftm.controller_range:
-            _fail(s.name, f"controller {c.id}: addr {c.addr} outside controller range")
+            _fail(doc, f"controller {c.id}: addr {c.addr} outside controller range")
         claim(c.addr, f"controller {c.id}")
         if c.attach not in wmr_ids:
-            _fail(s.name, f"controller {c.id}: attach target {c.attach!r} is not a wmr")
+            _fail(doc, f"controller {c.id}: attach target {c.attach!r} is not a wmr")
         for prefix, hops in c.path_overrides.items():
             unknown = [h for h in hops if h not in wmr_ids]
             if unknown:
-                _fail(s.name, f"controller {c.id}: override {prefix} names non-wmr {unknown}")
+                _fail(doc, f"controller {c.id}: override {prefix} names non-wmr {unknown}")
 
     hosts_by_id = {}
     for h in s.hosts:
         if h.attach not in wmr_ids:
-            _fail(s.name, f"host {h.id}: attach target {h.attach!r} is not a wmr")
+            _fail(doc, f"host {h.id}: attach target {h.attach!r} is not a wmr")
         wmr = next(w for w in s.wmrs if w.id == h.attach)
         if not any(h.addr in net.subnet for net in wmr.access):
             _fail(
-                s.name,
+                doc,
                 f"host {h.id}: addr {h.addr} not in any access subnet of {h.attach}",
             )
         claim(h.addr, f"host {h.id}")
@@ -532,64 +537,72 @@ def validate_scenario(s: Scenario) -> None:
     for i, link in enumerate(s.links):
         where = f"links[{i}]"
         if link.a not in wmr_ids or link.b not in wmr_ids:
-            _fail(s.name, f"{where}: mesh links must join two wmrs ({link.a}, {link.b})")
+            _fail(doc, f"{where}: mesh links must join two wmrs ({link.a}, {link.b})")
         if link.a == link.b:
-            _fail(s.name, f"{where}: self-link on {link.a}")
+            _fail(doc, f"{where}: self-link on {link.a}")
         key = tuple(sorted((link.a, link.b)))
         if key in seen_links:
-            _fail(s.name, f"{where}: duplicate link {key}")
+            _fail(doc, f"{where}: duplicate link {key}")
         seen_links.add(key)
         if link.capacity_mbps <= 0:
-            _fail(s.name, f"{where}: capacity must be positive")
+            _fail(doc, f"{where}: capacity must be positive")
         if link.delay_ms < 0:
-            _fail(s.name, f"{where}: delay must be >= 0")
+            _fail(doc, f"{where}: delay must be >= 0")
     if s.attach_link.capacity_mbps <= 0:
-        _fail(s.name, "defaults.attach_link: capacity must be positive")
+        _fail(doc, "defaults.attach_link: capacity must be positive")
     if s.attach_link.delay_ms < 0:
-        _fail(s.name, "defaults.attach_link: delay must be >= 0")
+        _fail(doc, "defaults.attach_link: delay must be >= 0")
 
     flow_ids = {f.id for f in s.flows}
     for i, p in enumerate(s.pings):
-        if p.src not in hosts_by_id and p.src not in ids:
-            _fail(s.name, f"ping {p.id}: unknown src {p.src!r}")
+        if p.src not in ids:
+            _fail(doc, f"ping {p.id}: unknown src {p.src!r}")
+        if p.src not in hosts_by_id:
+            _fail(doc, f"ping {p.id}: src {p.src!r} is not a host")
         if p.interval_s <= 0:
-            _fail(s.name, f"pings[{i}]: interval_s must be positive")
+            _fail(doc, f"pings[{i}]: interval_s must be positive")
+        if p.start_s < 0:
+            _fail(doc, f"pings[{i}]: start_s must be >= 0")
     for i, f in enumerate(s.flows):
         if f.src not in hosts_by_id:
-            _fail(s.name, f"flow {f.id}: src {f.src!r} is not a host")
+            _fail(doc, f"flow {f.id}: src {f.src!r} is not a host")
         if f.demand_mbps is not None and f.demand_mbps <= 0:
-            _fail(s.name, f"flows[{i}]: demand_mbps must be positive")
+            _fail(doc, f"flows[{i}]: demand_mbps must be positive")
         if f.loss_recovery_s < 0:
-            _fail(s.name, f"flows[{i}]: loss_recovery_s must be >= 0")
+            _fail(doc, f"flows[{i}]: loss_recovery_s must be >= 0")
+        if f.start_s < 0:
+            _fail(doc, f"flows[{i}]: start_s must be >= 0")
+        if f.stop_s is not None and f.stop_s <= f.start_s:
+            _fail(doc, f"flows[{i}]: stop_s must be after start_s")
 
     last_at = 0.0
     for i, ev in enumerate(s.events):
         where = f"events[{i}]"
         if ev.at_s < 0 or ev.at_s > s.duration_s:
-            _fail(s.name, f"{where}: at_s {ev.at_s} outside [0, {s.duration_s}]")
+            _fail(doc, f"{where}: at_s {ev.at_s} outside [0, {s.duration_s}]")
         if ev.at_s < last_at:
-            _fail(s.name, f"{where}: events must be time-ordered")
+            _fail(doc, f"{where}: events must be time-ordered")
         last_at = ev.at_s
         if ev.action in ("link-up", "link-down"):
             if ev.link is None:
-                _fail(s.name, f"{where}: {ev.action} needs a link")
+                _fail(doc, f"{where}: {ev.action} needs a link")
             key = tuple(sorted(ev.link))
             if key not in seen_links:
-                _fail(s.name, f"{where}: unknown link {ev.link}")
+                _fail(doc, f"{where}: unknown link {ev.link}")
         elif ev.action in ("start-flow", "stop-flow"):
             if ev.flow is None or ev.flow not in flow_ids:
-                _fail(s.name, f"{where}: unknown flow {ev.flow!r}")
+                _fail(doc, f"{where}: unknown flow {ev.flow!r}")
         else:
-            _fail(s.name, f"{where}: unknown action {ev.action!r}")
+            _fail(doc, f"{where}: unknown action {ev.action!r}")
 
     if s.measure is not None:
         m = s.measure
         if m.kind not in ("merge", "partition"):
-            _fail(s.name, f"measure.kind must be merge or partition, got {m.kind!r}")
+            _fail(doc, f"measure.kind must be merge or partition, got {m.kind!r}")
         for w in m.wmrs:
             if w not in wmr_ids:
-                _fail(s.name, f"measure: unknown wmr {w!r}")
+                _fail(doc, f"measure: unknown wmr {w!r}")
         if m.probe is not None and m.probe not in {p.id for p in s.pings}:
-            _fail(s.name, f"measure: unknown probe {m.probe!r}")
+            _fail(doc, f"measure: unknown probe {m.probe!r}")
         if m.flow is not None and m.flow not in flow_ids:
-            _fail(s.name, f"measure: unknown flow {m.flow!r}")
+            _fail(doc, f"measure: unknown flow {m.flow!r}")

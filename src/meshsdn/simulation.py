@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable
+from typing import Any, Callable
 
 from . import control_plane as cp
 from .controller import Controller
@@ -25,236 +25,209 @@ from .metrics import (
     network_connectivity_time,
     throughput_recovery,
 )
-from .olsr import FloodMsg, HelloMsg, OlsrDaemon
+from .olsr import HelloMsg, OlsrDaemon, RouteEntry
 from .scenario import Scenario
 from .switch import FlowSwitch, Packet
 from .topology import Interface, Link, Node, Topology
 from .traffic import BulkFlowCfg, FluidTraffic, PingManager, PingProbeCfg
 
 
-class WmrRuntime:
-    """A mesh router: routing daemon + hybrid switch + master selector."""
+class NodeRuntime:
+    """What every node shares: its addresses, its links by peer, and one
+    handler per payload type it accepts, called as ``handler(msg, src)``.
+    A router or controller, given the prefixes it announces, also runs the
+    routing daemon over its router and controller links.
 
-    def __init__(self, sim: "Simulation", node: Node, spec_gateway: bool) -> None:
+    The topology is complete before any runtime exists and its links never
+    change, so all of these are fixed at construction.
+    """
+
+    def __init__(self, sim: "Simulation", node: Node, hna: list[IPv4Network] | None = None) -> None:
         self.sim = sim
         self.node = node
-        scenario = sim.scenario
-        self._mesh_address = node.mesh_address
-        # The topology is complete before any runtime exists and its links
-        # never change, so the addresses, links and routing peers are fixed.
-        topo = sim.topo
-        self._addresses = frozenset(itf.address for itf in node.interfaces)
-        self._link_to = {link.other(node.id): link for link in topo.links_of(node.id)}
-        self._olsr_links = tuple(
-            sorted(
-                (peer, link)
-                for peer, link in self._link_to.items()
-                if topo.nodes[peer].kind in ("wmr", "controller")
+        # A router's or controller's mesh address; a host's only address.
+        self.address = node.interfaces[0].address
+        self.addresses = frozenset(itf.address for itf in node.interfaces)
+        self.link_to = {link.other(node.id): link for link in sim.topo.links_of(node.id)}
+        self.handlers: dict[type, Callable[[Any, IPv4Address], None]] = {
+            cp.PingRequest: lambda msg, src: self.originate(
+                src, "ping", cp.PingReply(msg.probe_id, msg.seq, msg.sent_at)
+            ),
+            cp.PingReply: lambda msg, src: sim.pings.on_reply(msg),
+        }
+        if hna is not None:
+            nodes = sim.topo.nodes
+            olsr_links = tuple(
+                sorted(
+                    (peer, link)
+                    for peer, link in self.link_to.items()
+                    if nodes[peer].kind in ("wmr", "controller")
+                )
             )
-        )
-        self._peer_address = {peer: topo.nodes[peer].mesh_address for peer, _ in self._olsr_links}
-        hna: list[IPv4Network] = [itf.network for itf in node.access_interfaces]
-        if spec_gateway:
-            hna.append(IPv4Network("0.0.0.0/0"))
-        self.daemon = OlsrDaemon(
-            node.id,
-            [node.mesh_address],
-            hna,
-            scenario.olsr,
-            sim.engine,
-            links=lambda: self._olsr_links,
-            send=self._olsr_send,
-            log=sim.log.append,
-        )
+            self._peer_address = {peer: nodes[peer].mesh_address for peer, _ in olsr_links}
+            self.daemon = OlsrDaemon(
+                node.id,
+                [self.address],
+                hna,
+                sim.scenario.olsr,
+                sim.engine,
+                links=lambda: olsr_links,
+                send=self._olsr_send,
+                log=sim.log.append,
+            )
+
+    def originate(self, dst: IPv4Address, kind: str, payload: object) -> None:
+        """Send from a controller or host over its only link, the attach link."""
+        (link,) = self.link_to.values()
+        packet = Packet(self.address, dst, kind, payload)  # type: ignore[arg-type]
+        self.sim.transmit(link, self.node.id, packet)
+
+    def send_control(self, dst: IPv4Address, payload: object) -> None:
+        self.originate(dst, "control", payload)
+
+    def _dispatch(self, packet: Packet) -> None:
+        handler = self.handlers.get(type(packet.payload))
+        if handler is not None:
+            handler(packet.payload, packet.src)
+
+    def _olsr_send(self, link: Link, msg: object) -> None:
+        dst = self._peer_address[link.other(self.node.id)]
+        self.sim.transmit(link, self.node.id, Packet(self.address, dst, "olsr", msg))
+
+    def _receive_olsr(self, msg: object, link: Link) -> None:
+        if isinstance(msg, HelloMsg):
+            self.daemon.handle_hello(msg)
+        else:
+            self.daemon.handle_flood(msg, link)
+
+
+class WmrRuntime(NodeRuntime):
+    """A mesh router: routing daemon + hybrid switch + master selector.
+
+    The router is its switch's :class:`~meshsdn.switch.SwitchHost`.
+    """
+
+    def __init__(self, sim: "Simulation", node: Node, spec_gateway: bool) -> None:
+        self.access_networks = tuple(itf.network for itf in node.access_interfaces)
+        default_route = [IPv4Network("0.0.0.0/0")] if spec_gateway else []
+        super().__init__(sim, node, [*self.access_networks, *default_route])
+        scenario = sim.scenario
+        nodes = sim.topo.nodes
+        self._host_links = {
+            nodes[peer].interfaces[0].address: link
+            for peer, link in self.link_to.items()
+            if nodes[peer].kind == "host"
+        }
         self.switch = FlowSwitch(
-            node.id, scenario.control_subnet, scenario.switch, sim.engine, sim.log.append
+            node.id, scenario.control_subnet, scenario.switch, sim.engine, sim.log.append, self
         )
-        self.selector = MasterSelector(
+        self.selector = selector = MasterSelector(
             node.id,
             scenario.eftm,
             sim.engine,
             self.daemon,
             self.switch,
-            send=lambda addr, payload: self.originate(addr, "control", payload),
+            send=self.send_control,
             log=sim.log.append,
         )
-        self.switch.route_lookup = self.daemon.routing_table.lookup
-        self.switch.owns_address = self._addresses.__contains__
-        self.switch.local_subnets = lambda: [
-            itf.network for itf in self.node.access_interfaces
-        ]
-        self.switch.send_to_neighbor = self._send_to_neighbor
-        self.switch.deliver_local = self._deliver_local
-        self.switch.controller_connected = lambda: self.selector.master is not None
-        self.switch.raise_packet_in = self._raise_packet_in
-        self.switch.is_neighbor = self._link_to.__contains__
+        self.handlers |= {
+            cp.ProbeReply: lambda msg, src: selector.on_probe_reply(msg),
+            cp.ConnectAccept: lambda msg, src: selector.on_connect_accept(msg),
+            cp.KeepaliveReply: lambda msg, src: selector.on_keepalive_reply(msg),
+            cp.FlowModMsg: lambda msg, src: self.switch.install_rule(msg.rule.build()),
+            cp.FlushMsg: lambda msg, src: self.switch.flush_rules(msg.origin_filter),
+        }
 
     def start(self) -> None:
         self.daemon.start()
         self.switch.start()
         self.selector.start()
 
-    # -- transport adapters -------------------------------------------------
-
-    def _olsr_send(self, link: Link, msg: object) -> None:
-        dst = self._peer_address[link.other(self.node.id)]
-        self.sim.transmit(link, self.node.id, Packet(self._mesh_address, dst, "olsr", msg))
-
-    def _send_to_neighbor(self, neighbor: str, packet: Packet) -> None:
-        self.sim.transmit(self._link_to[neighbor], self.node.id, packet)
-
-    def _raise_packet_in(self, packet: Packet) -> None:
-        master = self.selector.master
-        if master is None:
-            return
-        self.originate(
-            master,
-            "control",
-            cp.PacketInMsg(
-                self.node.id, packet.src, packet.dst, packet.flow_id, self.sim.engine.now()
-            ),
-        )
-
     def originate(self, dst: IPv4Address, kind: str, payload: object) -> None:
-        self.switch.forward(Packet(self._mesh_address, dst, kind, payload))  # type: ignore[arg-type]
-
-    # -- receive path -------------------------------------------------------
+        self.switch.forward(Packet(self.address, dst, kind, payload))  # type: ignore[arg-type]
 
     def on_packet(self, packet: Packet, link: Link) -> None:
         if packet.kind == "olsr":
-            if isinstance(packet.payload, HelloMsg):
-                self.daemon.handle_hello(packet.payload)
-            elif isinstance(packet.payload, FloodMsg):
-                self.daemon.handle_flood(packet.payload, link)
-            return
-        self.switch.forward(packet)
+            self._receive_olsr(packet.payload, link)
+        else:
+            self.switch.forward(packet)
 
-    def _deliver_local(self, packet: Packet) -> None:
-        if packet.dst in self._addresses:
-            self._dispatch_up(packet)
+    # -- switch host --------------------------------------------------------
+
+    @property
+    def master(self) -> IPv4Address | None:
+        return self.selector.master
+
+    def route(self, dst: IPv4Address) -> RouteEntry | None:
+        return self.daemon.routing_table.lookup(dst)
+
+    def is_neighbor(self, node_id: str) -> bool:
+        return node_id in self.link_to
+
+    def send_to_neighbor(self, neighbor: str, packet: Packet) -> None:
+        self.sim.transmit(self.link_to[neighbor], self.node.id, packet)
+
+    def deliver_local(self, packet: Packet) -> None:
+        if packet.dst in self.addresses:
+            self._dispatch(packet)
             return
-        host = self.sim.host_by_address.get(packet.dst)
-        if host is not None and host.attach_wmr == self.node.id:
-            self.sim.transmit(host.access_link, self.node.id, packet)
         # A packet for an access subnet with no such host simply vanishes,
         # like a frame to an unanswered ARP.
+        link = self._host_links.get(packet.dst)
+        if link is not None:
+            self.sim.transmit(link, self.node.id, packet)
 
-    def _dispatch_up(self, packet: Packet) -> None:
-        msg = packet.payload
-        if isinstance(msg, cp.ProbeReply):
-            self.selector.on_probe_reply(msg)
-        elif isinstance(msg, cp.ConnectAccept):
-            self.selector.on_connect_accept(msg)
-        elif isinstance(msg, cp.KeepaliveReply):
-            self.selector.on_keepalive_reply(msg)
-        elif isinstance(msg, cp.FlowModMsg):
-            self.switch.install_rule(msg.rule.build())
-        elif isinstance(msg, cp.FlushMsg):
-            self.switch.flush_rules(msg.origin_filter)
-        elif isinstance(msg, cp.PingRequest):
-            self.originate(packet.src, "ping", cp.PingReply(msg.probe_id, msg.seq, msg.sent_at))
-        elif isinstance(msg, cp.PingReply):
-            self.sim.pings.on_reply(msg)
+    def raise_packet_in(self, packet: Packet) -> None:
+        msg = cp.PacketInMsg(
+            self.node.id, packet.src, packet.dst, packet.flow_id, self.sim.engine.now()
+        )
+        self.send_control(self.selector.master, msg)
 
 
-class ControllerRuntime:
+class ControllerRuntime(NodeRuntime):
     """A controller host: runs the routing daemon plus the path controller."""
 
     def __init__(self, sim: "Simulation", node: Node, attach: str, overrides) -> None:
-        self.sim = sim
-        self.node = node
-        self.attach_wmr = attach
-        self.attach_link = sim.topo.link_between(node.id, attach)
-        addr = self._mesh_address = node.mesh_address
-        self._attach_address = sim.topo.nodes[attach].mesh_address
-        olsr_links = ((attach, self.attach_link),)
-        self.daemon = OlsrDaemon(
+        super().__init__(sim, node, [IPv4Network(f"{node.mesh_address}/32")])
+        self.controller = controller = Controller(
             node.id,
-            [addr],
-            [IPv4Network(f"{addr}/32")],
-            sim.scenario.olsr,
-            sim.engine,
-            links=lambda: olsr_links,
-            send=self._olsr_send,
-            log=sim.log.append,
-        )
-        self.controller = Controller(
-            node.id,
-            addr,
+            self.address,
             attach,
             sim.scenario.controller,
             sim.engine,
             pull_snapshot=lambda: sim.wmrs[attach].daemon.snapshot(),
-            attachment_up=lambda: self.attach_link.up,
-            send=self._originate,
+            attachment_up=lambda: self.link_to[attach].up,
+            send=self.send_control,
             log=sim.log.append,
             path_overrides=overrides,
         )
+        self.handlers |= {
+            cp.ProbeRequest: controller.on_probe_request,
+            cp.ConnectRequest: controller.on_connect_request,
+            cp.DisconnectNotice: lambda msg, src: controller.on_disconnect(msg),
+            cp.KeepaliveRequest: controller.on_keepalive,
+            cp.PacketInMsg: controller.on_packet_in,
+        }
 
     def start(self) -> None:
         self.daemon.start()
         self.controller.start()
 
-    def _olsr_send(self, link: Link, msg: object) -> None:
-        packet = Packet(self._mesh_address, self._attach_address, "olsr", msg)
-        self.sim.transmit(link, self.node.id, packet)
-
-    def _originate(self, dst: IPv4Address, payload: object) -> None:
-        kind = "ping" if isinstance(payload, (cp.PingRequest, cp.PingReply)) else "control"
-        packet = Packet(self._mesh_address, dst, kind, payload)  # type: ignore[arg-type]
-        self.sim.transmit(self.attach_link, self.node.id, packet)
-
     def on_packet(self, packet: Packet, link: Link) -> None:
         if packet.kind == "olsr":
-            if isinstance(packet.payload, HelloMsg):
-                self.daemon.handle_hello(packet.payload)
-            elif isinstance(packet.payload, FloodMsg):
-                self.daemon.handle_flood(packet.payload, link)
-            return
-        if not self.node.owns(packet.dst):
-            return  # controllers do not forward transit traffic
-        msg = packet.payload
-        if isinstance(msg, cp.ProbeRequest):
-            self.controller.on_probe_request(msg, packet.src)
-        elif isinstance(msg, cp.ConnectRequest):
-            self.controller.on_connect_request(msg, packet.src)
-        elif isinstance(msg, cp.DisconnectNotice):
-            self.controller.on_disconnect(msg)
-        elif isinstance(msg, cp.KeepaliveRequest):
-            self.controller.on_keepalive(msg, packet.src)
-        elif isinstance(msg, cp.PacketInMsg):
-            self.controller.on_packet_in(msg, packet.src)
-        elif isinstance(msg, cp.PingRequest):
-            self._originate(packet.src, cp.PingReply(msg.probe_id, msg.seq, msg.sent_at))
-        elif isinstance(msg, cp.PingReply):
-            self.sim.pings.on_reply(msg)
+            self._receive_olsr(packet.payload, link)
+        elif packet.dst in self.addresses:  # controllers do not forward transit traffic
+            self._dispatch(packet)
 
 
-class HostRuntime:
-    def __init__(self, sim: "Simulation", node: Node, attach: str) -> None:
-        self.sim = sim
-        self.node = node
-        self.attach_wmr = attach
-        self.access_link = sim.topo.link_between(node.id, attach)
-
-    @property
-    def address(self) -> IPv4Address:
-        return self.node.interfaces[0].address
-
-    def originate(self, dst: IPv4Address, kind: str, payload: object) -> None:
-        packet = Packet(self.address, dst, kind, payload)  # type: ignore[arg-type]
-        self.sim.transmit(self.access_link, self.node.id, packet)
+class HostRuntime(NodeRuntime):
+    """An end host on an access subnet: it sends and answers pings."""
 
     def on_packet(self, packet: Packet, link: Link) -> None:
-        if not self.node.owns(packet.dst):
-            return
-        msg = packet.payload
-        if isinstance(msg, cp.PingRequest):
-            self.originate(packet.src, "ping", cp.PingReply(msg.probe_id, msg.seq, msg.sent_at))
-        elif isinstance(msg, cp.PingReply):
-            self.sim.pings.on_reply(msg)
         # Bulk data arriving here is accounted by the fluid model, not counted
         # per packet.
+        if packet.dst in self.addresses:
+            self._dispatch(packet)
 
 
 @dataclass
@@ -279,7 +252,6 @@ class Simulation:
         self.wmrs: dict[str, WmrRuntime] = {}
         self.controllers: dict[str, ControllerRuntime] = {}
         self.hosts: dict[str, HostRuntime] = {}
-        self.host_by_address: dict[IPv4Address, HostRuntime] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -326,26 +298,19 @@ class Simulation:
                 self, self.topo.nodes[c.id], c.attach, c.path_overrides
             )
         for h in s.hosts:
-            runtime = HostRuntime(self, self.topo.nodes[h.id], h.attach)
-            self.hosts[h.id] = runtime
-            self.host_by_address[runtime.address] = runtime
-        self._runtimes: dict[str, WmrRuntime | ControllerRuntime | HostRuntime] = {
-            **self.wmrs,
-            **self.controllers,
-            **self.hosts,
-        }
+            self.hosts[h.id] = HostRuntime(self, self.topo.nodes[h.id])
+        self._runtimes: dict[str, NodeRuntime] = {**self.wmrs, **self.controllers, **self.hosts}
 
-        self.pings = PingManager(self.engine, self._originate_ping, self.log.append)
+        self.pings = PingManager(
+            self.engine,
+            lambda host, dst, payload: self.hosts[host].originate(dst, "ping", payload),
+            self.log.append,
+        )
         self.fluid = FluidTraffic(
             self.engine,
             self.topo,
-            attachment_of=lambda host: (
-                self.hosts[host].attach_wmr,
-                self.hosts[host].access_link,
-            ),
-            switch_of=lambda wmr: self.wmrs[wmr].switch,
-            host_address=lambda host: self.hosts[host].address,
-            log=self.log.append,
+            {wmr_id: runtime.switch for wmr_id, runtime in self.wmrs.items()},
+            self.log.append,
         )
         for p in s.pings:
             self.pings.add_probe(
@@ -386,9 +351,6 @@ class Simulation:
         if ev.action == "start-flow":
             return lambda: self.fluid.start_flow(ev.flow)
         return lambda: self.fluid.stop_flow(ev.flow)
-
-    def _originate_ping(self, host: str, dst: IPv4Address, payload: object) -> None:
-        self.hosts[host].originate(dst, "ping", payload)
 
     # -- transport ----------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from types import MappingProxyType
-from typing import Callable, Literal, Mapping
+from typing import AbstractSet, Callable, Literal, Mapping, Protocol, Sequence
 
 from .engine import SimTime, Simulator, to_us
 from .olsr import RouteEntry
@@ -190,11 +190,26 @@ class SwitchConfig:
         return to_us(self.buffer_timeout_s)
 
 
+class SwitchHost(Protocol):
+    """The router a switch forwards for, given to the switch at construction."""
+
+    addresses: AbstractSet[IPv4Address]  # Basic traffic to these is delivered up
+    access_networks: Sequence[IPv4Network]  # DeliverLocal may also deliver into these
+
+    @property
+    def master(self) -> IPv4Address | None: ...  # a miss raises a packet-in only with one
+    def route(self, dst: IPv4Address) -> RouteEntry | None: ...
+    def is_neighbor(self, node_id: str) -> bool: ...
+    def send_to_neighbor(self, neighbor: str, packet: Packet) -> None: ...
+    def deliver_local(self, packet: Packet) -> None: ...
+    def raise_packet_in(self, packet: Packet) -> None: ...
+
+
 class FlowSwitch:
     """Forwarding plane of one mesh router.
 
-    The hosting node wires in routing lookups, link transmission, local
-    delivery, and the controller-connection state; the switch itself only
+    The hosting router does routing lookups, link transmission and local
+    delivery and holds the controller connection; the switch itself only
     decides dispositions.
     """
 
@@ -205,24 +220,16 @@ class FlowSwitch:
         cfg: SwitchConfig,
         sim: Simulator,
         log: Callable[[str, dict], None],
+        host: SwitchHost,
     ) -> None:
         self.node_id = node_id
         self.control_subnet = control_subnet
         self.cfg = cfg
         self.sim = sim
         self.log = log
+        self.host = host
         self.table = FlowTable()
         self._buffered: list[tuple[Packet, object]] = []  # (packet, timeout handle)
-
-        # Wired by the hosting node after construction.
-        self.route_lookup: Callable[[IPv4Address], RouteEntry | None] = lambda a: None
-        self.owns_address: Callable[[IPv4Address], bool] = lambda a: False
-        self.local_subnets: Callable[[], list[IPv4Network]] = lambda: []
-        self.send_to_neighbor: Callable[[str, Packet], None] = lambda n, p: None
-        self.deliver_local: Callable[[Packet], None] = lambda p: None
-        self.controller_connected: Callable[[], bool] = lambda: False
-        self.raise_packet_in: Callable[[Packet], None] = lambda p: None
-        self.is_neighbor: Callable[[str], bool] = lambda n: True
 
     def start(self) -> None:
         self.sim.schedule(
@@ -245,25 +252,25 @@ class FlowSwitch:
             self._forward_sdn(packet)
 
     def _forward_basic(self, packet: Packet) -> None:
-        if self.owns_address(packet.dst):
-            self.deliver_local(packet)
+        if packet.dst in self.host.addresses:
+            self.host.deliver_local(packet)
             return
-        entry = self.route_lookup(packet.dst)
+        entry = self.host.route(packet.dst)
         if entry is None:
             self._drop(packet, "no-route")
         elif entry.next_hop is None:
-            self.deliver_local(packet)
+            self.host.deliver_local(packet)
         else:
-            self.send_to_neighbor(entry.next_hop, packet)
+            self.host.send_to_neighbor(entry.next_hop, packet)
 
     def _forward_sdn(self, packet: Packet) -> None:
         rule = self.table.match(packet, self.sim.now())
         if rule is not None:
             self._apply(rule.action, packet)
             return
-        if self.controller_connected():
+        if self.host.master is not None:
             self._buffer(packet)
-            self.raise_packet_in(packet)
+            self.host.raise_packet_in(packet)
         else:
             # Either emergency rules already decided everything that is
             # allowed, or no controller has ever been reached; both drop.
@@ -271,12 +278,12 @@ class FlowSwitch:
 
     def _apply(self, action: Action, packet: Packet) -> None:
         if isinstance(action, ForwardTo):
-            self.send_to_neighbor(action.next_hop, packet)
+            self.host.send_to_neighbor(action.next_hop, packet)
         elif isinstance(action, DeliverLocal):
-            if self.owns_address(packet.dst) or any(
-                packet.dst in net for net in self.local_subnets()
+            if packet.dst in self.host.addresses or any(
+                packet.dst in net for net in self.host.access_networks
             ):
-                self.deliver_local(packet)
+                self.host.deliver_local(packet)
             else:
                 self._drop(packet, "bad-local")
         else:
@@ -311,7 +318,7 @@ class FlowSwitch:
     # -- table mutation -----------------------------------------------------
 
     def install_rule(self, rule: FlowRule) -> None:
-        if isinstance(rule.action, ForwardTo) and not self.is_neighbor(rule.action.next_hop):
+        if isinstance(rule.action, ForwardTo) and not self.host.is_neighbor(rule.action.next_hop):
             raise ValueError(
                 f"{self.node_id}: rule targets non-neighbor {rule.action.next_hop}"
             )

@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from ipaddress import IPv4Address
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import control_plane as cp
 from .engine import SimTime, Simulator, to_us
-from .switch import DeliverLocal, DropAction, ForwardTo, FlowSwitch, Packet
+from .switch import DeliverLocal, ForwardTo, FlowSwitch, Packet
 from .topology import Link, Topology
 
 
@@ -145,6 +145,10 @@ class BulkFlowCfg:
 @dataclass
 class _FlowState:
     cfg: BulkFlowCfg
+    access: Link  # the source host's attach link
+    router: str  # the router at its other end
+    packet: Packet  # what each sample matches against the flow tables
+    owner: str | None  # the node that owns the destination address
     active: bool = False
     path_ok_since: SimTime | None = None
 
@@ -158,16 +162,12 @@ class FluidTraffic:
         self,
         sim: Simulator,
         topo: Topology,
-        attachment_of: Callable[[str], tuple[str, Link]],
-        switch_of: Callable[[str], FlowSwitch],
-        host_address: Callable[[str], IPv4Address],
+        switches: Mapping[str, FlowSwitch],
         log: Callable[[str, dict], None],
     ) -> None:
         self.sim = sim
         self.topo = topo
-        self._attachment_of = attachment_of
-        self._switch_of = switch_of
-        self._host_address = host_address
+        self._switches = switches
         self._log = log
         self._flows: dict[str, _FlowState] = {}
         self._ticking = False
@@ -178,7 +178,18 @@ class FluidTraffic:
         self._shares: dict[str, float] = {}
 
     def add_flow(self, cfg: BulkFlowCfg) -> None:
-        self._flows[cfg.flow_id] = _FlowState(cfg)
+        # The topology is complete and fixed by now, so what a flow starts
+        # from and where it ends are resolved once, not on every sample.
+        (access,) = self.topo.links_of(cfg.src_host)
+        src = self.topo.nodes[cfg.src_host].interfaces[0].address
+        owner = self.topo.owner_of(cfg.dst)
+        self._flows[cfg.flow_id] = _FlowState(
+            cfg,
+            access,
+            access.other(cfg.src_host),
+            Packet(src, cfg.dst, "data", flow_id=cfg.flow_id),
+            owner.id if owner is not None else None,
+        )
         delay = max(0, to_us(cfg.start_s) - self.sim.now())
         self.sim.schedule(
             delay, lambda: self.start_flow(cfg.flow_id), target=cfg.src_host, kind="flow"
@@ -242,52 +253,40 @@ class FluidTraffic:
     def _trace(self, state: _FlowState) -> list[Link] | None:
         """Walk the flow through access links and flow tables; None if it
         currently cannot reach its destination."""
-        cfg = state.cfg
-        wmr, access = self._attachment_of(cfg.src_host)
+        access = state.access
         if not access.up:
             return None
         links = [access]
-        packet = Packet(
-            src=self._host_address(cfg.src_host),
-            dst=cfg.dst,
-            kind="data",
-            flow_id=cfg.flow_id,
-        )
-        current = wmr
+        packet = state.packet
+        current = state.router
         now = self.sim.now()
         for _ in range(len(self.topo.nodes) + 1):
-            flow_switch = self._switch_of(current)
+            flow_switch = self._switches[current]
             rule = flow_switch.table.match(packet, now)
             if rule is None:
                 # Behave like the first real packet of the burst: let the
                 # switch buffer it and raise a packet-in if it can.
                 flow_switch.forward(
-                    Packet(packet.src, packet.dst, "data", flow_id=cfg.flow_id)
+                    Packet(packet.src, packet.dst, "data", flow_id=packet.flow_id)
                 )
                 return None
-            if isinstance(rule.action, DropAction):
-                return None
-            if isinstance(rule.action, DeliverLocal):
-                owner = self.topo.owner_of(cfg.dst)
-                if owner is None:
-                    return None
-                if owner.id == current:
+            action = rule.action
+            if isinstance(action, ForwardTo):
+                nxt = action.next_hop
+            elif isinstance(action, DeliverLocal) and state.owner is not None:
+                if state.owner == current:
                     return links
-                try:
-                    last = self.topo.link_between(current, owner.id)
-                except KeyError:
-                    return None
-                if not last.up:
-                    return None
-                links.append(last)
-                return links
-            assert isinstance(rule.action, ForwardTo)
+                nxt = state.owner  # the last hop, to the owner of the destination
+            else:
+                return None  # a drop rule, or a destination nobody owns
             try:
-                hop = self.topo.link_between(current, rule.action.next_hop)
+                hop = self.topo.link_between(current, nxt)
             except KeyError:
                 return None
             if not hop.up:
                 return None
             links.append(hop)
-            current = rule.action.next_hop
+            if isinstance(action, DeliverLocal):
+                return links
+            current = nxt
         return None  # rule loop

@@ -1,10 +1,10 @@
 """Shared helpers for the test suite.
 
-Holds the builtin-scenario loader and the random mesh generator used by the
-exhaustive selection/routing checks.  Every generated scenario is connected
-at build time, flips a few mesh links mid-run, and then stays quiet long
-enough for neighbor expiry, flood revalidation, and re-selection to settle
-before the final state is examined.
+Holds the builtin-scenario loader, a stub switch host, and the random mesh
+generator used by the exhaustive selection/routing checks.  Every generated
+scenario is connected at build time, flips a few mesh links mid-run, and
+then stays quiet long enough for neighbor expiry, flood revalidation, and
+re-selection to settle before the final state is examined.
 """
 from __future__ import annotations
 
@@ -20,6 +20,31 @@ from meshsdn.scenario import Scenario, scenario_from_mapping
 # few probe cycles has passed, so protocol state is converged when sampled.
 QUIET_FROM = 60.0
 DURATION = 100.0
+
+
+class StubHost:
+    """A switch host for tests that exercise only the flow table: it owns no
+    address, has no route and no controller, takes any node for a neighbour,
+    and ignores what its switch hands it."""
+
+    addresses = frozenset()
+    access_networks = ()
+    master = None
+
+    def route(self, dst):
+        return None
+
+    def is_neighbor(self, node_id):
+        return True
+
+    def send_to_neighbor(self, neighbor, packet):
+        pass
+
+    def deliver_local(self, packet):
+        pass
+
+    def raise_packet_in(self, packet):
+        pass
 
 
 def builtin_doc(name: str) -> dict:

@@ -51,7 +51,24 @@ def test_validate_reports_hostile_number_in_one_line(tmp_path, capsys):
     path = tiny_path(tmp_path, {"pings": [{**TINY["pings"][0], "interval_s": 0}]})
     assert main(["validate", path]) == 1
     err = capsys.readouterr().err
-    assert err == "error: tiny: pings[0]: interval_s must be positive\n"
+    assert err == f"error: {path}: pings[0]: interval_s must be positive\n"
+
+
+def test_validate_errors_tell_apart_files_with_one_name(tmp_path, capsys):
+    errors = {}
+    for sub, extra in (
+        ("a", {"pings": [{**TINY["pings"][0], "interval_s": 0}]}),
+        ("b", {"pings": [{**TINY["pings"][0], "src": "wmr1"}]}),
+    ):
+        (tmp_path / sub).mkdir()
+        path = tiny_path(tmp_path / sub, extra)
+        assert main(["validate", path]) == 1
+        errors[path] = capsys.readouterr().err
+    a, b = errors
+    assert errors == {
+        a: f"error: {a}: pings[0]: interval_s must be positive\n",
+        b: f"error: {b}: ping ping1: src 'wmr1' is not a host\n",
+    }
 
 
 def test_unknown_scenario_lists_builtins(capsys):

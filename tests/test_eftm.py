@@ -25,6 +25,8 @@ from meshsdn.switch import (
     SwitchConfig,
 )
 
+from support import StubHost
+
 C1 = IPv4Address("10.0.255.1")
 C2 = IPv4Address("10.0.255.2")
 
@@ -58,8 +60,8 @@ class Bench:
             SwitchConfig(),
             self.sim,
             lambda k, d: self.records.append((k, d)),
+            StubHost(),
         )
-        self.switch.is_neighbor = lambda n: True
         self.selector = MasterSelector(
             "wmr1",
             cfg or EftmConfig(randomize_phase=False),

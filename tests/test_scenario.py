@@ -144,6 +144,10 @@ REJECTIONS = [
     ),
     (_set(["pings", 0, "src"], "ghost"), "unknown src 'ghost'"),
     (_set(["flows", 0, "src"], "wmr1"), "src 'wmr1' is not a host"),
+    # Pings start at hosts, as flows do; a router or controller source used
+    # to pass validation and crash the run when the ping fired.
+    (_set(["pings", 0, "src"], "wmr1"), r"^t: ping ping1: src 'wmr1' is not a host$"),
+    (_set(["pings", 0, "src"], "ctrl1"), r"^t: ping ping1: src 'ctrl1' is not a host$"),
     (_set(["measure", "kind"], "sideways"), "must be merge or partition"),
     (_set(["measure", "wmrs"], ["wmr9"]), "unknown wmr 'wmr9'"),
     (_set(["measure", "probe"], "ping9"), "unknown probe 'ping9'"),
@@ -164,22 +168,26 @@ REJECTIONS = [
     (_set(["wmrs"], 5), r"^t\.wmrs: expected a list, got int$"),
     # Numbers that would hang a run, fail at build time or log negative
     # throughput are refused up front.
-    (_set(["pings", 0, "interval_s"], 0), r"^tiny: pings\[0\]: interval_s must be positive$"),
-    (_set(["pings", 0, "interval_s"], -1), r"^tiny: pings\[0\]: interval_s must be positive$"),
-    (_set(["flows", 0, "demand_mbps"], -3), r"^tiny: flows\[0\]: demand_mbps must be positive$"),
+    (_set(["pings", 0, "interval_s"], 0), r"^t: pings\[0\]: interval_s must be positive$"),
+    (_set(["pings", 0, "interval_s"], -1), r"^t: pings\[0\]: interval_s must be positive$"),
+    (_set(["flows", 0, "demand_mbps"], -3), r"^t: flows\[0\]: demand_mbps must be positive$"),
+    (_set(["pings", 0, "start_s"], -1), r"^t: pings\[0\]: start_s must be >= 0$"),
+    (_set(["flows", 0, "start_s"], -1), r"^t: flows\[0\]: start_s must be >= 0$"),
+    (_set(["flows", 0, "stop_s"], 2.0), r"^t: flows\[0\]: stop_s must be after start_s$"),
+    (_set(["flows", 0, "stop_s"], 5.0), r"^t: flows\[0\]: stop_s must be after start_s$"),
     (
         _set(["flows", 0, "loss_recovery_s"], -1),
-        r"^tiny: flows\[0\]: loss_recovery_s must be >= 0$",
+        r"^t: flows\[0\]: loss_recovery_s must be >= 0$",
     ),
     (
         _set(["links", 0, "capacity_mbps"], float("nan")),
         r"^t\.links\[0\]\.capacity_mbps: expected a finite number, got nan$",
     ),
     (_set(["duration_s"], float("inf")), r"^t\.duration_s: expected a finite number, got inf$"),
-    (_set(["links", 0, "delay_ms"], -1), r"^tiny: links\[0\]: delay must be >= 0$"),
+    (_set(["links", 0, "delay_ms"], -1), r"^t: links\[0\]: delay must be >= 0$"),
     (
         _set(["defaults"], {"attach_link": {"capacity_mbps": 0}}),
-        r"^tiny: defaults\.attach_link: capacity must be positive$",
+        r"^t: defaults\.attach_link: capacity must be positive$",
     ),
     (
         _set(["olsr"], {"hello_interval_s": float("nan")}),

@@ -40,7 +40,7 @@ def data_packet(dst="192.168.2.10", src="192.168.1.10"):
 
 
 class Harness:
-    """A switch with every callable wired to inspectable stubs."""
+    """A switch whose host is the harness itself, with inspectable stubs."""
 
     def __init__(self, connected=False):
         self.sim = Simulator()
@@ -48,16 +48,32 @@ class Harness:
         self.sent = []
         self.delivered = []
         self.packet_ins = []
+        self.addresses = {IPv4Address("10.0.0.1")}
+        self.access_networks = [IPv4Network("192.168.1.0/24")]
+        self.master = IPv4Address("10.0.255.1") if connected else None
         self.switch = FlowSwitch(
-            "wmr1", CONTROL, SwitchConfig(), self.sim, lambda k, d: self.records.append((k, d))
+            "wmr1",
+            CONTROL,
+            SwitchConfig(),
+            self.sim,
+            lambda k, d: self.records.append((k, d)),
+            self,
         )
-        self.switch.send_to_neighbor = lambda n, p: self.sent.append((n, p))
-        self.switch.deliver_local = self.delivered.append
-        self.switch.controller_connected = lambda: connected
-        self.switch.raise_packet_in = self.packet_ins.append
-        self.switch.is_neighbor = lambda n: n in ("wmr2", "wmr3")
-        self.switch.local_subnets = lambda: [IPv4Network("192.168.1.0/24")]
-        self.switch.owns_address = lambda a: a == IPv4Address("10.0.0.1")
+
+    def route(self, dst):
+        return None
+
+    def is_neighbor(self, node_id):
+        return node_id in ("wmr2", "wmr3")
+
+    def send_to_neighbor(self, neighbor, packet):
+        self.sent.append((neighbor, packet))
+
+    def deliver_local(self, packet):
+        self.delivered.append(packet)
+
+    def raise_packet_in(self, packet):
+        self.packet_ins.append(packet)
 
     def drops(self):
         return [d["reason"] for k, d in self.records if k == "PacketDrop"]
@@ -211,7 +227,7 @@ def test_miss_without_controller_drops():
 
 def test_basic_class_follows_routing_table():
     h = Harness()
-    h.switch.route_lookup = lambda a: type(
+    h.route = lambda a: type(
         "E", (), {"next_hop": "wmr3", "hop_count": 2}
     )()
     packet = Packet(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.5"), "control")

@@ -21,6 +21,8 @@ from meshsdn.traffic import (
     max_min_allocate,
 )
 
+from support import StubHost
+
 
 def link(lid_a, lid_b, capacity_bps):
     return Link(lid_a, lid_b, capacity_bps=capacity_bps, delay_us=1000)
@@ -219,7 +221,8 @@ def test_allocation_is_reused_until_a_demand_or_path_changes(monkeypatch):
     for lk in (access1, w12, w23, w13, access3):
         topo.add_link(lk)
     switches = {
-        w: FlowSwitch(w, mesh, SwitchConfig(), sim, lambda k, d: None) for w in ("w1", "w2", "w3")
+        w: FlowSwitch(w, mesh, SwitchConfig(), sim, lambda k, d: None, StubHost())
+        for w in ("w1", "w2", "w3")
     }
 
     def install(wmr, action, priority=100):
@@ -240,9 +243,7 @@ def test_allocation_is_reused_until_a_demand_or_path_changes(monkeypatch):
     fluid = FluidTraffic(
         sim,
         topo,
-        attachment_of=lambda host: ("w1", access1),
-        switch_of=switches.__getitem__,
-        host_address=lambda host: src,
+        switches,
         log=lambda kind, data: samples.append((sim.now(), data["flow"], data["bps"])),
     )
     capped = BulkFlowCfg("capped", "h1", dst, demand_bps=2e6, loss_recovery_s=0.0)
