@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -79,12 +80,22 @@ def _describe(summary: SummaryRow) -> str:
     return f"{summary.scenario} seed={summary.seed}: " + " ".join(parts)
 
 
+# Escapes that keep a scenario name to one path component in a log's file
+# name; escaping "%" as well keeps distinct names apart.
+_FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\\": "%5C", "\0": "%00"})
+
+
+def _log_name(result: RunResult) -> str:
+    """``<scenario>-seed<seed>.ndjson``, with any path separator in the name
+    (a swept prefix such as ``10.0.255.0/24``, say) escaped."""
+    return f"{result.scenario.translate(_FILE_NAME_ESCAPES)}-seed{result.seed}.ndjson"
+
+
 def _write_outputs(out_dir: Path, results: list[RunResult]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for result in results:
-        log_path = out_dir / f"{result.scenario}-seed{result.seed}.ndjson"
-        log_path.write_text(result.log.to_ndjson())
+        (out_dir / _log_name(result)).write_text(result.log.to_ndjson())
         rows.append(result.summary.as_csv_line())
     header = ",".join(SUMMARY_COLUMNS)
     (out_dir / "results.csv").write_text("\n".join([header, *rows]) + "\n")
@@ -143,22 +154,55 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_results(csv_path: Path) -> dict[str, dict[str, list[float]]]:
+    """The metric values of a results.csv, by scenario and then by column.
+
+    A file that is not such a table raises :class:`ScenarioError` naming it.
+    """
+    metrics = SUMMARY_COLUMNS[2:]
+    by_scenario: dict[str, dict[str, list[float]]] = {}
+    try:
+        with csv_path.open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None:
+                raise ScenarioError(f"{csv_path}: empty")
+            for column in ("scenario", *metrics):
+                if column not in reader.fieldnames:
+                    raise ScenarioError(f"{csv_path}: no {column!r} column")
+            for row in reader:
+                name = row["scenario"]
+                if name is None:
+                    raise ScenarioError(f"{csv_path}: line {reader.line_num}: too few cells")
+                group = by_scenario.setdefault(name, {column: [] for column in metrics})
+                for column in metrics:
+                    cell = row[column]
+                    if not cell:
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise ScenarioError(
+                            f"{csv_path}: line {reader.line_num}: {column}:"
+                            f" expected a number, got {cell!r}"
+                        )
+                    group[column].append(value)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{csv_path}: not a CSV file: {exc}") from None
+    if not by_scenario:
+        raise ScenarioError(f"{csv_path}: empty")
+    return by_scenario
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     csv_path = Path(args.out_dir) / "results.csv"
     if not csv_path.is_file():
         raise ScenarioError(f"{csv_path}: no results.csv here (run with --out first)")
-    with csv_path.open(newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    if not rows:
-        raise ScenarioError(f"{csv_path}: empty")
-    by_scenario: dict[str, list[dict]] = {}
-    for row in rows:
-        by_scenario.setdefault(row["scenario"], []).append(row)
+    by_scenario = _read_results(csv_path)
     print(f"{'scenario':<30} {'metric':<22} {'runs':>4} {'mean':>10} {'min':>10} {'max':>10}")
     for name in sorted(by_scenario):
-        group = by_scenario[name]
-        for column in SUMMARY_COLUMNS[2:]:
-            values = [float(row[column]) for row in group if row[column]]
+        for column, values in by_scenario[name].items():
             if not values:
                 continue
             mean = sum(values) / len(values)

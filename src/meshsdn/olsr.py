@@ -121,9 +121,10 @@ class RouteEntry:
 class RoutingTable:
     """Routes by prefix, answering longest-prefix-match lookups.
 
-    ``entries`` reads back as a read-only view and changes only by assigning a
-    whole new mapping.  Each assignment drops the lookup index, which the next
-    lookup rebuilds, so a lookup never answers from a replaced table.
+    ``entries`` reads back as a read-only view.  It changes by assigning a
+    whole new mapping, which drops the lookup index for the next lookup to
+    rebuild, or by :meth:`patch`, which writes the same change into the index
+    when there is one.  Either way a lookup never answers from a stale table.
     """
 
     def __init__(self) -> None:
@@ -137,25 +138,55 @@ class RoutingTable:
     def entries(self, entries: Mapping[IPv4Network, RouteEntry]) -> None:
         self._entries = dict(entries)
         self._view = MappingProxyType(self._entries)
-        self._index: list[tuple[int, dict[int, RouteEntry]]] | None = None
+        # One dict per prefix length, keyed by network address, and the same
+        # dicts listed longest first with their masks; None until a lookup.
+        self._by_length: dict[int, dict[int, RouteEntry]] | None = None
+        self._index: list[tuple[int, dict[int, RouteEntry]]] = []
+
+    def patch(
+        self, changed: Mapping[IPv4Network, RouteEntry], removed: Iterable[IPv4Network]
+    ) -> None:
+        """Drop the ``removed`` prefixes, then write ``changed`` over the table."""
+        entries, by_length = self._entries, self._by_length
+        relist = False
+        for prefix in removed:
+            del entries[prefix]
+            if by_length is not None:
+                routes = by_length[prefix.prefixlen]
+                del routes[int(prefix.network_address)]
+                if not routes:
+                    del by_length[prefix.prefixlen]
+                    relist = True
+        for prefix, entry in changed.items():
+            entries[prefix] = entry
+            if by_length is not None:
+                routes = by_length.get(prefix.prefixlen)
+                if routes is None:
+                    routes = by_length[prefix.prefixlen] = {}
+                    relist = True
+                routes[int(prefix.network_address)] = entry
+        if relist:
+            self._list_index(by_length)
 
     def lookup(self, addr: IPv4Address) -> RouteEntry | None:
-        index = self._index
-        if index is None:
-            index = self._index = self._build_index()
+        if self._by_length is None:
+            self._build_index()
         key = int(addr)
-        for mask, routes in index:
+        for mask, routes in self._index:
             entry = routes.get(key & mask)
             if entry is not None:
                 return entry
         return None
 
-    def _build_index(self) -> list[tuple[int, dict[int, RouteEntry]]]:
-        """One dict per prefix length, keyed by network address, longest first."""
+    def _build_index(self) -> None:
         by_length: dict[int, dict[int, RouteEntry]] = {}
         for prefix, entry in self._entries.items():
             by_length.setdefault(prefix.prefixlen, {})[int(prefix.network_address)] = entry
-        return [
+        self._by_length = by_length
+        self._list_index(by_length)
+
+    def _list_index(self, by_length: dict[int, dict[int, RouteEntry]]) -> None:
+        self._index = [
             (0xFFFFFFFF ^ (0xFFFFFFFF >> length), by_length[length])
             for length in sorted(by_length, reverse=True)
         ]
@@ -244,6 +275,20 @@ class OlsrDaemon:
 
         self.neighbors: dict[str, NeighborRecord] = {}
         self.link_state: dict[str, LinkStateEntry] = {}
+        # Kept in step with ``neighbors`` and ``link_state`` wherever they
+        # change: the symmetric neighbours, sorted and as a set, and the graph
+        # routes run over.  That graph maps this node to its symmetric
+        # neighbours and every other node to its confirmed remote edges,
+        # those both ends advertise; a node without one has no key.
+        self._sym: tuple[str, ...] = ()
+        self._sym_set: set[str] = set()
+        self._adj: dict[str, set[str]] = {node_id: self._sym_set}
+        # What the last route build saw moved: the graph or a first-hop
+        # address (so the shortest-path tree must be redone), or the tree or
+        # some origin's prefixes (so the routes must be rebuilt).
+        self._tree_stale = True
+        self._routes_stale = True
+        self._tree: tuple[dict[str, int], dict[str, str]] = ({}, {})
         self.routing_table = RoutingTable()
         self.routes_version = 0
         self.on_routes_changed: list[Callable[[], None]] = []
@@ -302,7 +347,15 @@ class OlsrDaemon:
     # -- neighbor sensing ---------------------------------------------------
 
     def sym_neighbors(self) -> list[str]:
-        return sorted(n for n, rec in self.neighbors.items() if rec.sym)
+        return list(self._sym)
+
+    def _set_sym(self, neighbor: str, sym: bool) -> None:
+        if sym:
+            self._sym_set.add(neighbor)
+        else:
+            self._sym_set.discard(neighbor)
+        self._sym = tuple(sorted(self._sym_set))
+        self._tree_stale = True
 
     def handle_hello(self, msg: HelloMsg) -> None:
         now = self.sim.now()
@@ -320,6 +373,7 @@ class OlsrDaemon:
         )
         if not rec.sym and rec.consecutive_hellos >= self.cfg.hellos_to_up:
             rec.sym = True
+            self._set_sym(msg.origin, True)
             self._on_new_adjacency(msg.origin)
 
     def _neighbor_expiry_check(self, origin: str) -> None:
@@ -330,6 +384,7 @@ class OlsrDaemon:
             was_sym = rec.sym
             del self.neighbors[origin]
             if was_sym:
+                self._set_sym(origin, False)
                 self._originate_flood()
                 self._recompute()
 
@@ -358,7 +413,7 @@ class OlsrDaemon:
             origin=self.node_id,
             seq=self._own_seq,
             addresses=self.addresses,
-            neighbors=tuple(self.sym_neighbors()),
+            neighbors=self._sym,
             hna=self.originated_hna,
             validity_us=self.cfg.flood_validity_us,
         )
@@ -390,7 +445,7 @@ class OlsrDaemon:
             msg=msg,
             prefixes=prefixes,
         )
-        self.link_state[msg.origin] = entry
+        self._install(msg.origin, old, entry)
         self.sim.schedule(
             msg.validity_us,
             lambda origin=msg.origin: self._entry_expiry_check(origin),
@@ -404,11 +459,65 @@ class OlsrDaemon:
     def _entry_expiry_check(self, origin: str) -> None:
         entry = self.link_state.get(origin)
         if entry is not None and self.sim.now() >= entry.expires_at:
-            del self.link_state[origin]
+            self._install(origin, entry, None)
             self._recompute()
 
+    def _install(
+        self, origin: str, old: LinkStateEntry | None, new: LinkStateEntry | None
+    ) -> None:
+        """Replace ``origin``'s entry ``old`` by ``new`` (None: none) and bring
+        the graph and the staleness flags up to date.
+
+        The flags are judged against the last shortest-path tree.  Only nodes
+        it reached offer routes, and a search never follows an edge between
+        two nodes at the same depth or two nodes it did not reach, so such an
+        edge can come or go without moving the tree.  While the tree is
+        unmoved these judgements stay exact; once it is stale, the next
+        recompute redoes it and rebuilds the routes if it moved.
+        """
+        if new is None:
+            del self.link_state[origin]
+        else:
+            self.link_state[origin] = new
+        dist = self._tree[0]
+        # An entry whose addresses and prefixes did not change takes over
+        # the old entry's ``prefixes`` (see handle_flood).
+        if old is None or new is None or new.prefixes is not old.prefixes:
+            if origin in dist:
+                self._routes_stale = True
+            if origin in self._sym_set:  # its address ranks it as a first hop
+                self._tree_stale = True
+        if old is not None and new is not None and old.neighbors == new.neighbors:
+            return
+        before = set(old.neighbors) if old is not None else set()
+        after = set(new.neighbors) if new is not None else set()
+        me, adj, link_state = self.node_id, self._adj, self.link_state
+        depth = dist.get(origin)
+        for other in before - after:
+            held = adj.get(origin)
+            if other == me or held is None or other not in held:
+                continue
+            held.discard(other)
+            if not held:
+                del adj[origin]
+            if other != origin:
+                peer = adj[other]
+                peer.discard(origin)
+                if not peer:
+                    del adj[other]
+            if dist.get(other) != depth:
+                self._tree_stale = True
+        for other in after - before:
+            peer_entry = link_state.get(other)
+            if other == me or peer_entry is None or origin not in peer_entry.neighbors:
+                continue
+            adj.setdefault(origin, set()).add(other)
+            adj.setdefault(other, set()).add(origin)
+            if dist.get(other) != depth:
+                self._tree_stale = True
+
     def _relay(self, msg: FloodMsg, exclude_link: object | None) -> None:
-        sym = set(self.sym_neighbors())
+        sym = self._sym_set
         for nbr, link in self._links():
             if nbr in sym and link is not exclude_link:
                 self._send(link, msg)
@@ -422,24 +531,13 @@ class OlsrDaemon:
         endpoints to advertise each other, so a half-expired link is unusable.
         """
         me = self.node_id
-        own = set(self.sym_neighbors())
-        adj: dict[str, set[str]] = {me: own}
-        for nbr in own:
-            adj[nbr] = {me}
-        link_state = self.link_state
-        # Each remote edge is confirmed from both of its ends, so each end
-        # adds only its own direction.
-        for origin, entry in link_state.items():
-            for other in entry.neighbors:
-                if other == me or origin == me:
-                    continue
-                peer = link_state.get(other)
-                if peer is not None and origin in peer.neighbors:
-                    held = adj.get(origin)
-                    if held is None:
-                        adj[origin] = {other}
-                    else:
-                        held.add(other)
+        adj = {node: set(peers) for node, peers in self._adj.items()}
+        for nbr in self._sym:
+            held = adj.get(nbr)
+            if held is None:
+                adj[nbr] = {me}
+            else:
+                held.add(me)
         return adj
 
     def _addr_of(self, node: str) -> IPv4Address | None:
@@ -461,7 +559,7 @@ class OlsrDaemon:
         return keyed
 
     def _build_routes(self) -> dict[int, Route]:
-        dist, first = first_hop_tree(self.graph(), self.node_id, self._addr_of)
+        dist, first = self._tree
         routes: dict[int, Route] = {}
         for key, prefix in self._own_prefixes:
             if key not in routes:
@@ -484,15 +582,31 @@ class OlsrDaemon:
         return routes
 
     def _recompute(self) -> None:
+        if self._tree_stale:
+            self._tree_stale = False
+            # A search from this node never follows an edge back to it, the
+            # one direction ``_adj`` leaves out.
+            tree = first_hop_tree(self._adj, self.node_id, self._addr_of)
+            if tree != self._tree:
+                self._tree = tree
+                self._routes_stale = True
+        if not self._routes_stale:
+            return  # the table and its lookup index stay as they are
+        self._routes_stale = False
         routes = self._build_routes()
         old, self._routes = self._routes, routes
-        if routes == old:
-            return  # the table and its lookup index stay as they are
-        self.routing_table.entries = {route[0]: RouteEntry(*route) for route in routes.values()}
+        changed = {key: route for key, route in routes.items() if old.get(key) != route}
+        gone = old.keys() - routes.keys()
+        if not changed and not gone:
+            return
+        self.routing_table.patch(
+            {route[0]: RouteEntry(*route) for route in changed.values()},
+            [old[key][0] for key in gone],
+        )
         # Only a change of next hop or hop count, or a route gained or lost,
         # counts as a route change.
-        if routes.keys() == old.keys() and all(
-            old[key][1:3] == route[1:3] for key, route in routes.items()
+        if not gone and all(
+            key in old and old[key][1:3] == route[1:3] for key, route in changed.items()
         ):
             return
         self.routes_version += 1

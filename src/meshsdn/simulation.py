@@ -9,6 +9,7 @@ down, silently disappears.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from ipaddress import IPv4Address, IPv4Network
 from typing import Any, Callable
 
@@ -93,6 +94,11 @@ class NodeRuntime:
     def _olsr_send(self, link: Link, msg: object) -> None:
         dst = self._peer_address[link.other(self.node.id)]
         self.sim.transmit(link, self.node.id, Packet(self.address, dst, "olsr", msg))
+
+    def arrive(self, packet: Packet, link: Link) -> None:
+        """The end of a transmission to this node over ``link``."""
+        if link.up:  # a link that went down while in flight drops it
+            self.on_packet(packet, link)
 
     def _receive_olsr(self, msg: object, link: Link) -> None:
         if isinstance(msg, HelloMsg):
@@ -357,14 +363,13 @@ class Simulation:
     def transmit(self, link: Link, sender: str, packet: Packet) -> None:
         if not link.up:
             return
-        receiver = link.other(sender)
-        runtime = self._runtimes[receiver]
-
-        def deliver() -> None:
-            if link.up:  # a link that went down while in flight drops it
-                runtime.on_packet(packet, link)
-
-        self.engine.schedule(link.delay_us, deliver, target=receiver, kind="deliver")
+        receiver = link.b if link.a == sender else link.a
+        self.engine.schedule(
+            link.delay_us,
+            partial(self._runtimes[receiver].arrive, packet, link),
+            target=receiver,
+            kind="deliver",
+        )
 
     # -- run & measure ------------------------------------------------------
 

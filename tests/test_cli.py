@@ -1,4 +1,5 @@
 """End-to-end command-line checks using a fast two-router scenario."""
+import pytest
 import yaml
 
 from meshsdn.cli import main
@@ -155,3 +156,72 @@ def test_report_aggregates_results(tmp_path, capsys):
 def test_report_needs_results(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 1
     assert "no results.csv" in capsys.readouterr().err
+
+
+def test_sweep_over_a_prefix_writes_one_log_per_run(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = main(
+        [
+            "sweep",
+            tiny_path(tmp_path),
+            "--param",
+            "eftm.controller_range=10.0.255.0/24",
+            "--seed",
+            "0",
+            "--out",
+            str(out_dir),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    name = "tiny[eftm.controller_range=10.0.255.0/24]"
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "results.csv",
+        "tiny[eftm.controller_range=10.0.255.0%2F24]-seed0.ndjson",
+    ]
+    rows = (out_dir / "results.csv").read_text().splitlines()
+    assert rows[1].startswith(f"0,{name},")
+
+
+def test_run_of_a_name_with_path_separators_writes_its_logs(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    path = tiny_path(tmp_path, {"name": "a/b%2F"})
+    assert main(["run", path, "--seeds", "0:2", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "a%2Fb%252F-seed0.ndjson",
+        "a%2Fb%252F-seed1.ndjson",
+        "results.csv",
+    ]
+    rows = (out_dir / "results.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["0", "a/b%2F"], ["1", "a/b%2F"]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed,connectivity_time_s,selection_delay_s,throughput_gap_s\n0,1,2,3\n", "no 'scenario' column"),
+        (
+            "seed,scenario,connectivity_time_s,selection_delay_s,throughput_gap_s\n"
+            "0,tiny,1.5,,\n1,tiny,fast,,\n",
+            "line 3: connectivity_time_s: expected a number, got 'fast'",
+        ),
+        (
+            "seed,scenario,connectivity_time_s,selection_delay_s,throughput_gap_s\n0,tiny,nan,,\n",
+            "line 2: connectivity_time_s: expected a number, got 'nan'",
+        ),
+        (
+            "seed,scenario,connectivity_time_s,selection_delay_s,throughput_gap_s\n0\n",
+            "line 2: too few cells",
+        ),
+        ("", "empty"),
+    ],
+    ids=["no-scenario-column", "word", "nan", "short-row", "empty"],
+)
+def test_report_refuses_malformed_results(tmp_path, capsys, text, message):
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_text(text)
+    assert main(["report", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {csv_path}: {message}\n"
+    assert captured.out == ""

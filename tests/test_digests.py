@@ -1,37 +1,48 @@
-"""Behaviour lock: the shipped scenarios must keep byte-identical outputs.
+"""Behaviour lock: shipped and benchmark scenarios keep byte-identical outputs.
 
-The constants are the sha256 digests recorded for the same runs in
-``bench/golden.json`` (labels ``merge/0`` and ``partition/7``).  A change that
-only makes the simulator faster or smaller must leave them untouched; one that
-alters the logs on purpose updates both places and says so.
+Each run's ndjson log and summary row must hash to the sha256 digests that
+``bench/golden.json`` records under the same label.  The chain scenarios run
+six routers; the grid-partition and flows-mesh runs, generated by
+``bench/workloads.py``, lock what only a larger mesh reaches: remote edges
+confirmed across a 25-router partition and heal, and many flows over a cut
+link.  A change that only makes the simulator faster or smaller must leave
+the digests untouched; one that alters the logs on purpose regenerates
+``bench/golden.json`` and says so.
 """
 import hashlib
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import run_scenario
 
 from support import builtin_scenario
 
-GOLDEN = {
-    ("merge", 0): (
-        "eaa3ba4381c9c47190ab24ad366d9f6522bfe2f9b7270497bf58c98d1ca0e18e",
-        "523eeb2c9a0acaf182e6a0fcc932d2ddbe2158c7e7d1ecff1f18b3ef40c8f032",
-    ),
-    ("partition", 7): (
-        "0b79040abc1e9acdde53b4d6a47f9e841b242f8c0cf7d8634592ac9d76527ef6",
-        "da6b7e120e7c391141546aabecced9c856f170f331f866eb92d1490cb78accf5",
-    ),
-}
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+from workloads import flows_mesh_doc, grid_partition_doc  # noqa: E402
+
+GOLDEN = json.loads((BENCH / "golden.json").read_text())
+GENERATED = {"grid-partition": grid_partition_doc, "flows-mesh": flows_mesh_doc}
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name, seed", sorted(GOLDEN))
+@pytest.mark.parametrize(
+    "name, seed", [("merge", 0), ("partition", 7), ("grid-partition", 0), ("flows-mesh", 0)]
+)
 def test_log_and_summary_digests(name, seed):
-    result = run_scenario(builtin_scenario(name), seed)
-    log_digest, summary_digest = GOLDEN[(name, seed)]
-    assert sha256(result.log.to_ndjson()) == log_digest
-    assert sha256(result.summary.as_csv_line()) == summary_digest
+    label = f"{name}/{seed}"
+    if name in GENERATED:
+        scenario = scenario_from_mapping(GENERATED[name](seed), source=label)
+    else:
+        scenario = builtin_scenario(name)
+    result = run_scenario(scenario, seed)
+    assert sha256(result.log.to_ndjson()) == GOLDEN[label]["log"]
+    assert sha256(result.summary.as_csv_line()) == GOLDEN[label]["summary"]

@@ -360,9 +360,14 @@ route_tables = st.dictionaries(
 ).map(lambda hops: {p: RouteEntry(p, hop, 1, hop) for p, hop in hops.items()})
 
 
+def patch_table(table, old, new):
+    """Patch ``table`` from the routes ``old`` to ``new``, as a rebuild does."""
+    table.patch({p: e for p, e in new.items() if old.get(p) is not e}, [p for p in old if p not in new])
+
+
 @settings(max_examples=200, deadline=None)
-@given(route_tables, route_tables, st.lists(pool_addresses, min_size=1, max_size=8))
-def test_lookup_matches_linear_scan_after_replacement(first, second, probes):
+@given(route_tables, route_tables, route_tables, st.lists(pool_addresses, min_size=1, max_size=8))
+def test_lookup_matches_linear_scan_after_replacement(first, second, third, probes):
     table = RoutingTable()
     routes = dict(first)
     table.entries = routes
@@ -373,9 +378,192 @@ def test_lookup_matches_linear_scan_after_replacement(first, second, probes):
     routes.update(second)
     for addr in probes:
         assert table.lookup(addr) is linear_lookup(first, addr)
-    # ... and the table itself only changes by replacement.
+    # ... and the table itself only changes by replacement or a patch.
     with pytest.raises(TypeError):
         table.entries[IPv4Network("0.0.0.0/0")] = RouteEntry(IPv4Network("0.0.0.0/0"), "d", 1, "d")
     table.entries = second
     for addr in probes:
         assert table.lookup(addr) is linear_lookup(second, addr)
+    # A patch reaches the entries and the lookup index alike ...
+    patch_table(table, second, third)
+    assert dict(table.entries) == third
+    for addr in probes:
+        assert table.lookup(addr) is linear_lookup(third, addr)
+    # ... also before any lookup has built the index.
+    fresh = RoutingTable()
+    fresh.entries = first
+    patch_table(fresh, first, third)
+    assert dict(fresh.entries) == third
+    for addr in probes:
+        assert fresh.lookup(addr) is linear_lookup(third, addr)
+
+
+# -- the daemon's kept graph and routes against a full rebuild ----------------
+
+ME = "n0"
+NODES = ("n0", "n1", "n2", "n3", "n4")
+HELLO_FROM = ("n1", "n2", "n3")
+# Few nodes, so random neighbour lists often confirm each other; advertised
+# addresses and prefixes come from small pools, so origins offer the same
+# prefixes and equal-cost first hops trade places.
+LSA_ADDRESSES = ((), ("10.0.0.1",), ("10.0.0.2",), ("10.0.0.5",), ("10.0.0.9", "10.0.0.3"))
+LSA_HNA = ((), ("0.0.0.0/0",), ("192.168.0.0/24",), ("0.0.0.0/0", "192.168.3.0/24"))
+
+daemon_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("hello"), st.sampled_from(HELLO_FROM)),
+        st.tuples(
+            st.just("lsa"),
+            st.sampled_from(NODES[1:]),
+            st.integers(-1, 3),  # sequence step; 0 or less is stale
+            # None, for each of these three: what the origin advertised last.
+            st.none() | st.frozensets(st.sampled_from(NODES)),
+            st.none() | st.sampled_from(LSA_ADDRESSES),
+            st.none() | st.sampled_from(LSA_HNA),
+            st.sampled_from((4.0, 15.0, 40.0)),  # validity, seconds
+        ),
+        st.tuples(st.just("wait"), st.sampled_from((0.5, 2.0, 6.0, 16.0))),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+def reference_graph(daemon):
+    """``graph()`` as a full scan of the neighbour and link-state tables."""
+    me = daemon.node_id
+    own = {n for n, rec in daemon.neighbors.items() if rec.sym}
+    adj = {me: set(own)}
+    for nbr in own:
+        adj[nbr] = {me}
+    for origin, entry in daemon.link_state.items():
+        for other in entry.neighbors:
+            if other == me or origin == me:
+                continue
+            peer = daemon.link_state.get(other)
+            if peer is not None and origin in peer.neighbors:
+                adj.setdefault(origin, set()).add(other)
+    return adj
+
+
+def reference_forwarding_map(daemon):
+    """The routing table built from scratch out of the daemon's tables."""
+    me = daemon.node_id
+
+    def addr_of(node):
+        entry = daemon.link_state.get(node)
+        if entry is not None and entry.addresses:
+            return entry.addresses[0]
+        rec = daemon.neighbors.get(node)
+        return rec.address if rec is not None else None
+
+    dist, first = first_hop_tree(reference_graph(daemon), me, addr_of)
+    routes = {prefix: (None, 0) for prefix in daemon.originated_hna}
+    for node in sorted(dist, key=lambda n: (dist[n], n)):
+        if node == me:
+            continue
+        entry = daemon.link_state.get(node)
+        if entry is not None:
+            prefixes = [IPv4Network((int(a), 32)) for a in entry.addresses] + list(entry.hna)
+        else:
+            prefixes = [IPv4Network((int(daemon.neighbors[node].address), 32))]
+        for prefix in prefixes:
+            routes.setdefault(prefix, (first[node], dist[node]))
+    return routes
+
+
+def lone_daemon(hellos_to_up=1):
+    """A started daemon ``ME`` with links to ``HELLO_FROM`` that lead nowhere."""
+    sim = Simulator(0)
+    links = [(nbr, Link(ME, nbr, capacity_bps=1, delay_us=0)) for nbr in HELLO_FROM]
+    daemon = OlsrDaemon(
+        ME,
+        [IPv4Address("10.0.0.4")],
+        [IPv4Network("192.168.0.0/24")],
+        OlsrConfig(jitter=0.0, randomize_phase=False, hellos_to_up=hellos_to_up),
+        sim,
+        links=lambda: links,
+        send=lambda link, msg: None,
+        log=lambda kind, data: None,
+    )
+    daemon.start()
+    return sim, daemon, links[0][1]
+
+
+def hello_from(daemon, nbr):
+    daemon.handle_hello(HelloMsg(nbr, IPv4Address(f"10.0.0.{NODES.index(nbr) + 10}")))
+
+
+def assert_matches_full_rebuild(daemon):
+    assert daemon.graph() == reference_graph(daemon)
+    assert daemon.routing_table.forwarding_map() == reference_forwarding_map(daemon)
+    assert daemon.sym_neighbors() == sorted(reference_graph(daemon)[ME])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 2)), daemon_steps)
+def test_kept_graph_and_routes_match_a_full_rebuild(hellos_to_up, steps):
+    sim, daemon, link = lone_daemon(hellos_to_up)
+    seqs: dict[str, int] = {}
+    advertised: dict[str, tuple] = {}
+    for step in steps:
+        if step[0] == "hello":
+            hello_from(daemon, step[1])
+        elif step[0] == "lsa":
+            _, origin, seq_step, neighbors, addresses, hna, validity_s = step
+            seq = max(seqs.get(origin, 0) + seq_step, 0)
+            seqs[origin] = max(seqs.get(origin, 0), seq)
+            last = advertised.get(origin, (frozenset(), (), ()))
+            neighbors, addresses, hna = (
+                drawn if drawn is not None else held
+                for drawn, held in zip((neighbors, addresses, hna), last)
+            )
+            advertised[origin] = (neighbors, addresses, hna)
+            msg = FloodMsg(
+                origin,
+                seq,
+                tuple(IPv4Address(a) for a in addresses),
+                tuple(sorted(neighbors)),
+                tuple(IPv4Network(p) for p in hna),
+                to_us(validity_s),
+            )
+            daemon.handle_flood(msg, link)
+        else:
+            sim.run_until(sim.now() + to_us(step[1]))
+        assert_matches_full_rebuild(daemon)
+
+
+def flood(daemon, link, origin, seq, addr, neighbors):
+    msg = FloodMsg(origin, seq, (IPv4Address(addr),), neighbors, (), to_us(15.0))
+    daemon.handle_flood(msg, link)
+    assert_matches_full_rebuild(daemon)
+
+
+def test_renumbered_first_hop_moves_equal_cost_routes():
+    # n4 is two hops away through n1 and through n2.  When n1 re-advertises
+    # the same neighbours under a higher address, n2 becomes the first hop,
+    # though no edge came or went.
+    _, daemon, link = lone_daemon()
+    hello_from(daemon, "n1")
+    hello_from(daemon, "n2")
+    flood(daemon, link, "n1", 1, "10.0.0.1", ("n0", "n4"))
+    flood(daemon, link, "n2", 1, "10.0.0.2", ("n0", "n4"))
+    flood(daemon, link, "n4", 1, "10.0.0.5", ("n1", "n2"))
+    flood(daemon, link, "n1", 2, "10.0.0.9", ("n0", "n4"))
+    entry = daemon.routing_table.lookup(IPv4Address("10.0.0.5"))
+    assert (entry.next_hop, entry.hop_count) == ("n2", 2)
+
+
+def test_remote_edge_confirmed_then_withdrawn_under_unchanged_prefixes():
+    # Only the neighbour lists change: the n1-n4 edge is confirmed from n1,
+    # which the last search reached, towards n4, which it did not; then n4
+    # withdraws it.
+    _, daemon, link = lone_daemon()
+    hello_from(daemon, "n1")
+    flood(daemon, link, "n1", 1, "10.0.0.1", ("n0",))
+    flood(daemon, link, "n4", 1, "10.0.0.5", ("n1",))
+    flood(daemon, link, "n1", 2, "10.0.0.1", ("n0", "n4"))
+    entry = daemon.routing_table.lookup(IPv4Address("10.0.0.5"))
+    assert (entry.next_hop, entry.hop_count) == ("n1", 2)
+    flood(daemon, link, "n4", 2, "10.0.0.5", ())
+    assert daemon.routing_table.lookup(IPv4Address("10.0.0.5")) is None
