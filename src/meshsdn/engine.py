@@ -83,23 +83,25 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule {delay} us in the past")
-        event = Event(self._now + delay, self._seq, target, kind, callback)
-        self._seq += 1
-        heappush(self._queue, (event.fire_at, event.seq, event))
+        fire_at = self._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(fire_at, seq, target, kind, callback)
+        heappush(self._queue, (fire_at, seq, event))
         return event
 
     def run_until(self, end: SimTime) -> None:
         """Process every event with ``fire_at <= end``; clock lands on ``end``."""
         if end < self._now:
             raise ValueError(f"run_until({end}) is before now ({self._now})")
-        while self._queue and self._queue[0][0] <= end:
-            fire_at, _, event = heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue
+        while queue and queue[0][0] <= end:
+            fire_at, _, event = heappop(queue)
+            callback = event.callback
+            if callback is None:  # cancelled
                 continue
             self._now = fire_at
-            callback = event.callback
             event.callback = None
-            assert callback is not None
             callback()
         self._now = end
 

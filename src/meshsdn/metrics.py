@@ -8,9 +8,11 @@ recomputed offline from a saved log file and compared byte for byte.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .engine import SimTime, Simulator, fmt_time
 
@@ -26,8 +28,10 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class MetricRecord:
+class MetricRecord(NamedTuple):
+    """One log record.  A named tuple: immutable, and cheap to build for
+    every record of a run."""
+
     time: SimTime
     seq: int
     kind: str
@@ -52,8 +56,9 @@ class MetricLog:
     def append(self, kind: str, data: dict) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
-        record = MetricRecord(self._sim.now(), len(self.records), kind, data)
-        self.records.append(record)
+        records = self.records
+        record = MetricRecord(self._sim.now(), len(records), kind, data)
+        records.append(record)
         for observer in self.observers:
             observer(record)
 
@@ -193,7 +198,11 @@ class SummaryRow:
         ]
 
     def as_csv_line(self) -> str:
-        return ",".join(self.as_csv_values())
+        """The row as one CSV line without terminator; a cell holding a comma
+        (a swept scenario's name, say) is quoted."""
+        line = io.StringIO()
+        csv.writer(line, lineterminator="").writerow(self.as_csv_values())
+        return line.getvalue()
 
 
 class OnlineMetrics:

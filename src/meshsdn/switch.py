@@ -97,8 +97,10 @@ class FlowTable:
     """Rules keyed by match space, indexed for best-first lookup.
 
     ``rules`` is a read-only view: every change goes through install, remove,
-    remove_expired or flush and drops the index, which the next match
-    rebuilds, so a match never answers from a stale index.
+    remove_expired or flush, which drops the index and counts one more change
+    in ``changes``.  The next match rebuilds the index, so a match never
+    answers from a stale one; a reader that kept a match result can tell from
+    ``changes`` whether the rule set it came from still holds.
     """
 
     def __init__(self) -> None:
@@ -106,12 +108,14 @@ class FlowTable:
         self.rules: Mapping[tuple, FlowRule] = MappingProxyType(self._rules)
         self._install_counter = 0
         self._index: list[tuple[int, dict[int, list[FlowRule]]]] | None = None
+        self.changes = 0
 
     def install(self, rule: FlowRule) -> FlowRule:
         self._install_counter += 1
         rule.install_order = self._install_counter
         self._rules[rule.key] = rule
         self._index = None
+        self.changes += 1
         return rule
 
     def remove(self, rule: FlowRule) -> None:
@@ -154,6 +158,7 @@ class FlowTable:
             del self._rules[rule.key]
         if gone:
             self._index = None
+            self.changes += 1
         return gone
 
     def remove_expired(self, now: SimTime) -> list[FlowRule]:
@@ -191,7 +196,10 @@ class SwitchConfig:
 
 
 class SwitchHost(Protocol):
-    """The router a switch forwards for, given to the switch at construction."""
+    """The router a switch forwards for, given to the switch at construction.
+
+    The switch reads ``addresses`` once, at construction.
+    """
 
     addresses: AbstractSet[IPv4Address]  # Basic traffic to these is delivered up
     access_networks: Sequence[IPv4Network]  # DeliverLocal may also deliver into these
@@ -224,6 +232,12 @@ class FlowSwitch:
     ) -> None:
         self.node_id = node_id
         self.control_subnet = control_subnet
+        # Int forms of the control subnet and of the host's addresses, which
+        # stay fixed for the switch's life, so that forwarding tests
+        # membership on ints instead of hashing an IPv4Address each time.
+        self._control_net = int(control_subnet.network_address)
+        self._control_mask = int(control_subnet.netmask)
+        self._addresses = frozenset(int(addr) for addr in host.addresses)
         self.cfg = cfg
         self.sim = sim
         self.log = log
@@ -237,7 +251,7 @@ class FlowSwitch:
         )
 
     def classify(self, packet: Packet) -> Literal["basic", "sdn"]:
-        return "basic" if packet.dst in self.control_subnet else "sdn"
+        return "basic" if int(packet.dst) & self._control_mask == self._control_net else "sdn"
 
     # -- forwarding ---------------------------------------------------------
 
@@ -246,13 +260,14 @@ class FlowSwitch:
             self._drop(packet, "hop-limit")
             return
         packet.hops_left -= 1
-        if self.classify(packet) == "basic":
-            self._forward_basic(packet)
+        dst = int(packet.dst)
+        if dst & self._control_mask == self._control_net:
+            self._forward_basic(packet, dst)
         else:
-            self._forward_sdn(packet)
+            self._forward_sdn(packet, dst)
 
-    def _forward_basic(self, packet: Packet) -> None:
-        if packet.dst in self.host.addresses:
+    def _forward_basic(self, packet: Packet, dst: int) -> None:
+        if dst in self._addresses:
             self.host.deliver_local(packet)
             return
         entry = self.host.route(packet.dst)
@@ -263,10 +278,10 @@ class FlowSwitch:
         else:
             self.host.send_to_neighbor(entry.next_hop, packet)
 
-    def _forward_sdn(self, packet: Packet) -> None:
+    def _forward_sdn(self, packet: Packet, dst: int) -> None:
         rule = self.table.match(packet, self.sim.now())
         if rule is not None:
-            self._apply(rule.action, packet)
+            self._apply(rule.action, packet, dst)
             return
         if self.host.master is not None:
             self._buffer(packet)
@@ -276,11 +291,11 @@ class FlowSwitch:
             # allowed, or no controller has ever been reached; both drop.
             self._drop(packet, "no-rule")
 
-    def _apply(self, action: Action, packet: Packet) -> None:
+    def _apply(self, action: Action, packet: Packet, dst: int) -> None:
         if isinstance(action, ForwardTo):
             self.host.send_to_neighbor(action.next_hop, packet)
         elif isinstance(action, DeliverLocal):
-            if packet.dst in self.host.addresses or any(
+            if dst in self._addresses or any(
                 packet.dst in net for net in self.host.access_networks
             ):
                 self.host.deliver_local(packet)

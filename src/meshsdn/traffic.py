@@ -8,6 +8,15 @@ exactly like a real first packet there: it is buffered and raises a
 packet-in, so sampling is also what drives reactive rule installation.
 After any interruption a flow ramps back linearly over its loss-recovery
 delay, a stand-in for transport-layer recovery.
+
+A flow's last complete walk is reused, each of its rules touched as a match
+would touch it, while a fresh walk would take the same one: every link on it
+is up, no table it visited has changed, and no rule on it has expired.  A
+link on it going down, an install, removal, expiry sweep or flush in a
+visited table, or a rule on it timing out makes the next sample walk from
+scratch.  A walk that ends in a miss, a drop rule or a loop is never kept,
+so each sample that meets one raises its packet-in or drop as a fresh walk
+does.
 """
 from __future__ import annotations
 
@@ -18,7 +27,7 @@ from typing import Callable, Mapping
 
 from . import control_plane as cp
 from .engine import SimTime, Simulator, to_us
-from .switch import DeliverLocal, ForwardTo, FlowSwitch, Packet
+from .switch import DeliverLocal, FlowRule, FlowSwitch, FlowTable, ForwardTo, Packet
 from .topology import Link, Topology
 
 
@@ -149,8 +158,12 @@ class _FlowState:
     router: str  # the router at its other end
     packet: Packet  # what each sample matches against the flow tables
     owner: str | None  # the node that owns the destination address
+    recovery_us: SimTime
     active: bool = False
     path_ok_since: SimTime | None = None
+    # The last complete walk: its links, and per hop the table, that
+    # table's change count when the walk matched, and the rule it matched.
+    walk: tuple[list[Link], list[tuple[FlowTable, int, FlowRule]]] | None = None
 
 
 class FluidTraffic:
@@ -170,6 +183,7 @@ class FluidTraffic:
         self._switches = switches
         self._log = log
         self._flows: dict[str, _FlowState] = {}
+        self._flow_ids: list[str] = []  # sorted, the order samples are logged in
         self._ticking = False
         # The last allocation and its inputs.  Link capacities never change
         # and a Down link never reaches a path, so equal inputs give equal
@@ -189,7 +203,9 @@ class FluidTraffic:
             access.other(cfg.src_host),
             Packet(src, cfg.dst, "data", flow_id=cfg.flow_id),
             owner.id if owner is not None else None,
+            to_us(cfg.loss_recovery_s),
         )
+        self._flow_ids = sorted(self._flows)
         delay = max(0, to_us(cfg.start_s) - self.sim.now())
         self.sim.schedule(
             delay, lambda: self.start_flow(cfg.flow_id), target=cfg.src_host, kind="flow"
@@ -217,11 +233,12 @@ class FluidTraffic:
         now = self.sim.now()
         paths: dict[str, list[Link]] = {}
         demands: dict[str, float] = {}
-        for flow_id in sorted(self._flows):
-            state = self._flows[flow_id]
+        flows = self._flows
+        for flow_id in self._flow_ids:
+            state = flows[flow_id]
             if not state.active:
                 continue
-            links = self._trace(state)
+            links = self._trace(state, now)
             if links is None:
                 state.path_ok_since = None
                 self._log("ThroughputSample", {"flow": flow_id, "bps": 0.0})
@@ -236,11 +253,11 @@ class FluidTraffic:
                 self._shares = max_min_allocate(demands, paths)
                 self._allocated = (demands, paths)
             shares = self._shares
-            for flow_id in sorted(paths):
-                state = self._flows[flow_id]
+            for flow_id in paths:  # inserted in sorted order
+                state = flows[flow_id]
                 assert state.path_ok_since is not None
                 elapsed = now - state.path_ok_since
-                recovery = to_us(state.cfg.loss_recovery_s)
+                recovery = state.recovery_us
                 ramp = 1.0 if recovery == 0 else min(1.0, elapsed / recovery)
                 self._log(
                     "ThroughputSample",
@@ -250,19 +267,28 @@ class FluidTraffic:
             to_us(self.SAMPLE_INTERVAL_S), self._tick, target="traffic", kind="sample"
         )
 
-    def _trace(self, state: _FlowState) -> list[Link] | None:
+    def _trace(self, state: _FlowState, now: SimTime) -> list[Link] | None:
         """Walk the flow through access links and flow tables; None if it
         currently cannot reach its destination."""
+        walk = state.walk
+        if walk is not None:
+            links, hops = walk
+            if self._still_valid(links, hops, now):
+                for _, _, rule in hops:
+                    rule.last_hit = now  # as the match it stands for would
+                return links
+            state.walk = None
         access = state.access
         if not access.up:
             return None
         links = [access]
+        hops: list[tuple[FlowTable, int, FlowRule]] = []
         packet = state.packet
         current = state.router
-        now = self.sim.now()
         for _ in range(len(self.topo.nodes) + 1):
             flow_switch = self._switches[current]
-            rule = flow_switch.table.match(packet, now)
+            table = flow_switch.table
+            rule = table.match(packet, now)
             if rule is None:
                 # Behave like the first real packet of the burst: let the
                 # switch buffer it and raise a packet-in if it can.
@@ -270,11 +296,13 @@ class FluidTraffic:
                     Packet(packet.src, packet.dst, "data", flow_id=packet.flow_id)
                 )
                 return None
+            hops.append((table, table.changes, rule))
             action = rule.action
             if isinstance(action, ForwardTo):
                 nxt = action.next_hop
             elif isinstance(action, DeliverLocal) and state.owner is not None:
                 if state.owner == current:
+                    state.walk = (links, hops)
                     return links
                 nxt = state.owner  # the last hop, to the owner of the destination
             else:
@@ -287,6 +315,24 @@ class FluidTraffic:
                 return None
             links.append(hop)
             if isinstance(action, DeliverLocal):
+                state.walk = (links, hops)
                 return links
             current = nxt
         return None  # rule loop
+
+    @staticmethod
+    def _still_valid(
+        links: list[Link], hops: list[tuple[FlowTable, int, FlowRule]], now: SimTime
+    ) -> bool:
+        """Whether a fresh walk at ``now`` would match the same rules and
+        cross the same links.  With its table unchanged, each rule above a
+        kept one in match order was expired when the walk matched, and stays
+        expired: only an install, which changes the table, restarts timers,
+        and a match touches only the unexpired rule it returns."""
+        for link in links:
+            if not link.up:
+                return False
+        for table, changes, rule in hops:
+            if table.changes != changes or rule.expired(now):
+                return False
+        return True

@@ -144,6 +144,22 @@ def test_sweep_runs_cartesian_product(tmp_path, capsys):
     assert len(rows) == 3  # header + one row per combination
 
 
+def test_report_reads_a_sweep_over_two_params(tmp_path, capsys):
+    # The swept scenario names hold a comma, which results.csv must quote.
+    out_dir = tmp_path / "sweep"
+    params = ["--param", "olsr.hello_interval_s=2.0,5.0", "--param", "eftm.poll_period_s=2.0"]
+    assert main(["sweep", "merge", *params, "--seed", "0", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reported = {line.split()[0] for line in captured.out.splitlines()[1:]}
+    assert reported == {
+        "merge[olsr.hello_interval_s=2.0,eftm.poll_period_s=2.0]",
+        "merge[olsr.hello_interval_s=5.0,eftm.poll_period_s=2.0]",
+    }
+
+
 def test_report_aggregates_results(tmp_path, capsys):
     out_dir = tmp_path / "out"
     main(["run", tiny_path(tmp_path, {"measure": None}), "--seeds", "0:2", "--out", str(out_dir)])

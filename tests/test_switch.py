@@ -362,6 +362,7 @@ def test_indexed_match_equals_linear_scan(ops):
     now = 0
     for step, op in ops:
         now += step
+        changes, held = table.changes, {key: id(r) for key, r in table.rules.items()}
         if op[0] == "install":
             r = FlowRule(action=DropAction(), **op[1])
             r.installed_at = r.last_hit = now
@@ -390,6 +391,8 @@ def test_indexed_match_equals_linear_scan(ops):
                 for key, r in reference.items():
                     assert r.last_hit == (now if touch and r is got else before[key])
         assert dict(table.rules) == reference
+        # The change count moves exactly when the rule set does.
+        assert (table.changes != changes) == (held != {key: id(r) for key, r in reference.items()})
 
 
 def test_remove_refuses_a_rule_not_in_the_table():

@@ -1,6 +1,8 @@
-"""Max-min allocation, ping bookkeeping, and the fluid-flow ramp."""
+"""Max-min allocation, ping bookkeeping, the fluid-flow ramp, and reused
+walks checked against walks from scratch."""
 import math
 from ipaddress import IPv4Address, IPv4Network
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,16 @@ from meshsdn import traffic
 from meshsdn.engine import Simulator, to_us
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
-from meshsdn.switch import DeliverLocal, FlowRule, FlowSwitch, ForwardTo, SwitchConfig
+from meshsdn.switch import (
+    ORIGIN_EFTM,
+    DeliverLocal,
+    DropAction,
+    FlowRule,
+    FlowSwitch,
+    ForwardTo,
+    Packet,
+    SwitchConfig,
+)
 from meshsdn.topology import Interface, Link, Node, Topology
 from meshsdn.traffic import (
     BulkFlowCfg,
@@ -279,3 +290,299 @@ def test_allocation_is_reused_until_a_demand_or_path_changes(monkeypatch):
         {"capped": short_path, "greedy": short_path},
     )
     assert tick_at(0.6) == direct(4e6, short_path) and len(calls) == 4
+
+
+# -- reused walks against walks from scratch ----------------------------------
+
+# Routers w1..w4 joined by every link but w1-w4; h1 hangs off w1, h3 off w2
+# and h2 off w4.  STRAY lies in h2's subnet but nobody owns it.
+MESH = IPv4Network("10.0.0.0/16")
+DST, STRAY = IPv4Address("192.168.4.10"), IPv4Address("192.168.4.99")
+WALK_HOSTS = {"h1": ("192.168.1.10", "w1"), "h3": ("192.168.2.10", "w2"), "h2": ("192.168.4.10", "w4")}
+WALK_LINKS = [("w1", "w2"), ("w2", "w3"), ("w3", "w4"), ("w1", "w3"), ("w2", "w4")]
+WALK_FLOWS = [("f1", "h1", DST, None), ("f2", "h3", DST, 2e6), ("f3", "h1", STRAY, None)]
+WMRS = ["w1", "w2", "w3", "w4"]
+WALK_PATHS = [["w1", "w2", "w4"], ["w1", "w3", "w4"], ["w1", "w2", "w3", "w4"], ["w2", "w4"], ["w2", "w1", "w3", "w4"]]
+
+
+class WalkFromScratch(FluidTraffic):
+    """Walks every flow from scratch on every sample: the reference that the
+    reused walks must agree with."""
+
+    def _trace(self, state, now):
+        access = state.access
+        if not access.up:
+            return None
+        links = [access]
+        packet = state.packet
+        current = state.router
+        for _ in range(len(self.topo.nodes) + 1):
+            flow_switch = self._switches[current]
+            rule = flow_switch.table.match(packet, now)
+            if rule is None:
+                flow_switch.forward(Packet(packet.src, packet.dst, "data", flow_id=packet.flow_id))
+                return None
+            action = rule.action
+            if isinstance(action, ForwardTo):
+                nxt = action.next_hop
+            elif isinstance(action, DeliverLocal) and state.owner is not None:
+                if state.owner == current:
+                    return links
+                nxt = state.owner
+            else:
+                return None
+            try:
+                hop = self.topo.link_between(current, nxt)
+            except KeyError:
+                return None
+            if not hop.up:
+                return None
+            links.append(hop)
+            if isinstance(action, DeliverLocal):
+                return links
+            current = nxt
+        return None
+
+
+class RecordingHost(StubHost):
+    """A connected router that logs what its switch hands it."""
+
+    master = IPv4Address("10.0.255.1")
+
+    def __init__(self, node_id, log):
+        self.node_id = node_id
+        self.log = log
+
+    def send_to_neighbor(self, neighbor, packet):
+        self.log("sent", {"node": self.node_id, "to": neighbor, "flow": packet.flow_id})
+
+    def deliver_local(self, packet):
+        self.log("delivered", {"node": self.node_id, "flow": packet.flow_id})
+
+    def raise_packet_in(self, packet):
+        self.log("packet-in", {"node": self.node_id, "flow": packet.flow_id})
+
+
+class WalkWorld:
+    """Four switches and three flows sampled by one fluid model, driven by
+    steps; everything observable is kept for comparison."""
+
+    def __init__(self, traffic_cls, sweep_interval_s=0.55):
+        self.sim = Simulator()
+        self.topo = Topology()
+        self.records = []
+        self.walks = []
+        self.rules = []  # every rule ever installed, in install order
+        for i, wmr in enumerate(WMRS, start=1):
+            self.topo.add_node(Node(wmr, "wmr", [Interface(IPv4Address(f"10.0.0.{i}"), MESH, "mesh")]))
+        for host, (addr, wmr) in WALK_HOSTS.items():
+            itf = Interface(IPv4Address(addr), IPv4Network(f"{addr}/24", strict=False), "access")
+            self.topo.add_node(Node(host, "host", [itf]))
+            self.topo.add_link(Link(host, wmr, 100_000_000, 500))
+        for a, b in WALK_LINKS:
+            self.topo.add_link(Link(a, b, 10_000_000, 1000))
+        cfg = SwitchConfig(sweep_interval_s=sweep_interval_s)
+        self.switches = {
+            w: FlowSwitch(w, MESH, cfg, self.sim, self.log, RecordingHost(w, self.log)) for w in WMRS
+        }
+        for switch in self.switches.values():
+            switch.start()
+        self.fluid = traffic_cls(self.sim, self.topo, self.switches, self.log)
+        trace = self.fluid._trace
+
+        def recording_trace(state, now):
+            links = trace(state, now)
+            ids = None if links is None else [lk.id for lk in links]
+            self.walks.append((now, state.cfg.flow_id, ids))
+            return links
+
+        self.fluid._trace = recording_trace
+        for flow_id, src, dst, demand in WALK_FLOWS:
+            self.fluid.add_flow(BulkFlowCfg(flow_id, src, dst, demand_bps=demand, loss_recovery_s=0.3))
+
+    def log(self, kind, data):
+        self.records.append((self.sim.now(), kind, data))
+
+    def install(self, node, **args):
+        rule = FlowRule(**args)
+        self.rules.append(rule)
+        self.switches[node].install_rule(rule)
+
+    def apply(self, step):
+        op, *args = step
+        if op == "install":
+            node, rule_args = args
+            self.install(node, **rule_args)
+        elif op == "path":
+            nodes, rule_args = args
+            for here, nxt in pairwise(nodes):
+                self.install(here, action=ForwardTo(nxt), **rule_args)
+            self.install(nodes[-1], action=DeliverLocal(), **rule_args)
+        elif op == "remove":
+            node, k = args
+            table = self.switches[node].table
+            if table.rules:
+                table.remove(list(table.rules.values())[k % len(table.rules)])
+        elif op == "flush":
+            node, origin_filter = args
+            self.switches[node].flush_rules(origin_filter)
+        elif op == "sweep":
+            (node,) = args
+            self.switches[node].table.remove_expired(self.sim.now())
+        elif op == "link":
+            a, b, up = args
+            self.topo.set_link_state(a, b, up)
+        elif op == "wait":
+            (steps,) = args
+            self.sim.run_until(self.sim.now() + steps * to_us(0.05))
+
+    def observed(self):
+        return (
+            self.walks,
+            [rule.last_hit for rule in self.rules],
+            self.records,
+            {w: switch.table.dump() for w, switch in self.switches.items()},
+        )
+
+    def path(self, *nodes):
+        return [self.topo.link_between(a, b).id for a, b in pairwise(nodes)]
+
+
+def run_both(steps, **world_args):
+    """Apply each step to a reusing world and to one that walks from
+    scratch, and require the same observations after every step."""
+    reused = WalkWorld(FluidTraffic, **world_args)
+    scratch = WalkWorld(WalkFromScratch, **world_args)
+    for step in steps:
+        reused.apply(step)
+        scratch.apply(step)
+        assert reused.observed() == scratch.observed(), step
+    return reused
+
+
+walk_rule_args = st.fixed_dictionaries(
+    {
+        "priority": st.sampled_from([100, 200]),
+        "dst_prefix": st.sampled_from(
+            [IPv4Network(p) for p in ("192.168.4.10/32", "192.168.4.0/24", "192.168.0.0/16")]
+        ),
+        "src_prefix": st.none() | st.sampled_from([IPv4Network("192.168.1.0/24"), IPv4Network("192.168.2.0/24")]),
+        "origin": st.sampled_from(["controller:10.0.255.1", ORIGIN_EFTM]),
+        "idle_timeout_us": st.sampled_from([0, to_us(0.15), to_us(0.4)]),
+        "hard_timeout_us": st.sampled_from([0, to_us(0.25), to_us(0.7)]),
+    }
+)
+walk_actions = st.sampled_from([*(ForwardTo(w) for w in WMRS), DeliverLocal(), DropAction()])
+path_rule_args = st.fixed_dictionaries(
+    {
+        "priority": st.just(100),
+        "dst_prefix": st.sampled_from([IPv4Network("192.168.4.0/24"), IPv4Network("192.168.0.0/16")]),
+        "src_prefix": st.none(),
+        "origin": st.sampled_from(["controller:10.0.255.1", ORIGIN_EFTM]),
+        # Samples come every 0.1 s, so only an idle timeout shorter than that
+        # can expire a rule that a walk keeps using.
+        "idle_timeout_us": st.sampled_from([0, 0, to_us(0.08), to_us(0.4)]),
+        "hard_timeout_us": st.sampled_from([0, 0, to_us(0.25), to_us(0.7)]),
+    }
+)
+path_steps = st.tuples(st.just("path"), st.sampled_from(WALK_PATHS), path_rule_args)
+link_steps = st.builds(
+    lambda ends, up: ("link", *ends, up),
+    st.sampled_from([*WALK_LINKS, ("h1", "w1")]),
+    st.booleans(),
+)
+walk_steps = st.one_of(
+    path_steps,
+    st.tuples(
+        st.just("install"),
+        st.sampled_from(WMRS),
+        st.builds(lambda args, action: {**args, "action": action}, walk_rule_args, walk_actions),
+    ),
+    st.tuples(st.just("remove"), st.sampled_from(WMRS), st.integers(0, 20)),
+    st.tuples(st.just("flush"), st.sampled_from(WMRS), st.sampled_from(["*", "controller:*", ORIGIN_EFTM])),
+    st.tuples(st.just("sweep"), st.sampled_from(WMRS)),
+    link_steps,
+    link_steps,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path_steps,
+    path_steps,
+    st.lists(st.tuples(walk_steps, st.integers(0, 4)), min_size=5, max_size=40),
+)
+def test_reused_walks_equal_walks_from_scratch(first, second, steps):
+    # Two paths up front, so that most samples find one to reuse, and up to
+    # four half-sample waits after each step, so that samples see each change.
+    waited = [s for step, n in steps for s in (step, ("wait", n)) if s != ("wait", 0)]
+    run_both([first, second, *waited])
+
+
+def path_rule(priority=100, hard_timeout_us=0):
+    return {
+        "priority": priority,
+        "dst_prefix": IPv4Network("192.168.4.0/24"),
+        "src_prefix": None,
+        "origin": "controller:10.0.255.1",
+        "idle_timeout_us": 0,
+        "hard_timeout_us": hard_timeout_us,
+    }
+
+
+def install_step(node, action, **rule_args):
+    return ("install", node, {**path_rule(**rule_args), "action": action})
+
+
+def flow_walks(world, flow_id):
+    return [(now, links) for now, flow, links in world.walks if flow == flow_id]
+
+
+def test_mid_path_hard_timeout_ends_reuse_before_any_sweep():
+    # At w2 a priority-200 rule to w4 with a 0.25 s hard timeout shadows a
+    # rule to w3.  Sweeps come only every 10 s, so after 0.25 s the expired
+    # rule still sits in the table and only its expiry can end the reuse.
+    steps = [
+        install_step("w1", ForwardTo("w2")),
+        install_step("w2", ForwardTo("w4"), priority=200, hard_timeout_us=to_us(0.25)),
+        install_step("w2", ForwardTo("w3")),
+        install_step("w3", ForwardTo("w4")),
+        install_step("w4", DeliverLocal()),
+        ("wait", 8),
+    ]
+    world = run_both(steps, sweep_interval_s=10.0)
+    short, long = world.path("h1", "w1", "w2", "w4", "h2"), world.path("h1", "w1", "w2", "w3", "w4", "h2")
+    assert flow_walks(world, "f1") == [
+        (0, short),
+        (to_us(0.1), short),
+        (to_us(0.2), short),
+        (to_us(0.3), long),
+        (to_us(0.4), long),
+    ]
+    shadowing = world.rules[1]
+    assert shadowing.last_hit == to_us(0.2)  # never touched once expired
+    assert shadowing in world.switches["w2"].table.rules.values()
+
+
+def test_link_down_on_path_ends_reuse_and_link_up_restores_it():
+    steps = [
+        ("path", ["w1", "w2", "w4"], path_rule()),
+        ("wait", 5),
+        ("link", "w2", "w4", False),
+        ("wait", 2),
+        ("link", "w2", "w4", True),
+        ("wait", 2),
+    ]
+    world = run_both(steps)
+    path = world.path("h1", "w1", "w2", "w4", "h2")
+    assert flow_walks(world, "f1") == [
+        (0, path),
+        (to_us(0.1), path),
+        (to_us(0.2), path),
+        (to_us(0.3), None),
+        (to_us(0.4), path),
+    ]
+    # The walk stopped at a down link, not at a miss: nothing was raised.
+    assert not [r for r in world.records if r[1] == "packet-in" and r[2]["flow"] == "f1"]
+    samples = [(t, d["bps"]) for t, kind, d in world.records if kind == "ThroughputSample" and d["flow"] == "f1"]
+    assert samples[-2:] == [(to_us(0.3), 0.0), (to_us(0.4), 0.0)]  # the ramp starts over
