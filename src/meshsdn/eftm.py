@@ -17,6 +17,7 @@ configured), and keeps exactly one control connection alive:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Literal
 
@@ -37,6 +38,8 @@ EmergencyPolicy = Literal["control-only", "allow-all", "selective"]
 
 EMERGENCY_FORWARD_PRIORITY = 20
 EMERGENCY_DROP_PRIORITY = 10
+# What the emergency drop rule matches, parsed once rather than per rule set.
+ALL_DESTINATIONS = IPv4Network("0.0.0.0/0")
 
 
 @dataclass
@@ -104,6 +107,9 @@ class MasterSelector:
         self._send = send
         self._log = log
         self._rng = sim.node_rng(node_id)
+        # The timer constants, read once: every keepalive needs them.
+        self._connect_timeout_us = cfg.connect_timeout_us
+        self._keepalive_interval_us = cfg.keepalive_interval_us
 
         self.mode: Mode = "disconnected"
         self.conn: ControlConnection | None = None
@@ -188,8 +194,8 @@ class MasterSelector:
         self._token += 1
         token = self._token
         handle = self.sim.schedule(
-            self.cfg.connect_timeout_us,
-            lambda: self._probe_timeout(token),
+            self._connect_timeout_us,
+            partial(self._probe_timeout, token),
             target=self.node_id,
             kind="probe-timeout",
         )
@@ -240,8 +246,8 @@ class MasterSelector:
         self._token += 1
         token = self._token
         handle = self.sim.schedule(
-            self.cfg.connect_timeout_us,
-            lambda: self._connect_timeout(token),
+            self._connect_timeout_us,
+            partial(self._connect_timeout, token),
             target=self.node_id,
             kind="connect-timeout",
         )
@@ -288,7 +294,7 @@ class MasterSelector:
 
     def _start_keepalives(self) -> None:
         self._keepalive_timer = self.sim.schedule(
-            self.cfg.keepalive_interval_us,
+            self._keepalive_interval_us,
             self._keepalive_tick,
             target=self.node_id,
             kind="keepalive",
@@ -303,19 +309,20 @@ class MasterSelector:
         self._keepalive_waits.clear()
 
     def _keepalive_tick(self) -> None:
-        if self.master is None:
+        master = self.master
+        if master is None:
             return
         self._token += 1
         token = self._token
         self._keepalive_waits[token] = self.sim.schedule(
-            self.cfg.connect_timeout_us,
-            lambda: self._keepalive_timeout(token),
+            self._connect_timeout_us,
+            partial(self._keepalive_timeout, token),
             target=self.node_id,
             kind="keepalive-timeout",
         )
-        self._send(self.master, cp.KeepaliveRequest(self.node_id, token))
+        self._send(master, cp.KeepaliveRequest(self.node_id, token))
         self._keepalive_timer = self.sim.schedule(
-            self.cfg.keepalive_interval_us,
+            self._keepalive_interval_us,
             self._keepalive_tick,
             target=self.node_id,
             kind="keepalive",
@@ -364,7 +371,7 @@ class MasterSelector:
         rules: list[FlowRule] = []
         drop_all = FlowRule(
             priority=EMERGENCY_DROP_PRIORITY,
-            dst_prefix=IPv4Network("0.0.0.0/0"),
+            dst_prefix=ALL_DESTINATIONS,
             action=DropAction(),
             origin=ORIGIN_EFTM,
         )

@@ -8,8 +8,10 @@ identically.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Callable
 
 US_PER_S = 1_000_000
@@ -57,12 +59,24 @@ class Simulator:
     ``seed`` feeds the per-node RNG streams: every node draws jitter from its
     own stream derived from ``(seed, node_id)``, so adding a node to a
     scenario does not perturb the draws of existing nodes.
+
+    Events scheduled with a delay of exactly ``lane_delay`` wait in a FIFO
+    lane instead of the heap.  The clock never goes back, so each of them
+    fires no earlier than the one scheduled before it and has a larger
+    sequence number: the lane is always in firing order, and merging its
+    head with the heap's fires every event in the same order as the heap
+    alone would.  An owner that schedules most events with one delay, such
+    as a transport whose links share a delay, saves a heap push and pop on
+    each of them.  The lane delay is fixed at construction: changing it
+    while the lane holds events would break that order.
     """
 
     seed: int = 0
+    lane_delay: SimTime | None = None
     _now: SimTime = 0
     _seq: int = 0
     _queue: list[tuple[SimTime, int, Event]] = field(default_factory=list)
+    _lane: deque[tuple[SimTime, int, Event]] = field(default_factory=deque)
     _rngs: dict[str, random.Random] = field(default_factory=dict)
 
     def now(self) -> SimTime:
@@ -87,16 +101,26 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(fire_at, seq, target, kind, callback)
-        heappush(self._queue, (fire_at, seq, event))
+        if delay == self.lane_delay:
+            self._lane.append((fire_at, seq, event))
+        else:
+            heappush(self._queue, (fire_at, seq, event))
         return event
 
     def run_until(self, end: SimTime) -> None:
         """Process every event with ``fire_at <= end``; clock lands on ``end``."""
         if end < self._now:
             raise ValueError(f"run_until({end}) is before now ({self._now})")
-        queue = self._queue
-        while queue and queue[0][0] <= end:
-            fire_at, _, event = heappop(queue)
+        heap, lane = self._queue, self._lane
+        while True:
+            if lane and (not heap or lane[0] < heap[0]):
+                if lane[0][0] > end:
+                    break
+                fire_at, _, event = lane.popleft()
+            elif heap and heap[0][0] <= end:
+                fire_at, _, event = heappop(heap)
+            else:
+                break
             callback = event.callback
             if callback is None:  # cancelled
                 continue
@@ -116,4 +140,4 @@ class Simulator:
         return rng
 
     def pending(self) -> int:
-        return sum(1 for _, _, e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in chain(self._queue, self._lane) if not e.cancelled)

@@ -14,7 +14,8 @@ reactively installed rules always agree with what each hop would have routed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from ipaddress import IPv4Address, IPv4Network
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -87,20 +88,6 @@ class NeighborRecord:
     sym: bool = False
 
 
-@dataclass
-class LinkStateEntry:
-    origin: str
-    seq: int
-    addresses: tuple[IPv4Address, ...]
-    neighbors: tuple[str, ...]
-    hna: tuple[IPv4Network, ...]
-    expires_at: SimTime
-    msg: FloodMsg
-    # (route key, prefix) of each of ``addresses`` as a host route, then of
-    # each ``hna`` prefix: the order in which the origin offers routes.
-    prefixes: tuple[tuple[int, IPv4Network], ...]
-
-
 def route_key(prefix: IPv4Network) -> int:
     """An int that identifies ``prefix``, cheaper to hash and compare."""
     return int(prefix.network_address) << 6 | prefix.prefixlen
@@ -168,7 +155,9 @@ class RoutingTable:
         if relist:
             self._list_index(by_length)
 
-    def lookup(self, addr: IPv4Address) -> RouteEntry | None:
+    def lookup(self, addr: IPv4Address | int) -> RouteEntry | None:
+        """The longest-prefix route for ``addr``, given as an address or as
+        its int value; None if no prefix covers it."""
         if self._by_length is None:
             self._build_index()
         key = int(addr)
@@ -207,31 +196,35 @@ def first_hop_tree(
     independent of adjacency iteration order.  The hop counts are listed in
     (hop count, node id) order, ``source`` first.
     """
-    # Every first hop is a neighbor of the source, so only those need a rank.
-    rank: dict[str, tuple[int, str]] = {}
-    for v in adjacency.get(source, ()):
+    # Every first hop is a neighbor of the source, so only those need a rank:
+    # their position in (address, node id) order, best first.
+    def address_order(v: str) -> tuple[int, str]:
         addr = addr_of(v)
-        rank[v] = (int(addr) if addr is not None else 1 << 40, v)
+        return (int(addr) if addr is not None else 1 << 40, v)
 
+    hops = sorted((v for v in adjacency.get(source, ()) if v != source), key=address_order)
     dist: dict[str, int] = {source: 0}
     first: dict[str, str] = {}
-    layer = [source]
-    depth = 0
+    # The rank of each reached node's first hop, an index into ``hops``.
+    via: dict[str, int] = {v: rank for rank, v in enumerate(hops)}
+    layer = sorted(via)
+    depth = 1
     while layer:
-        candidates: dict[str, str] = {}
+        for v in layer:
+            dist[v] = depth
+            first[v] = hops[via[v]]
+        candidates: dict[str, int] = {}
         for u in layer:
+            rank = via[u]
             for v in adjacency.get(u, ()):
                 if v in dist:
                     continue
-                via = v if u == source else first[u]
                 held = candidates.get(v)
-                if held is None or rank[via] < rank[held]:
-                    candidates[v] = via
+                if held is None or rank < held:
+                    candidates[v] = rank
         depth += 1
+        via.update(candidates)
         layer = sorted(candidates)
-        for v in layer:
-            dist[v] = depth
-            first[v] = candidates[v]
     return dist, first
 
 
@@ -272,9 +265,20 @@ class OlsrDaemon:
         self._links = links
         self._send = send
         self._log = log
+        # The timer constants, read once: every Hello and tick needs them.
+        self._hello_interval_us = cfg.hello_interval_us
+        self._tc_interval_us = cfg.tc_interval_us
+        self._neighbor_hold_us = cfg.neighbor_hold_us
+        self._flood_validity_us = cfg.flood_validity_us
+        self._jitter = cfg.jitter
 
         self.neighbors: dict[str, NeighborRecord] = {}
-        self.link_state: dict[str, LinkStateEntry] = {}
+        # Each origin's accepted advertisement, and when it expires.
+        self.link_state: dict[str, FloodMsg] = {}
+        self._expires_at: dict[str, SimTime] = {}
+        # Per origin, (route key, prefix) of each of its addresses as a host
+        # route, then of each HNA prefix: the order in which it offers routes.
+        self._prefixes: dict[str, tuple[tuple[int, IPv4Network], ...]] = {}
         # Kept in step with ``neighbors`` and ``link_state`` wherever they
         # change: the symmetric neighbours, sorted and as a set, and the graph
         # routes run over.  That graph maps this node to its symmetric
@@ -305,12 +309,12 @@ class OlsrDaemon:
 
     def start(self) -> None:
         hello_phase = (
-            round(self._rng.random() * self.cfg.hello_interval_us)
+            round(self._rng.random() * self._hello_interval_us)
             if self.cfg.randomize_phase
             else 0
         )
         tc_phase = (
-            round(self._rng.random() * self.cfg.tc_interval_us)
+            round(self._rng.random() * self._tc_interval_us)
             if self.cfg.randomize_phase
             else 0
         )
@@ -319,9 +323,10 @@ class OlsrDaemon:
         self._recompute()
 
     def _jittered(self, interval_us: SimTime) -> SimTime:
-        if self.cfg.jitter == 0.0:
+        jitter = self._jitter
+        if jitter == 0.0:
             return interval_us
-        factor = 1.0 + self._rng.uniform(-self.cfg.jitter, self.cfg.jitter)
+        factor = 1.0 + self._rng.uniform(-jitter, jitter)
         return round(interval_us * factor)
 
     def _hello_tick(self) -> None:
@@ -329,7 +334,7 @@ class OlsrDaemon:
         for _, link in self._links():
             self._send(link, hello)
         self.sim.schedule(
-            self._jittered(self.cfg.hello_interval_us),
+            self._jittered(self._hello_interval_us),
             self._hello_tick,
             target=self.node_id,
             kind="hello",
@@ -338,7 +343,7 @@ class OlsrDaemon:
     def _tc_tick(self) -> None:
         self._originate_flood()
         self.sim.schedule(
-            self._jittered(self.cfg.tc_interval_us),
+            self._jittered(self._tc_interval_us),
             self._tc_tick,
             target=self.node_id,
             kind="tc",
@@ -358,29 +363,29 @@ class OlsrDaemon:
         self._tree_stale = True
 
     def handle_hello(self, msg: HelloMsg) -> None:
+        origin = msg.origin
         now = self.sim.now()
-        rec = self.neighbors.get(msg.origin)
+        rec = self.neighbors.get(origin)
         if rec is None:
-            rec = NeighborRecord(msg.origin, msg.address, 0, now)
-            self.neighbors[msg.origin] = rec
+            rec = self.neighbors[origin] = NeighborRecord(origin, msg.address, 0, now)
         rec.consecutive_hellos += 1
         rec.last_hello_at = now
         self.sim.schedule(
-            self.cfg.neighbor_hold_us,
-            lambda origin=msg.origin: self._neighbor_expiry_check(origin),
+            self._neighbor_hold_us,
+            partial(self._neighbor_expiry_check, origin),
             target=self.node_id,
             kind="neighbor-expiry",
         )
         if not rec.sym and rec.consecutive_hellos >= self.cfg.hellos_to_up:
             rec.sym = True
-            self._set_sym(msg.origin, True)
-            self._on_new_adjacency(msg.origin)
+            self._set_sym(origin, True)
+            self._on_new_adjacency(origin)
 
     def _neighbor_expiry_check(self, origin: str) -> None:
         rec = self.neighbors.get(origin)
         if rec is None:
             return
-        if self.sim.now() - rec.last_hello_at >= self.cfg.neighbor_hold_us:
+        if self.sim.now() - rec.last_hello_at >= self._neighbor_hold_us:
             was_sym = rec.sym
             del self.neighbors[origin]
             if was_sym:
@@ -395,7 +400,7 @@ class OlsrDaemon:
         link = self._link_to(neighbor)
         if link is not None:
             for origin in sorted(self.link_state):
-                self._send(link, self.link_state[origin].msg)
+                self._send(link, self.link_state[origin])
         self._originate_flood()
         self._recompute()
 
@@ -415,40 +420,33 @@ class OlsrDaemon:
             addresses=self.addresses,
             neighbors=self._sym,
             hna=self.originated_hna,
-            validity_us=self.cfg.flood_validity_us,
+            validity_us=self._flood_validity_us,
         )
         self._relay(msg, exclude_link=None)
 
     def handle_flood(self, msg: FloodMsg, arrival_link: object) -> None:
-        if msg.origin == self.node_id:
+        origin = msg.origin
+        if origin == self.node_id:
             return
-        if msg.seq <= self._seen_seq.get(msg.origin, 0):
+        if msg.seq <= self._seen_seq.get(origin, 0):
             return
-        self._seen_seq[msg.origin] = msg.seq
-        now = self.sim.now()
-        old = self.link_state.get(msg.origin)
+        self._seen_seq[origin] = msg.seq
+        old = self.link_state.get(origin)
         if old is not None and old.addresses == msg.addresses and old.hna == msg.hna:
-            prefixes = old.prefixes
+            same_prefixes = True
             changed = old.neighbors != msg.neighbors
         else:
-            prefixes = tuple(self._host_route(addr) for addr in msg.addresses) + tuple(
-                (route_key(prefix), prefix) for prefix in msg.hna
-            )
+            self._prefixes[origin] = tuple(
+                self._host_route(addr) for addr in msg.addresses
+            ) + tuple((route_key(prefix), prefix) for prefix in msg.hna)
+            same_prefixes = False
             changed = True
-        entry = LinkStateEntry(
-            origin=msg.origin,
-            seq=msg.seq,
-            addresses=msg.addresses,
-            neighbors=msg.neighbors,
-            hna=msg.hna,
-            expires_at=now + msg.validity_us,
-            msg=msg,
-            prefixes=prefixes,
-        )
-        self._install(msg.origin, old, entry)
+        validity = msg.validity_us
+        self._expires_at[origin] = self.sim.now() + validity
+        self._install(origin, old, msg, same_prefixes)
         self.sim.schedule(
-            msg.validity_us,
-            lambda origin=msg.origin: self._entry_expiry_check(origin),
+            validity,
+            partial(self._entry_expiry_check, origin),
             target=self.node_id,
             kind="ls-expiry",
         )
@@ -457,16 +455,22 @@ class OlsrDaemon:
             self._recompute()
 
     def _entry_expiry_check(self, origin: str) -> None:
-        entry = self.link_state.get(origin)
-        if entry is not None and self.sim.now() >= entry.expires_at:
-            self._install(origin, entry, None)
+        expires_at = self._expires_at.get(origin)
+        if expires_at is not None and self.sim.now() >= expires_at:
+            del self._expires_at[origin], self._prefixes[origin]
+            self._install(origin, self.link_state[origin], None)
             self._recompute()
 
     def _install(
-        self, origin: str, old: LinkStateEntry | None, new: LinkStateEntry | None
+        self,
+        origin: str,
+        old: FloodMsg | None,
+        new: FloodMsg | None,
+        same_prefixes: bool = False,
     ) -> None:
         """Replace ``origin``'s entry ``old`` by ``new`` (None: none) and bring
-        the graph and the staleness flags up to date.
+        the graph and the staleness flags up to date.  ``same_prefixes`` says
+        that ``new`` has ``old``'s addresses and HNA prefixes.
 
         The flags are judged against the last shortest-path tree.  Only nodes
         it reached offer routes, and a search never follows an edge between
@@ -480,9 +484,7 @@ class OlsrDaemon:
         else:
             self.link_state[origin] = new
         dist = self._tree[0]
-        # An entry whose addresses and prefixes did not change takes over
-        # the old entry's ``prefixes`` (see handle_flood).
-        if old is None or new is None or new.prefixes is not old.prefixes:
+        if not same_prefixes:
             if origin in dist:
                 self._routes_stale = True
             if origin in self._sym_set:  # its address ranks it as a first hop
@@ -517,10 +519,10 @@ class OlsrDaemon:
                 self._tree_stale = True
 
     def _relay(self, msg: FloodMsg, exclude_link: object | None) -> None:
-        sym = self._sym_set
+        sym, send = self._sym_set, self._send
         for nbr, link in self._links():
             if nbr in sym and link is not exclude_link:
-                self._send(link, msg)
+                send(link, msg)
 
     # -- route computation --------------------------------------------------
 
@@ -569,10 +571,8 @@ class OlsrDaemon:
         for node, hops in dist.items():
             if hops == 0:
                 continue
-            entry = self.link_state.get(node)
-            if entry is not None:
-                prefixes = entry.prefixes
-            else:
+            prefixes = self._prefixes.get(node)
+            if prefixes is None:
                 rec = self.neighbors.get(node)
                 prefixes = (self._host_route(rec.address),) if rec is not None else ()
             via = first[node]
@@ -626,10 +626,10 @@ class OlsrDaemon:
         for prefix in self.originated_hna:
             out.append((self.node_id, prefix, 1 << 62))
         for origin in sorted(self.link_state):
-            entry = self.link_state[origin]
-            if entry.expires_at > now:
-                for prefix in entry.hna:
-                    out.append((origin, prefix, entry.expires_at))
+            expires_at = self._expires_at[origin]
+            if expires_at > now:
+                for prefix in self.link_state[origin].hna:
+                    out.append((origin, prefix, expires_at))
         return out
 
     def snapshot(self) -> TopologySnapshot:

@@ -8,6 +8,7 @@ down, silently disappears.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
@@ -46,6 +47,7 @@ class NodeRuntime:
     def __init__(self, sim: "Simulation", node: Node, hna: list[IPv4Network] | None = None) -> None:
         self.sim = sim
         self.node = node
+        self.node_id = node.id
         # A router's or controller's mesh address; a host's only address.
         self.address = node.interfaces[0].address
         self.addresses = frozenset(itf.address for itf in node.interfaces)
@@ -81,7 +83,7 @@ class NodeRuntime:
         """Send from a controller or host over its only link, the attach link."""
         (link,) = self.link_to.values()
         packet = Packet(self.address, dst, kind, payload)  # type: ignore[arg-type]
-        self.sim.transmit(link, self.node.id, packet)
+        self.sim.transmit(link, self.node_id, packet)
 
     def send_control(self, dst: IPv4Address, payload: object) -> None:
         self.originate(dst, "control", payload)
@@ -92,19 +94,14 @@ class NodeRuntime:
             handler(packet.payload, packet.src)
 
     def _olsr_send(self, link: Link, msg: object) -> None:
-        dst = self._peer_address[link.other(self.node.id)]
-        self.sim.transmit(link, self.node.id, Packet(self.address, dst, "olsr", msg))
+        me = self.node_id
+        dst = self._peer_address[link.b if link.a == me else link.a]
+        self.sim.transmit(link, me, Packet(self.address, dst, "olsr", msg))
 
     def arrive(self, packet: Packet, link: Link) -> None:
         """The end of a transmission to this node over ``link``."""
         if link.up:  # a link that went down while in flight drops it
             self.on_packet(packet, link)
-
-    def _receive_olsr(self, msg: object, link: Link) -> None:
-        if isinstance(msg, HelloMsg):
-            self.daemon.handle_hello(msg)
-        else:
-            self.daemon.handle_flood(msg, link)
 
 
 class WmrRuntime(NodeRuntime):
@@ -154,7 +151,11 @@ class WmrRuntime(NodeRuntime):
 
     def on_packet(self, packet: Packet, link: Link) -> None:
         if packet.kind == "olsr":
-            self._receive_olsr(packet.payload, link)
+            msg = packet.payload
+            if type(msg) is HelloMsg:
+                self.daemon.handle_hello(msg)
+            else:
+                self.daemon.handle_flood(msg, link)
         else:
             self.switch.forward(packet)
 
@@ -164,14 +165,14 @@ class WmrRuntime(NodeRuntime):
     def master(self) -> IPv4Address | None:
         return self.selector.master
 
-    def route(self, dst: IPv4Address) -> RouteEntry | None:
+    def route(self, dst: IPv4Address | int) -> RouteEntry | None:
         return self.daemon.routing_table.lookup(dst)
 
     def is_neighbor(self, node_id: str) -> bool:
         return node_id in self.link_to
 
     def send_to_neighbor(self, neighbor: str, packet: Packet) -> None:
-        self.sim.transmit(self.link_to[neighbor], self.node.id, packet)
+        self.sim.transmit(self.link_to[neighbor], self.node_id, packet)
 
     def deliver_local(self, packet: Packet) -> None:
         if packet.dst in self.addresses:
@@ -181,11 +182,11 @@ class WmrRuntime(NodeRuntime):
         # like a frame to an unanswered ARP.
         link = self._host_links.get(packet.dst)
         if link is not None:
-            self.sim.transmit(link, self.node.id, packet)
+            self.sim.transmit(link, self.node_id, packet)
 
     def raise_packet_in(self, packet: Packet) -> None:
         msg = cp.PacketInMsg(
-            self.node.id, packet.src, packet.dst, packet.flow_id, self.sim.engine.now()
+            self.node_id, packet.src, packet.dst, packet.flow_id, self.sim.engine.now()
         )
         self.send_control(self.selector.master, msg)
 
@@ -221,7 +222,11 @@ class ControllerRuntime(NodeRuntime):
 
     def on_packet(self, packet: Packet, link: Link) -> None:
         if packet.kind == "olsr":
-            self._receive_olsr(packet.payload, link)
+            msg = packet.payload
+            if type(msg) is HelloMsg:
+                self.daemon.handle_hello(msg)
+            else:
+                self.daemon.handle_flood(msg, link)
         elif packet.dst in self.addresses:  # controllers do not forward transit traffic
             self._dispatch(packet)
 
@@ -252,9 +257,13 @@ class Simulation:
     def __init__(self, scenario: Scenario, seed: int = 0) -> None:
         self.scenario = scenario
         self.seed = seed
-        self.engine = Simulator(seed)
-        self.log = MetricLog(self.engine)
         self.topo = Topology()
+        self._build_topology()
+        # Most events are deliveries, each scheduled with its link's delay:
+        # the delay most links share gets the engine's FIFO lane.
+        delays = Counter(link.delay_us for link in self.topo.links.values()).most_common(1)
+        self.engine = Simulator(seed, lane_delay=delays[0][0] if delays else None)
+        self.log = MetricLog(self.engine)
         self.wmrs: dict[str, WmrRuntime] = {}
         self.controllers: dict[str, ControllerRuntime] = {}
         self.hosts: dict[str, HostRuntime] = {}
@@ -262,7 +271,7 @@ class Simulation:
 
     # -- construction -------------------------------------------------------
 
-    def _build(self) -> None:
+    def _build_topology(self) -> None:
         s = self.scenario
         self.topo.on_link_event = lambda link, up: self.log.append(
             "LinkEvent", {"link": link.id, "up": up}
@@ -297,6 +306,8 @@ class Simulation:
         for h in s.hosts:
             self.topo.add_link(self._attach_link(h.id, h.attach))
 
+    def _build(self) -> None:
+        s = self.scenario
         for w in s.wmrs:
             self.wmrs[w.id] = WmrRuntime(self, self.topo.nodes[w.id], w.gateway)
         for c in s.controllers:
@@ -305,7 +316,12 @@ class Simulation:
             )
         for h in s.hosts:
             self.hosts[h.id] = HostRuntime(self, self.topo.nodes[h.id])
-        self._runtimes: dict[str, NodeRuntime] = {**self.wmrs, **self.controllers, **self.hosts}
+        # Each node's delivery method, bound once for every transmission.
+        self._arrive: dict[str, Callable[[Packet, Link], None]] = {
+            node_id: runtime.arrive
+            for runtimes in (self.wmrs, self.controllers, self.hosts)
+            for node_id, runtime in runtimes.items()
+        }
 
         self.pings = PingManager(
             self.engine,
@@ -366,7 +382,7 @@ class Simulation:
         receiver = link.b if link.a == sender else link.a
         self.engine.schedule(
             link.delay_us,
-            partial(self._runtimes[receiver].arrive, packet, link),
+            partial(self._arrive[receiver], packet, link),
             target=receiver,
             kind="deliver",
         )

@@ -44,7 +44,7 @@ Action = ForwardTo | DeliverLocal | DropAction
 PacketKind = Literal["olsr", "control", "ping", "data"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     src: IPv4Address
     dst: IPv4Address
@@ -206,7 +206,8 @@ class SwitchHost(Protocol):
 
     @property
     def master(self) -> IPv4Address | None: ...  # a miss raises a packet-in only with one
-    def route(self, dst: IPv4Address) -> RouteEntry | None: ...
+    def route(self, dst: IPv4Address | int) -> RouteEntry | None:
+        """The longest-prefix route for ``dst``, an address or its int value."""
     def is_neighbor(self, node_id: str) -> bool: ...
     def send_to_neighbor(self, neighbor: str, packet: Packet) -> None: ...
     def deliver_local(self, packet: Packet) -> None: ...
@@ -270,7 +271,7 @@ class FlowSwitch:
         if dst in self._addresses:
             self.host.deliver_local(packet)
             return
-        entry = self.host.route(packet.dst)
+        entry = self.host.route(dst)
         if entry is None:
             self._drop(packet, "no-route")
         elif entry.next_hop is None:

@@ -111,29 +111,35 @@ def max_min_allocate(
         for link in flow_links[flow]:
             link_flows.setdefault(link.id, []).append(flow)
             link_caps[link.id] = float(link.capacity_bps)
+    # Per link, how many of its ``link_flows`` entries are not frozen yet,
+    # and the links that still have some, in link id order.
+    unfrozen = {lid: len(flows) for lid, flows in link_flows.items()}
+    live = sorted(link_flows)
 
     while active:
+        live = [lid for lid in live if unfrozen[lid]]
         shares: dict[str, float] = {}
-        for lid in sorted(link_flows):
-            unfrozen = [f for f in link_flows[lid] if f in active]
-            if not unfrozen:
-                continue
-            residual = link_caps[lid] - sum(
-                rates[f] for f in link_flows[lid] if f not in active
-            )
-            shares[lid] = max(residual, 0.0) / len(unfrozen)
+        for lid in live:
+            # Frozen rates are summed afresh in ``link_flows`` order, not kept
+            # as a running total, so each share is the float that order gives.
+            residual = link_caps[lid] - sum(rates[f] for f in link_flows[lid] if f in rates)
+            shares[lid] = max(residual, 0.0) / unfrozen[lid]
         bottleneck = min(shares.values())
-        limited = [f for f in active if demands[f] <= bottleneck]
-        if limited:
-            for flow in limited:
+        frozen = [f for f in active if demands[f] <= bottleneck]
+        if frozen:
+            for flow in frozen:
                 rates[flow] = demands[flow]
-                active.remove(flow)
-            continue
-        saturated = {lid for lid, s in shares.items() if s == bottleneck}
-        for flow in list(active):
-            if any(link.id in saturated for link in flow_links[flow]):
+        else:
+            saturated = {lid for lid, s in shares.items() if s == bottleneck}
+            frozen = [
+                f for f in active if any(link.id in saturated for link in flow_links[f])
+            ]
+            for flow in frozen:
                 rates[flow] = bottleneck
-                active.remove(flow)
+        for flow in frozen:
+            for link in flow_links[flow]:
+                unfrozen[link.id] -= 1
+        active = [f for f in active if f not in rates]
     return rates
 
 

@@ -1,8 +1,9 @@
 """Event queue ordering, cancellation, and RNG stream stability."""
 import random
+from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsdn.engine import Event, Simulator, fmt_time, to_seconds, to_us
@@ -106,6 +107,52 @@ def test_node_rng_streams_are_independent():
     # Draining one stream must not perturb the other.
     [a.random() for _ in range(100)]
     assert b.random() == random.Random("0/wmr2").random()
+
+
+LANE = 5
+
+# One step: schedule an event (its delay, and the delays of the events it
+# schedules when it fires), cancel an earlier one, or run the clock forward.
+lane_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("schedule"),
+            st.sampled_from((0, 1, 3, LANE, LANE, LANE, 9)),
+            st.lists(st.sampled_from((0, 2, LANE, LANE, 7)), max_size=2),
+        ),
+        st.tuples(st.just("cancel"), st.integers(0, 40)),
+        st.tuples(st.just("run"), st.integers(0, 12)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lane_steps)
+def test_lane_fires_every_event_in_heap_order(steps):
+    """A simulator with a FIFO lane fires the same events, at the same
+    instants and in the same order, as one with the heap alone."""
+
+    def replay(sim):
+        fired, handles = [], []
+
+        def fire(label, follow_ups):
+            fired.append((sim.now(), label))
+            for i, delay in enumerate(follow_ups):
+                handles.append(sim.schedule(delay, partial(fire, f"{label}.{i}", ())))
+
+        for n, step in enumerate(steps):
+            if step[0] == "schedule":
+                handles.append(sim.schedule(step[1], partial(fire, str(n), step[2])))
+            elif step[0] == "cancel" and handles:
+                handles[step[1] % len(handles)].cancel()
+            elif step[0] == "run":
+                sim.run_until(sim.now() + step[1])
+                fired.append(("pending", sim.pending()))
+        sim.run_until(sim.now() + 100)
+        return fired, sim.now(), sim.pending()
+
+    assert replay(Simulator(lane_delay=LANE)) == replay(Simulator())
 
 
 def test_event_handle_fields():

@@ -360,6 +360,15 @@ route_tables = st.dictionaries(
 ).map(lambda hops: {p: RouteEntry(p, hop, 1, hop) for p, hop in hops.items()})
 
 
+def assert_lookups(table, entries, probes):
+    """Each probe finds the route a linear scan of ``entries`` finds, given
+    as an address or as its int value."""
+    for addr in probes:
+        expected = linear_lookup(entries, addr)
+        assert table.lookup(addr) is expected
+        assert table.lookup(int(addr)) is expected
+
+
 def patch_table(table, old, new):
     """Patch ``table`` from the routes ``old`` to ``new``, as a rebuild does."""
     table.patch({p: e for p, e in new.items() if old.get(p) is not e}, [p for p in old if p not in new])
@@ -371,31 +380,26 @@ def test_lookup_matches_linear_scan_after_replacement(first, second, third, prob
     table = RoutingTable()
     routes = dict(first)
     table.entries = routes
-    for addr in probes:
-        assert table.lookup(addr) is linear_lookup(first, addr)
+    assert_lookups(table, first, probes)
     # Changing the assigned dict afterwards does not reach the table ...
     routes.clear()
     routes.update(second)
-    for addr in probes:
-        assert table.lookup(addr) is linear_lookup(first, addr)
+    assert_lookups(table, first, probes)
     # ... and the table itself only changes by replacement or a patch.
     with pytest.raises(TypeError):
         table.entries[IPv4Network("0.0.0.0/0")] = RouteEntry(IPv4Network("0.0.0.0/0"), "d", 1, "d")
     table.entries = second
-    for addr in probes:
-        assert table.lookup(addr) is linear_lookup(second, addr)
+    assert_lookups(table, second, probes)
     # A patch reaches the entries and the lookup index alike ...
     patch_table(table, second, third)
     assert dict(table.entries) == third
-    for addr in probes:
-        assert table.lookup(addr) is linear_lookup(third, addr)
+    assert_lookups(table, third, probes)
     # ... also before any lookup has built the index.
     fresh = RoutingTable()
     fresh.entries = first
     patch_table(fresh, first, third)
     assert dict(fresh.entries) == third
-    for addr in probes:
-        assert fresh.lookup(addr) is linear_lookup(third, addr)
+    assert_lookups(fresh, third, probes)
 
 
 # -- the daemon's kept graph and routes against a full rebuild ----------------

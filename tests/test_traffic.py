@@ -135,6 +135,66 @@ def test_allocation_is_max_min_fair(data):
         assert bottlenecked
 
 
+def full_scan_allocate(demands, flow_links):
+    """The allocation as first written: every round rescans each link's
+    flows against the list of active ones.  The reference for the kept
+    per-link counts of :func:`max_min_allocate`."""
+    rates = {}
+    active = sorted(demands)
+    link_flows = {}
+    link_caps = {}
+    for flow in active:
+        for lk in flow_links[flow]:
+            link_flows.setdefault(lk.id, []).append(flow)
+            link_caps[lk.id] = float(lk.capacity_bps)
+    while active:
+        shares = {}
+        for lid in sorted(link_flows):
+            unfrozen = [f for f in link_flows[lid] if f in active]
+            if not unfrozen:
+                continue
+            residual = link_caps[lid] - sum(rates[f] for f in link_flows[lid] if f not in active)
+            shares[lid] = max(residual, 0.0) / len(unfrozen)
+        bottleneck = min(shares.values())
+        limited = [f for f in active if demands[f] <= bottleneck]
+        if limited:
+            for flow in limited:
+                rates[flow] = demands[flow]
+                active.remove(flow)
+            continue
+        saturated = {lid for lid, s in shares.items() if s == bottleneck}
+        for flow in list(active):
+            if any(lk.id in saturated for lk in flow_links[flow]):
+                rates[flow] = bottleneck
+                active.remove(flow)
+    return rates
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_allocation_equals_full_scan_bit_for_bit(data):
+    # Odd capacities and fractional demands make the order of each float sum
+    # matter; a path may cross one link twice.
+    links = [
+        link(f"n{i}", f"n{i + 1}", data.draw(st.integers(1, 10**9)))
+        for i in range(data.draw(st.integers(1, 6)))
+    ]
+    demands = {}
+    flow_links = {}
+    for i in range(data.draw(st.integers(1, 8))):
+        fid = f"f{i}"
+        demands[fid] = data.draw(
+            st.one_of(st.just(math.inf), st.floats(0.0, 1e9, allow_nan=False))
+        )
+        flow_links[fid] = data.draw(st.lists(st.sampled_from(links), min_size=1, max_size=5))
+    rates = max_min_allocate(demands, flow_links)
+    expected = full_scan_allocate(demands, flow_links)
+    assert list(rates.items()) == list(expected.items())
+    assert [math.copysign(1.0, r) for r in rates.values()] == [
+        math.copysign(1.0, r) for r in expected.values()
+    ]
+
+
 def test_ping_round_trip_and_cadence():
     sim = Simulator()
     sent = []
