@@ -19,7 +19,7 @@ from typing import Any
 import yaml
 
 from .metrics import SUMMARY_COLUMNS, SummaryRow
-from .scenario import ScenarioError, apply_overrides, scenario_from_mapping
+from .scenario import ScenarioError, apply_overrides, parse_yaml, scenario_from_mapping
 from .simulation import RunResult, run_scenario
 
 
@@ -40,11 +40,7 @@ def _load_doc(ref: str) -> tuple[Any, str]:
                 f" (built-ins: {', '.join(_builtin_names())})"
             )
         text, source = candidate.read_text(), f"builtin:{ref}"
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{source}: not valid YAML: {exc}") from None
-    return doc, source
+    return parse_yaml(text, source), source
 
 
 def _parse_params(pairs: list[str]) -> dict[str, Any]:

@@ -70,22 +70,14 @@ class Controller:
         self._switches: dict[str, IPv4Address] = {}
         self._last_seen: dict[str, SimTime] = {}
 
-    def start(self) -> None:
-        self.refresh_topology()
-        self.sim.schedule(
-            to_us(self.cfg.refresh_interval_s),
-            self._refresh_tick,
-            target=self.node_id,
-            kind="topo-refresh",
-        )
-
     # -- topology view ------------------------------------------------------
 
-    def _refresh_tick(self) -> None:
+    def start(self) -> None:
+        """Pull the topology view now, then again every ``refresh_interval_s``."""
         self.refresh_topology()
         self.sim.schedule(
             to_us(self.cfg.refresh_interval_s),
-            self._refresh_tick,
+            self.start,
             target=self.node_id,
             kind="topo-refresh",
         )

@@ -34,6 +34,7 @@ from .switch import (
 )
 
 Mode = Literal["disconnected", "connecting", "connected", "emergency"]
+RequestKind = Literal["probe", "connect"]
 EmergencyPolicy = Literal["control-only", "allow-all", "selective"]
 
 EMERGENCY_FORWARD_PRIORITY = 20
@@ -54,7 +55,6 @@ class EftmConfig:
     # Explicit priority order; discovered controllers not listed rank after
     # the listed ones, by ascending address.
     priority_override: list[IPv4Address] | None = None
-    clear_controller_rules_on_emergency: bool = True
     randomize_phase: bool = True
 
     def __post_init__(self) -> None:
@@ -78,16 +78,14 @@ class EftmConfig:
         return to_us(self.keepalive_interval_s)
 
 
-@dataclass
-class ControlConnection:
-    wmr: str
-    controller: IPv4Address
-    status: Literal["opening", "established", "closed"]
-    opened_at: SimTime
-
-
 class MasterSelector:
-    """One router's controller-selection state machine."""
+    """One router's controller-selection state machine.
+
+    Its state is the mode, one controller address (the target while
+    connecting, the master once connected) and one slot for the probe or
+    connect request in flight.  The master is derived from the first two, so
+    there is never more than one.
+    """
 
     def __init__(
         self,
@@ -112,14 +110,12 @@ class MasterSelector:
         self._keepalive_interval_us = cfg.keepalive_interval_us
 
         self.mode: Mode = "disconnected"
-        self.conn: ControlConnection | None = None
+        self._controller: IPv4Address | None = None
+        # (kind, target, token, timeout handle) of the request in flight.
+        self._request: tuple[RequestKind, IPv4Address, int, object] | None = None
         self._last_change: SimTime = -(1 << 62)
         self._token = 0
         self._cycle: list[IPv4Address] = []
-        self._cycle_active = False
-        self._probe_wait: tuple[int, object] | None = None  # (token, timeout handle)
-        self._probe_target: IPv4Address | None = None
-        self._pending: tuple[IPv4Address, int, object] | None = None  # connect in flight
         self._keepalive_waits: dict[int, object] = {}
         self._keepalive_timer: object | None = None
         self._emergency_rules = False
@@ -128,9 +124,7 @@ class MasterSelector:
 
     @property
     def master(self) -> IPv4Address | None:
-        if self.conn is not None and self.conn.status == "established":
-            return self.conn.controller
-        return None
+        return self._controller if self.mode == "connected" else None
 
     def start(self) -> None:
         phase = (
@@ -158,9 +152,40 @@ class MasterSelector:
         rank = len(override) if override is not None else 0
         return (rank, int(addr))
 
-    def _outranks_master(self, addr: IPv4Address) -> bool:
-        assert self.master is not None
-        return self._priority_key(addr) < self._priority_key(self.master)
+    # -- requests -----------------------------------------------------------
+
+    def _ask(self, kind: RequestKind, target: IPv4Address) -> None:
+        """Send ``target`` a probe or connect request, bounded by ``connect_timeout``."""
+        self._token += 1
+        token = self._token
+        handle = self.sim.schedule(
+            self._connect_timeout_us,
+            partial(self._request_timeout, token),
+            target=self.node_id,
+            kind=f"{kind}-timeout",
+        )
+        self._request = (kind, target, token, handle)
+        request = cp.ProbeRequest if kind == "probe" else cp.ConnectRequest
+        self._send(target, request(self.node_id, token))
+
+    def _settle(self, kind: RequestKind, sender: IPv4Address, token: int) -> bool:
+        """Whether a reply answers the request in flight; if so, that request ends."""
+        request = self._request
+        if request is None or request[:3] != (kind, sender, token):
+            return False
+        request[3].cancel()
+        self._request = None
+        return True
+
+    def _request_timeout(self, token: int) -> None:
+        request = self._request
+        if request is None or request[2] != token:
+            return
+        self._request = None
+        if request[0] == "probe":
+            self._probe_next()
+        else:
+            self._disconnect("connect-timeout")
 
     # -- poll cycle ---------------------------------------------------------
 
@@ -171,60 +196,29 @@ class MasterSelector:
         )
 
     def poll_tick(self) -> None:
-        if self._cycle_active or self.mode == "connecting":
+        if self._request is not None:
             return
         candidates = self.discover_controllers()
         if self.mode == "connected":
-            candidates = [a for a in candidates if self._outranks_master(a)]
-        if not candidates:
-            if self.mode != "connected":
-                self._enter_emergency()
-            return
+            master_key = self._priority_key(self._controller)
+            candidates = [a for a in candidates if self._priority_key(a) < master_key]
         self._cycle = candidates
-        self._cycle_active = True
         self._probe_next()
 
     def _probe_next(self) -> None:
-        if not self._cycle:
-            self._cycle_active = False
-            if self.mode != "connected":
-                self._enter_emergency()
-            return
-        target = self._cycle.pop(0)
-        self._token += 1
-        token = self._token
-        handle = self.sim.schedule(
-            self._connect_timeout_us,
-            partial(self._probe_timeout, token),
-            target=self.node_id,
-            kind="probe-timeout",
-        )
-        self._probe_wait = (token, handle)
-        self._probe_target = target
-        self._send(target, cp.ProbeRequest(self.node_id, token))
-
-    def _probe_timeout(self, token: int) -> None:
-        if self._probe_wait is None or self._probe_wait[0] != token:
-            return
-        self._probe_wait = None
-        self._probe_next()
+        if self._cycle:
+            self._ask("probe", self._cycle.pop(0))
+        elif self.mode != "connected":
+            self._enter_emergency()
 
     def on_probe_reply(self, msg: cp.ProbeReply) -> None:
-        if self._probe_wait is None or self._probe_wait[0] != msg.token:
+        if not self._settle("probe", msg.controller, msg.token):
             return
-        if msg.controller != self._probe_target:
-            return
-        self._probe_wait[1].cancel()
-        self._probe_wait = None
         self._cycle = []
-        self._cycle_active = False
-        accepted = msg.controller
-        if self.mode == "connected":
-            if self.sim.now() - self._last_change < to_us(self.cfg.hysteresis_hold_s):
-                return
-            self._hard_handover(accepted)
-        else:
-            self._open_connection(accepted)
+        if self.mode != "connected":
+            self._open_connection(msg.controller)
+        elif self.sim.now() - self._last_change >= to_us(self.cfg.hysteresis_hold_s):
+            self._hard_handover(msg.controller)
 
     # -- connection lifecycle -----------------------------------------------
 
@@ -234,61 +228,26 @@ class MasterSelector:
         Deliberately leaves every flow rule in place: traffic keeps flowing on
         whatever the old master installed until the new one decides otherwise.
         """
-        assert self.conn is not None and self.conn.status == "established"
-        old = self.conn.controller
-        self._close_connection(notify=True)
+        old = self._controller
+        self._send(old, cp.DisconnectNotice(self.node_id))
+        self._stop_keepalives()
         self._transition("disconnected", detail={"handover_from": str(old)})
         self._open_connection(to)
 
     def _open_connection(self, to: IPv4Address) -> None:
-        assert self.conn is None or self.conn.status == "closed"
-        self.conn = ControlConnection(self.node_id, to, "opening", self.sim.now())
-        self._token += 1
-        token = self._token
-        handle = self.sim.schedule(
-            self._connect_timeout_us,
-            partial(self._connect_timeout, token),
-            target=self.node_id,
-            kind="connect-timeout",
-        )
-        self._pending = (to, token, handle)
+        self._controller = to
         self._transition("connecting")
-        self._send(to, cp.ConnectRequest(self.node_id, token))
-
-    def _connect_timeout(self, token: int) -> None:
-        if self._pending is None or self._pending[1] != token:
-            return
-        self._pending = None
-        self.conn = None
-        self._transition("disconnected", detail={"reason": "connect-timeout"})
-        self.sim.schedule(0, self.poll_tick, target=self.node_id, kind="poll")
+        self._ask("connect", to)
 
     def on_connect_accept(self, msg: cp.ConnectAccept) -> None:
-        if self._pending is None or self._pending[1] != msg.token:
+        if not self._settle("connect", msg.controller, msg.token):
             return
-        to, _, handle = self._pending
-        if msg.controller != to:
-            return
-        handle.cancel()
-        self._pending = None
-        assert self.conn is not None and self.conn.status == "opening"
-        # Single-master invariant: the opening slot is the only connection.
-        self.conn.status = "established"
         self._last_change = self.sim.now()
         if self._emergency_rules:
             self.switch.flush_rules(ORIGIN_EFTM)
             self._emergency_rules = False
         self._transition("connected")
         self._start_keepalives()
-
-    def _close_connection(self, notify: bool) -> None:
-        if self.conn is None:
-            return
-        if notify and self.conn.status == "established":
-            self._send(self.conn.controller, cp.DisconnectNotice(self.node_id))
-        self.conn.status = "closed"
-        self.conn = None
-        self._stop_keepalives()
 
     # -- keepalives ---------------------------------------------------------
 
@@ -336,12 +295,10 @@ class MasterSelector:
     def _keepalive_timeout(self, token: int) -> None:
         if token not in self._keepalive_waits:
             return
-        self.on_connection_lost("keepalive-timeout")
+        self._stop_keepalives()
+        self._disconnect("keepalive-timeout")
 
-    def on_connection_lost(self, reason: str) -> None:
-        if self.master is None:
-            return
-        self._close_connection(notify=False)
+    def _disconnect(self, reason: str) -> None:
         self._transition("disconnected", detail={"reason": reason})
         # Out-of-cycle poll: do not wait for the next period boundary.
         self.sim.schedule(0, self.poll_tick, target=self.node_id, kind="poll")
@@ -349,77 +306,68 @@ class MasterSelector:
     # -- emergency mode -----------------------------------------------------
 
     def _enter_emergency(self) -> None:
-        if self.mode != "emergency":
-            self._transition("emergency")
+        if self.mode == "emergency":
+            return
+        self._transition("emergency")
         if not self._emergency_rules:
             self._apply_emergency_policy()
 
     def _on_routes_changed(self) -> None:
-        if self.mode == "emergency" and self._emergency_rules:
+        if self.mode == "emergency":
             self._apply_emergency_policy()
 
     def _apply_emergency_policy(self) -> None:
-        if self.cfg.clear_controller_rules_on_emergency:
-            self.switch.flush_rules("controller:*")
+        self.switch.flush_rules("controller:*")
         self.switch.flush_rules(ORIGIN_EFTM)
         for rule in self._emergency_rule_set():
             self.switch.install_rule(rule)
         self._emergency_rules = True
 
     def _emergency_rule_set(self) -> list[FlowRule]:
+        """Forward rules for the routes the policy keeps, then a drop-all floor
+        unless the policy is allow-all."""
         policy = self.cfg.emergency_policy
-        rules: list[FlowRule] = []
-        drop_all = FlowRule(
-            priority=EMERGENCY_DROP_PRIORITY,
-            dst_prefix=ALL_DESTINATIONS,
-            action=DropAction(),
-            origin=ORIGIN_EFTM,
-        )
-        if policy == "control-only":
-            return [drop_all]
+        table = self.olsr.routing_table
         if policy == "allow-all":
-            for prefix, entry in sorted(
-                self.olsr.routing_table.entries.items(), key=lambda kv: str(kv[0])
-            ):
-                if prefix.subnet_of(self.switch.control_subnet):
-                    continue
-                action = DeliverLocal() if entry.next_hop is None else ForwardTo(entry.next_hop)
-                rules.append(
-                    FlowRule(
-                        priority=EMERGENCY_FORWARD_PRIORITY,
-                        dst_prefix=prefix,
-                        action=action,
-                        origin=ORIGIN_EFTM,
-                    )
-                )
-            return rules
-        # selective: forward only the listed prefixes, drop the rest
-        for prefix in self.cfg.selective_prefixes:
-            entry = self.olsr.routing_table.lookup(prefix.network_address)
-            if entry is None:
-                continue
-            action = DeliverLocal() if entry.next_hop is None else ForwardTo(entry.next_hop)
+            routes = [
+                (prefix, entry)
+                for prefix, entry in sorted(table.entries.items(), key=lambda kv: str(kv[0]))
+                if not prefix.subnet_of(self.switch.control_subnet)
+            ]
+        elif policy == "selective":
+            routes = [(p, table.lookup(p.network_address)) for p in self.cfg.selective_prefixes]
+        else:
+            routes = []
+        rules = [
+            FlowRule(
+                priority=EMERGENCY_FORWARD_PRIORITY,
+                dst_prefix=prefix,
+                action=DeliverLocal() if entry.next_hop is None else ForwardTo(entry.next_hop),
+                origin=ORIGIN_EFTM,
+            )
+            for prefix, entry in routes
+            if entry is not None
+        ]
+        if policy != "allow-all":
             rules.append(
                 FlowRule(
-                    priority=EMERGENCY_FORWARD_PRIORITY,
-                    dst_prefix=prefix,
-                    action=action,
+                    priority=EMERGENCY_DROP_PRIORITY,
+                    dst_prefix=ALL_DESTINATIONS,
+                    action=DropAction(),
                     origin=ORIGIN_EFTM,
                 )
             )
-        rules.append(drop_all)
         return rules
 
     # -- bookkeeping --------------------------------------------------------
 
     def _transition(self, to: Mode, detail: dict | None = None) -> None:
-        if to == self.mode and to != "connected":
-            return
         data = {
             "node": self.node_id,
             "from": self.mode,
             "to": to,
-            "master": str(self.master) if self.master is not None else None,
+            # Only a transition to connected has a master: the controller it connected to.
+            "master": str(self._controller) if to == "connected" else None,
         }
         if detail:
             data.update(detail)

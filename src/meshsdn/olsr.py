@@ -108,27 +108,24 @@ class RouteEntry:
 class RoutingTable:
     """Routes by prefix, answering longest-prefix-match lookups.
 
-    ``entries`` reads back as a read-only view.  It changes by assigning a
-    whole new mapping, which drops the lookup index for the next lookup to
-    rebuild, or by :meth:`patch`, which writes the same change into the index
-    when there is one.  Either way a lookup never answers from a stale table.
+    ``entries`` reads back as a read-only view.  The table changes only by
+    :meth:`patch`, which writes each change into the lookup index as well, so
+    a lookup never answers from a stale table.
     """
 
-    def __init__(self) -> None:
-        self.entries = {}
+    def __init__(self, entries: Mapping[IPv4Network, RouteEntry] | None = None) -> None:
+        self._entries: dict[IPv4Network, RouteEntry] = {}
+        self._view = MappingProxyType(self._entries)
+        # One dict per prefix length, keyed by network address, and the same
+        # dicts listed longest first with their masks.
+        self._by_length: dict[int, dict[int, RouteEntry]] = {}
+        self._index: list[tuple[int, dict[int, RouteEntry]]] = []
+        if entries:
+            self.patch(entries, ())
 
     @property
     def entries(self) -> Mapping[IPv4Network, RouteEntry]:
         return self._view
-
-    @entries.setter
-    def entries(self, entries: Mapping[IPv4Network, RouteEntry]) -> None:
-        self._entries = dict(entries)
-        self._view = MappingProxyType(self._entries)
-        # One dict per prefix length, keyed by network address, and the same
-        # dicts listed longest first with their masks; None until a lookup.
-        self._by_length: dict[int, dict[int, RouteEntry]] | None = None
-        self._index: list[tuple[int, dict[int, RouteEntry]]] = []
 
     def patch(
         self, changed: Mapping[IPv4Network, RouteEntry], removed: Iterable[IPv4Network]
@@ -138,47 +135,33 @@ class RoutingTable:
         relist = False
         for prefix in removed:
             del entries[prefix]
-            if by_length is not None:
-                routes = by_length[prefix.prefixlen]
-                del routes[int(prefix.network_address)]
-                if not routes:
-                    del by_length[prefix.prefixlen]
-                    relist = True
+            routes = by_length[prefix.prefixlen]
+            del routes[int(prefix.network_address)]
+            if not routes:
+                del by_length[prefix.prefixlen]
+                relist = True
         for prefix, entry in changed.items():
             entries[prefix] = entry
-            if by_length is not None:
-                routes = by_length.get(prefix.prefixlen)
-                if routes is None:
-                    routes = by_length[prefix.prefixlen] = {}
-                    relist = True
-                routes[int(prefix.network_address)] = entry
+            routes = by_length.get(prefix.prefixlen)
+            if routes is None:
+                routes = by_length[prefix.prefixlen] = {}
+                relist = True
+            routes[int(prefix.network_address)] = entry
         if relist:
-            self._list_index(by_length)
+            self._index = [
+                (0xFFFFFFFF ^ (0xFFFFFFFF >> length), by_length[length])
+                for length in sorted(by_length, reverse=True)
+            ]
 
     def lookup(self, addr: IPv4Address | int) -> RouteEntry | None:
         """The longest-prefix route for ``addr``, given as an address or as
         its int value; None if no prefix covers it."""
-        if self._by_length is None:
-            self._build_index()
         key = int(addr)
         for mask, routes in self._index:
             entry = routes.get(key & mask)
             if entry is not None:
                 return entry
         return None
-
-    def _build_index(self) -> None:
-        by_length: dict[int, dict[int, RouteEntry]] = {}
-        for prefix, entry in self._entries.items():
-            by_length.setdefault(prefix.prefixlen, {})[int(prefix.network_address)] = entry
-        self._by_length = by_length
-        self._list_index(by_length)
-
-    def _list_index(self, by_length: dict[int, dict[int, RouteEntry]]) -> None:
-        self._index = [
-            (0xFFFFFFFF ^ (0xFFFFFFFF >> length), by_length[length])
-            for length in sorted(by_length, reverse=True)
-        ]
 
     def forwarding_map(self) -> dict[IPv4Network, tuple[str | None, int]]:
         return {p: (e.next_hop, e.hop_count) for p, e in self._entries.items()}

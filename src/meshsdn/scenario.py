@@ -445,13 +445,18 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text()
+def parse_yaml(text: str, source: str) -> Any:
+    """The document ``text`` holds; a ScenarioError naming ``source`` if it is
+    not YAML."""
     try:
-        doc = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ScenarioError(f"{path}: not valid YAML: {exc}") from None
-    return scenario_from_mapping(doc, source=str(path))
+        raise ScenarioError(f"{source}: not valid YAML: {exc}") from None
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    source = str(path)
+    return scenario_from_mapping(parse_yaml(Path(path).read_text(), source), source=source)
 
 
 def apply_overrides(doc: Any, overrides: dict[str, Any]) -> Any:

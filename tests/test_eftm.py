@@ -41,10 +41,15 @@ class FakeDaemon:
         return [(origin, IPv4Network(p), 1 << 62) for origin, p in self.hna]
 
     def set_routes(self, entries):
-        self.routing_table.entries = {
-            IPv4Network(p): RouteEntry(IPv4Network(p), hop, hops, "t")
-            for p, hop, hops in entries
-        }
+        """Patch the routing table to hold exactly ``entries``."""
+        table = self.routing_table
+        table.patch(
+            {
+                IPv4Network(p): RouteEntry(IPv4Network(p), hop, hops, "t")
+                for p, hop, hops in entries
+            },
+            list(table.entries),
+        )
 
 
 class Bench:
@@ -99,11 +104,17 @@ class Bench:
         ]
 
 
-def connected_bench(controllers=("10.0.255.1/32",), cfg=None):
+def probing_bench(controllers=("10.0.255.1/32",), cfg=None):
+    """A selector that has sent its first probe and heard nothing yet."""
     bench = Bench(cfg)
     bench.daemon.hna = [(f"c{i}", p) for i, p in enumerate(controllers)]
     bench.selector.start()
     bench.sim.run_until(0)  # poll fires at phase 0 and sends the first probe
+    return bench
+
+
+def connected_bench(controllers=("10.0.255.1/32",), cfg=None):
+    bench = probing_bench(controllers, cfg)
     assert bench.accept_handshake() is not None
     return bench
 
@@ -313,3 +324,77 @@ def test_emergency_rules_follow_route_changes():
     assert bench.switch.table.rules[
         (EMERGENCY_FORWARD_PRIORITY, IPv4Network("192.168.2.0/24"), None)
     ].action == ForwardTo("wmr3")
+
+
+def test_connect_accept_token_and_sender_are_verified():
+    bench = probing_bench()
+    [(addr, probe)] = bench.take(cp.ProbeRequest)
+    bench.selector.on_probe_reply(cp.ProbeReply(addr, probe.token))
+    [(addr2, connect)] = bench.take(cp.ConnectRequest)
+    bench.selector.on_connect_accept(cp.ConnectAccept(addr2, connect.token + 99))
+    bench.selector.on_connect_accept(cp.ConnectAccept(C2, connect.token))
+    assert bench.selector.mode == "connecting" and bench.selector.master is None
+    bench.selector.on_connect_accept(cp.ConnectAccept(addr2, connect.token))
+    assert bench.selector.master == C1
+
+
+def test_connect_timeout_disconnects_and_probes_again_at_once():
+    bench = probing_bench()
+    [(addr, probe)] = bench.take(cp.ProbeRequest)
+    bench.selector.on_probe_reply(cp.ProbeReply(addr, probe.token))
+    assert len(bench.take(cp.ConnectRequest)) == 1
+    bench.sim.run_until(to_us(2.0))  # the connect request times out
+    [timed_out] = [d for k, d in bench.records if k == "EftmTransition" and d.get("reason")]
+    assert (timed_out["from"], timed_out["to"], timed_out["master"]) == (
+        "connecting",
+        "disconnected",
+        None,
+    )
+    assert timed_out["reason"] == "connect-timeout"
+    # The immediate re-poll already probed again, without waiting for 3 s.
+    assert [a for a, _ in bench.take(cp.ProbeRequest)] == [C1]
+
+
+def test_reply_to_a_timed_out_probe_is_ignored():
+    bench = probing_bench(controllers=("10.0.255.1/32", "10.0.255.2/32"))
+    [(addr, late)] = bench.take(cp.ProbeRequest)
+    bench.sim.run_until(to_us(2.0))  # the probe to C1 times out, C2 is probed
+    [(addr2, probe)] = bench.take(cp.ProbeRequest)
+    assert (addr, addr2) == (C1, C2)
+    bench.selector.on_probe_reply(cp.ProbeReply(addr, late.token))
+    assert bench.take(cp.ConnectRequest) == []
+    bench.selector.on_probe_reply(cp.ProbeReply(addr2, probe.token))
+    assert [a for a, _ in bench.take(cp.ConnectRequest)] == [C2]
+
+
+def test_a_reply_of_the_wrong_kind_settles_nothing():
+    bench = probing_bench()
+    [(addr, probe)] = bench.take(cp.ProbeRequest)
+    # An accept carrying the probe's token does not connect ...
+    bench.selector.on_connect_accept(cp.ConnectAccept(addr, probe.token))
+    assert bench.selector.mode != "connected" and bench.selector.master is None
+    bench.selector.on_probe_reply(cp.ProbeReply(addr, probe.token))
+    [(addr2, connect)] = bench.take(cp.ConnectRequest)
+    before = bench.transitions()
+    # ... and a probe reply carrying the connect's token starts nothing.
+    bench.selector.on_probe_reply(cp.ProbeReply(addr2, connect.token))
+    assert bench.outbox == [] and bench.transitions() == before
+    assert bench.selector.mode == "connecting"
+    bench.selector.on_connect_accept(cp.ConnectAccept(addr2, connect.token))
+    assert bench.selector.master == C1
+    assert bench.transitions() == [
+        ("disconnected", "connecting", None),
+        ("connecting", "connected", "10.0.255.1"),
+    ]
+
+
+def test_timeout_of_an_answered_probe_spares_the_connect():
+    bench = probing_bench()
+    [(addr, probe)] = bench.take(cp.ProbeRequest)
+    bench.sim.run_until(to_us(1.5))
+    bench.selector.on_probe_reply(cp.ProbeReply(addr, probe.token))
+    [(addr2, connect)] = bench.take(cp.ConnectRequest)
+    bench.sim.run_until(to_us(2.5))  # past the instant the probe would have timed out
+    assert bench.selector.mode == "connecting"
+    bench.selector.on_connect_accept(cp.ConnectAccept(addr2, connect.token))
+    assert bench.selector.master == C1

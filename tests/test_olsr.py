@@ -321,11 +321,12 @@ def test_equal_cost_routes_prefer_lower_first_hop_address():
 
 
 def test_longest_prefix_lookup():
-    table = RoutingTable()
-    table.entries = {
-        IPv4Network(prefix): RouteEntry(IPv4Network(prefix), hop, 1, hop)
-        for prefix, hop in [("10.0.0.0/16", "x"), ("10.0.2.0/24", "y"), ("10.0.2.7/32", "z")]
-    }
+    table = RoutingTable(
+        {
+            IPv4Network(prefix): RouteEntry(IPv4Network(prefix), hop, 1, hop)
+            for prefix, hop in [("10.0.0.0/16", "x"), ("10.0.2.0/24", "y"), ("10.0.2.7/32", "z")]
+        }
+    )
     assert table.lookup(IPv4Address("10.0.2.7")).next_hop == "z"
     assert table.lookup(IPv4Address("10.0.2.9")).next_hop == "y"
     assert table.lookup(IPv4Address("10.0.9.9")).next_hop == "x"
@@ -377,29 +378,31 @@ def patch_table(table, old, new):
 @settings(max_examples=200, deadline=None)
 @given(route_tables, route_tables, route_tables, st.lists(pool_addresses, min_size=1, max_size=8))
 def test_lookup_matches_linear_scan_after_replacement(first, second, third, probes):
-    table = RoutingTable()
     routes = dict(first)
-    table.entries = routes
+    table = RoutingTable(routes)
     assert_lookups(table, first, probes)
-    # Changing the assigned dict afterwards does not reach the table ...
+    # Changing the dict the table was built from does not reach the table ...
     routes.clear()
     routes.update(second)
     assert_lookups(table, first, probes)
-    # ... and the table itself only changes by replacement or a patch.
+    # ... and the table itself only changes by a patch.
     with pytest.raises(TypeError):
         table.entries[IPv4Network("0.0.0.0/0")] = RouteEntry(IPv4Network("0.0.0.0/0"), "d", 1, "d")
-    table.entries = second
-    assert_lookups(table, second, probes)
+    with pytest.raises(AttributeError):
+        table.entries = second
     # A patch reaches the entries and the lookup index alike ...
+    patch_table(table, first, second)
+    assert dict(table.entries) == second
+    assert_lookups(table, second, probes)
     patch_table(table, second, third)
     assert dict(table.entries) == third
     assert_lookups(table, third, probes)
-    # ... also before any lookup has built the index.
-    fresh = RoutingTable()
-    fresh.entries = first
-    patch_table(fresh, first, third)
-    assert dict(fresh.entries) == third
-    assert_lookups(fresh, third, probes)
+    # ... also on a table no lookup has read yet, and on one built empty.
+    for start in (first, {}):
+        fresh = RoutingTable(start)
+        patch_table(fresh, start, third)
+        assert dict(fresh.entries) == third
+        assert_lookups(fresh, third, probes)
 
 
 # -- the daemon's kept graph and routes against a full rebuild ----------------
