@@ -8,6 +8,7 @@ holding the summary rows, which ``report`` aggregates.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import itertools
 import math
@@ -15,8 +16,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 from typing import Any
-
-import yaml
 
 from .metrics import SUMMARY_COLUMNS, SummaryRow
 from .scenario import ScenarioError, apply_overrides, parse_yaml, scenario_from_mapping
@@ -49,7 +48,7 @@ def _parse_params(pairs: list[str]) -> dict[str, Any]:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise ScenarioError(f"--param {pair!r}: expected KEY=VALUE")
-        out[key] = yaml.safe_load(raw)
+        out[key] = parse_yaml(raw, f"--param {key}")
     return out
 
 
@@ -135,7 +134,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise ScenarioError(f"--param {pair!r}: expected KEY=V1,V2,...")
-        axes.append((key, [yaml.safe_load(v) for v in raw.split(",")]))
+        axes.append((key, [parse_yaml(v, f"--param {key}") for v in raw.split(",")]))
     base_name = str(doc.get("name", "scenario"))
     results: list[RunResult] = []
     for combo in itertools.product(*(values for _, values in axes)):
@@ -143,7 +142,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         label = ",".join(f"{k}={v}" for k, v in overrides.items())
         overrides["name"] = f"{base_name}[{label}]"
         # Each combination gets a pristine copy of the document.
-        fresh = yaml.safe_load(yaml.safe_dump(doc))
+        fresh = copy.deepcopy(doc)
         results.extend(_run_series(fresh, source, overrides, seeds))
     if args.out is not None:
         _write_outputs(Path(args.out), results)

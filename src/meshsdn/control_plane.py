@@ -2,59 +2,55 @@
 
 All of these ride inside Basic-class packets, so they are routed by the
 link-state tables and never touch the flow tables they manage.
+
+Each payload is a named tuple: immutable, and cheap to define and to build.
+Two payloads of different types with equal fields compare equal as tuples,
+so receivers dispatch on ``type(payload)``, never on its value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from ipaddress import IPv4Address
+from typing import NamedTuple
 
 from .engine import SimTime
 from .switch import RuleSpec
 
 
-@dataclass(frozen=True)
-class ProbeRequest:
+class ProbeRequest(NamedTuple):
     wmr: str
     token: int
 
 
-@dataclass(frozen=True)
-class ProbeReply:
+class ProbeReply(NamedTuple):
     controller: IPv4Address
     token: int
 
 
-@dataclass(frozen=True)
-class ConnectRequest:
+class ConnectRequest(NamedTuple):
     wmr: str
     token: int
 
 
-@dataclass(frozen=True)
-class ConnectAccept:
+class ConnectAccept(NamedTuple):
     controller: IPv4Address
     token: int
 
 
-@dataclass(frozen=True)
-class DisconnectNotice:
+class DisconnectNotice(NamedTuple):
     wmr: str
 
 
-@dataclass(frozen=True)
-class KeepaliveRequest:
+class KeepaliveRequest(NamedTuple):
     wmr: str
     token: int
 
 
-@dataclass(frozen=True)
-class KeepaliveReply:
+class KeepaliveReply(NamedTuple):
     controller: IPv4Address
     token: int
 
 
-@dataclass(frozen=True)
-class PacketInMsg:
+class PacketInMsg(NamedTuple):
     """Miss report: enough header data for the controller to pick a path."""
 
     wmr: str
@@ -64,25 +60,21 @@ class PacketInMsg:
     sent_at: SimTime
 
 
-@dataclass(frozen=True)
-class FlowModMsg:
+class FlowModMsg(NamedTuple):
     rule: RuleSpec
 
 
-@dataclass(frozen=True)
-class FlushMsg:
+class FlushMsg(NamedTuple):
     origin_filter: str
 
 
-@dataclass(frozen=True)
-class PingRequest:
+class PingRequest(NamedTuple):
     probe_id: str
     seq: int
     sent_at: SimTime
 
 
-@dataclass(frozen=True)
-class PingReply:
+class PingReply(NamedTuple):
     probe_id: str
     seq: int
     sent_at: SimTime

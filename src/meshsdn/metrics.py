@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .engine import SimTime, Simulator, fmt_time
@@ -121,8 +120,7 @@ def throughput_series(
     ]
 
 
-@dataclass(frozen=True)
-class RecoveryAnalysis:
+class RecoveryAnalysis(NamedTuple):
     steady_bps: float
     dip_at: SimTime | None  # first zero sample after the event
     recovered_at: SimTime | None  # first sample back at >= 90% of steady
@@ -177,8 +175,7 @@ SUMMARY_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     seed: int
     scenario: str
     connectivity_time_us: SimTime | None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .engine import SimTime, Simulator, to_us
 
@@ -61,14 +61,12 @@ class OlsrConfig:
         return 3 * self.tc_interval_us
 
 
-@dataclass(frozen=True)
-class HelloMsg:
+class HelloMsg(NamedTuple):
     origin: str
     address: IPv4Address
 
 
-@dataclass(frozen=True)
-class FloodMsg:
+class FloodMsg(NamedTuple):
     """One origin's link-state advertisement, flooded everywhere."""
 
     origin: str
@@ -97,8 +95,7 @@ def route_key(prefix: IPv4Network) -> int:
 Route = tuple[IPv4Network, str | None, int, str]
 
 
-@dataclass(frozen=True)
-class RouteEntry:
+class RouteEntry(NamedTuple):
     prefix: IPv4Network
     next_hop: str | None  # None: deliver on a local interface
     hop_count: int
@@ -211,8 +208,7 @@ def first_hop_tree(
     return dist, first
 
 
-@dataclass(frozen=True)
-class TopologySnapshot:
+class TopologySnapshot(NamedTuple):
     """What a controller sees when it pulls the attached daemon's databases."""
 
     captured_at: SimTime

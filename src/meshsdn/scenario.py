@@ -15,8 +15,6 @@ from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from .controller import ControllerConfig
 from .eftm import EftmConfig
 from .olsr import OlsrConfig
@@ -447,7 +445,10 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
 
 def parse_yaml(text: str, source: str) -> Any:
     """The document ``text`` holds; a ScenarioError naming ``source`` if it is
-    not YAML."""
+    not YAML.  PyYAML is imported here, not at module level: a scenario built
+    from a mapping never needs it, and it is a large share of import time."""
+    import yaml
+
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from types import MappingProxyType
-from typing import AbstractSet, Callable, Literal, Mapping, Protocol, Sequence
+from typing import AbstractSet, Callable, Literal, Mapping, NamedTuple, Protocol, Sequence
 
 from .engine import SimTime, Simulator, to_us
 from .olsr import RouteEntry
@@ -24,11 +24,12 @@ def origin_controller(addr: IPv4Address) -> str:
     return f"controller:{addr}"
 
 
-@dataclass(frozen=True)
-class ForwardTo:
+class ForwardTo(NamedTuple):
     next_hop: str
 
 
+# Dataclasses, not named tuples like ForwardTo: a named tuple without fields
+# would equal () and every other one.
 @dataclass(frozen=True)
 class DeliverLocal:
     pass
@@ -84,11 +85,13 @@ class FlowRule:
         return False
 
     def summary(self) -> str:
-        act = {
-            ForwardTo: lambda a: f"fwd:{a.next_hop}",
-            DeliverLocal: lambda a: "local",
-            DropAction: lambda a: "drop",
-        }[type(self.action)](self.action)
+        action = self.action
+        if isinstance(action, ForwardTo):
+            act = f"fwd:{action.next_hop}"
+        elif isinstance(action, DeliverLocal):
+            act = "local"
+        else:
+            act = "drop"
         src = self.src_prefix or "*"
         return f"p={self.priority} dst={self.dst_prefix} src={src} -> {act} [{self.origin}]"
 
@@ -379,8 +382,7 @@ class FlowSwitch:
         )
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(NamedTuple):
     """Wire-format description of a rule, as carried by flow-mod messages."""
 
     priority: int

@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator, Literal, NamedTuple
 
 NodeKind = Literal["wmr", "controller", "host"]
 InterfaceRole = Literal["mesh", "access", "internet"]
 
 
-@dataclass(frozen=True)
-class Interface:
+class Interface(NamedTuple):
     address: IPv4Address
     network: IPv4Network
     role: InterfaceRole

@@ -22,6 +22,24 @@ QUIET_FROM = 60.0
 DURATION = 100.0
 
 
+# Two routers, a controller behind the second and a host behind the first.
+TWO_ROUTERS = {
+    "name": "tiny",
+    "duration_s": 10.0,
+    "wmrs": [
+        {
+            "id": "wmr1",
+            "mesh_addr": "10.0.0.1",
+            "access": [{"subnet": "192.168.1.0/24", "addr": "192.168.1.1"}],
+        },
+        {"id": "wmr2", "mesh_addr": "10.0.0.2"},
+    ],
+    "controllers": [{"id": "ctrl1", "addr": "10.0.255.1", "attach": "wmr2"}],
+    "hosts": [{"id": "h1", "addr": "192.168.1.10", "attach": "wmr1"}],
+    "links": [{"a": "wmr1", "b": "wmr2"}],
+}
+
+
 class StubHost:
     """A switch host for tests that exercise only the flow table: it owns no
     address, has no route and no controller, takes any node for a neighbour,

@@ -120,6 +120,13 @@ def test_bad_param_syntax(tmp_path, capsys):
     assert "expected KEY=VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_param_that_is_not_yaml_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    code = main([command, tiny_path(tmp_path), "--param", "eftm.poll_period_s=[1,"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --param eftm.poll_period_s: not valid YAML")
+
+
 def test_sweep_runs_cartesian_product(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     code = main(

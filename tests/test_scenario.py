@@ -1,8 +1,14 @@
 """Scenario parsing and validation: shipped files, overrides, rejections."""
 import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meshsdn
 from meshsdn.scenario import (
     ScenarioError,
     apply_overrides,
@@ -70,6 +76,36 @@ def test_load_scenario_reads_yaml_and_reports_syntax(tmp_path):
     bad.write_text("name: [unclosed\n")
     with pytest.raises(ScenarioError, match="not valid YAML"):
         load_scenario(bad)
+
+
+# Run in a fresh interpreter, so that nothing imported by the test session
+# counts: the document arrives as JSON in argv[1], a YAML file's path in argv[2].
+YAML_ON_DEMAND = """
+import json, sys
+import meshsdn
+from meshsdn.scenario import scenario_from_mapping
+result = meshsdn.run_scenario(scenario_from_mapping(json.loads(sys.argv[1]), source="inline"), 0)
+assert result.log.records, "the run logged nothing"
+assert "yaml" not in sys.modules, "a run built from a mapping imported PyYAML"
+assert meshsdn.load_scenario(sys.argv[2]).duration_s == 5.0
+assert "yaml" in sys.modules
+"""
+
+
+def test_pyyaml_is_imported_only_to_parse_yaml(tmp_path):
+    path = tmp_path / "short.yaml"
+    path.write_text("name: t\nduration_s: 5.0\n")
+    src = str(Path(meshsdn.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", YAML_ON_DEMAND, json.dumps(valid_doc()), str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def drop_measure(doc):

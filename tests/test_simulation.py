@@ -7,21 +7,7 @@ from meshsdn.olsr import HelloMsg
 from meshsdn.simulation import Simulation
 from meshsdn.switch import Packet
 
-TINY = {
-    "name": "tiny",
-    "duration_s": 10.0,
-    "wmrs": [
-        {
-            "id": "wmr1",
-            "mesh_addr": "10.0.0.1",
-            "access": [{"subnet": "192.168.1.0/24", "addr": "192.168.1.1"}],
-        },
-        {"id": "wmr2", "mesh_addr": "10.0.0.2"},
-    ],
-    "controllers": [{"id": "ctrl1", "addr": "10.0.255.1", "attach": "wmr2"}],
-    "hosts": [{"id": "h1", "addr": "192.168.1.10", "attach": "wmr1"}],
-    "links": [{"a": "wmr1", "b": "wmr2"}],
-}
+from support import TWO_ROUTERS
 
 PINGS = {cp.PingRequest, cp.PingReply}
 ADDRESSED_TO = {
@@ -40,7 +26,7 @@ ADDRESSED_TO = {
 
 
 def test_every_payload_has_a_handler_at_the_node_it_is_addressed_to():
-    sim = Simulation(scenario_from_mapping(TINY, source="t"))
+    sim = Simulation(scenario_from_mapping(TWO_ROUTERS, source="t"))
     tables = {
         "router": sim.wmrs["wmr1"].handlers,
         "controller": sim.controllers["ctrl1"].handlers,
@@ -57,7 +43,7 @@ def test_every_payload_has_a_handler_at_the_node_it_is_addressed_to():
 
 
 def test_link_down_drops_what_is_in_flight_and_link_up_carries_again():
-    sim = Simulation(scenario_from_mapping(TINY, source="t"))
+    sim = Simulation(scenario_from_mapping(TWO_ROUTERS, source="t"))
     wmr1, wmr2 = sim.wmrs["wmr1"], sim.wmrs["wmr2"]
     link = sim.topo.link_between("wmr1", "wmr2")
     delay = link.delay_us
