@@ -132,9 +132,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     axes: list[tuple[str, list[Any]]] = []
     for pair in args.param:
         key, sep, raw = pair.partition("=")
-        if not sep or not key:
+        # The values are one YAML flow sequence, so a value may be a list.
+        values = parse_yaml(f"[{raw}]", f"--param {key}") if sep and key else None
+        if not isinstance(values, list) or not values:
             raise ScenarioError(f"--param {pair!r}: expected KEY=V1,V2,...")
-        axes.append((key, [parse_yaml(v, f"--param {key}") for v in raw.split(",")]))
+        axes.append((key, values))
     base_name = str(doc.get("name", "scenario"))
     results: list[RunResult] = []
     for combo in itertools.product(*(values for _, values in axes)):

@@ -2,33 +2,61 @@
 
 A scenario is a YAML document naming the routers, controllers, hosts, links,
 traffic, timed events, and which measurement the run should report.  Loading
-is strict: unknown keys, dangling references, addresses outside their
-designated subnets, and out-of-order events are all rejected with the offending
-location in the message.
+is strict: every key is read as the type its record declares, and unknown or
+missing keys, dangling references, addresses outside their designated
+subnets, and out-of-order events are all rejected with the offending location
+in the message.
 """
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import math
+import sys
+import types
 from dataclasses import InitVar, dataclass, field
+from functools import partial
 from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Literal, NoReturn, Union, get_args, get_origin
 
 from .controller import ControllerConfig
 from .eftm import EftmConfig
 from .olsr import OlsrConfig
 from .switch import SwitchConfig
+from .traffic import FlowSpec, PingSpec
 
 
 class ScenarioError(ValueError):
     """A scenario file that cannot be run as written."""
 
 
+# Readers for the two keys written otherwise than their field's type.
+
+
+def _up_or_down(raw: Any, path: str) -> bool:
+    initial = str(raw).lower()
+    if initial not in ("up", "down"):
+        _fail(path, f"initial must be up or down, got {initial!r}")
+    return initial == "up"
+
+
+def _path_overrides(raw: Any, path: str) -> dict[IPv4Network, list[str]]:
+    return {o.dst: o.path for o in _list_of(partial(_read, PathOverride))(raw, path)}
+
+
 @dataclass
 class LinkDefaults:
     capacity_mbps: float = 10.0
     delay_ms: float = 2.0
+
+
+@dataclass
+class Defaults:
+    """What a mesh link leaves out, and what every attach link has."""
+
+    mesh_link: LinkDefaults = field(default_factory=LinkDefaults)
+    attach_link: LinkDefaults = field(default_factory=lambda: LinkDefaults(100.0, 0.5))
 
 
 @dataclass
@@ -46,11 +74,20 @@ class WmrSpec:
 
 
 @dataclass
+class PathOverride:
+    dst: IPv4Network
+    path: list[str]
+
+
+@dataclass
 class ControllerSpec:
     id: str
     addr: IPv4Address
     attach: str
-    path_overrides: dict[IPv4Network, list[str]] = field(default_factory=dict)
+    # Written as a list of {dst, path} entries.
+    path_overrides: dict[IPv4Network, list[str]] = field(
+        default_factory=dict, metadata={"read": _path_overrides}
+    )
 
 
 @dataclass
@@ -64,29 +101,10 @@ class HostSpec:
 class LinkSpec:
     a: str
     b: str
-    capacity_mbps: float
-    delay_ms: float
-    initial_up: bool = True
-
-
-@dataclass
-class PingSpec:
-    id: str
-    src: str
-    dst: IPv4Address
-    interval_s: float = 1.0
-    start_s: float = 0.0
-
-
-@dataclass
-class FlowSpec:
-    id: str
-    src: str
-    dst: IPv4Address
-    demand_mbps: float | None = None
-    start_s: float = 0.0
-    stop_s: float | None = None
-    loss_recovery_s: float = 1.0
+    capacity_mbps: float  # when omitted, from defaults.mesh_link
+    delay_ms: float  # likewise
+    # Written as ``initial: up|down``.
+    initial_up: bool = field(default=True, metadata={"key": "initial", "read": _up_or_down})
 
 
 @dataclass
@@ -115,8 +133,7 @@ class Scenario:
     eftm: EftmConfig = field(default_factory=EftmConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     switch: SwitchConfig = field(default_factory=SwitchConfig)
-    mesh_link: LinkDefaults = field(default_factory=LinkDefaults)
-    attach_link: LinkDefaults = field(default_factory=lambda: LinkDefaults(100.0, 0.5))
+    defaults: Defaults = field(default_factory=Defaults)
     wmrs: list[WmrSpec] = field(default_factory=list)
     controllers: list[ControllerSpec] = field(default_factory=list)
     hosts: list[HostSpec] = field(default_factory=list)
@@ -131,10 +148,12 @@ class Scenario:
         validate_scenario(self, source)
 
 
-# -- parsing helpers ---------------------------------------------------------
+# -- reading -----------------------------------------------------------------
+
+Reader = Callable[[Any, str], Any]  # (raw value, its path) -> the typed value
 
 
-def _fail(path: str, message: str) -> None:
+def _fail(path: str, message: str) -> NoReturn:
     raise ScenarioError(f"{path}: {message}")
 
 
@@ -144,303 +163,190 @@ def _expect_map(raw: Any, path: str) -> dict:
     return raw
 
 
-def _list(raw: Any, path: str) -> list | tuple:
-    """A list-valued key; an absent or null one reads as empty."""
-    if raw is None:
-        return []
-    if not isinstance(raw, (list, tuple)):
-        _fail(path, f"expected a list, got {type(raw).__name__}")
-    return raw
+def _list_of(read: Reader) -> Reader:
+    """The reader of a list of what ``read`` reads; null reads as empty."""
 
+    def read_list(raw: Any, path: str) -> list:
+        if raw is None:
+            return []
+        if not isinstance(raw, (list, tuple)):
+            _fail(path, f"expected a list, got {type(raw).__name__}")
+        return [read(x, f"{path}[{i}]") for i, x in enumerate(raw)]
 
-def _take(raw: dict, path: str, known: set[str]) -> None:
-    unknown = set(raw) - known
-    if unknown:
-        _fail(path, f"unknown keys: {', '.join(sorted(unknown))}")
-
-
-def _required(raw: dict, key: str, path: str) -> Any:
-    if key not in raw:
-        _fail(path, f"missing required key {key!r}")
-    return raw[key]
+    return read_list
 
 
 def _number(raw: Any, path: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        _fail(path, f"expected a number, got {raw!r}")
     try:
         value = float(raw)
-    except (TypeError, ValueError):
-        _fail(path, f"expected a number, got {raw!r}")
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         _fail(path, f"expected a finite number, got {raw!r}")
     return value
 
 
-def _addr(raw: Any, path: str) -> IPv4Address:
-    try:
-        return IPv4Address(str(raw))
-    except ValueError as exc:
-        _fail(path, f"bad address {raw!r}: {exc}")
-    raise AssertionError
+def _integer(raw: Any, path: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        _fail(path, f"expected an integer, got {raw!r}")
+    return raw
 
 
-def _net(raw: Any, path: str) -> IPv4Network:
-    try:
-        return IPv4Network(str(raw))
-    except ValueError as exc:
-        _fail(path, f"bad network {raw!r}: {exc}")
-    raise AssertionError
+def _flag(raw: Any, path: str) -> bool:
+    if not isinstance(raw, bool):
+        _fail(path, f"expected true or false, got {raw!r}")
+    return raw
 
 
-def _config(cls: type, raw: Any, path: str) -> Any:
-    """Build a config dataclass from a mapping, rejecting unknown keys."""
-    if raw is None:
-        return cls()
-    raw = dict(_expect_map(raw, path))
-    names = {f.name for f in dataclasses.fields(cls)}
-    _take(raw, path, names)
-    if "controller_range" in raw:
-        raw["controller_range"] = _net(raw["controller_range"], f"{path}.controller_range")
-    if "priority_override" in raw and raw["priority_override"] is not None:
-        raw["priority_override"] = [
-            _addr(a, f"{path}.priority_override[{i}]")
-            for i, a in enumerate(_list(raw["priority_override"], f"{path}.priority_override"))
-        ]
-    if "selective_prefixes" in raw:
-        raw["selective_prefixes"] = [
-            _net(p, f"{path}.selective_prefixes[{i}]")
-            for i, p in enumerate(_list(raw["selective_prefixes"], f"{path}.selective_prefixes"))
-        ]
-    for key, value in raw.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            _fail(f"{path}.{key}", f"expected a finite number, got {value!r}")
-    try:
-        return cls(**raw)
-    except (TypeError, ValueError) as exc:
-        _fail(path, str(exc))
+def _name(raw: Any, path: str) -> str:
+    """A string; an integer, as YAML reads ``id: 7``, becomes its digits."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+        _fail(path, f"expected a string, got {raw!r}")
+    return str(raw)
 
 
-def _link_defaults(raw: Any, path: str, base: LinkDefaults) -> LinkDefaults:
-    if raw is None:
-        return base
+def _address(kind: type, noun: str) -> Reader:
+    def read(raw: Any, path: str) -> Any:
+        if isinstance(raw, kind):  # a node's address, where dst names the node
+            return raw
+        try:
+            return kind(str(raw))
+        except ValueError as exc:
+            _fail(path, f"bad {noun} {raw!r}: {exc}")
+
+    return read
+
+
+def _wmr_pair(raw: Any, path: str) -> tuple[str, str]:
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+        _fail(path, f"expected a list of two wmr ids, got {raw!r}")
+    return _name(raw[0], f"{path}[0]"), _name(raw[1], f"{path}[1]")
+
+
+def _one_of(choices: tuple, raw: Any, path: str) -> Any:
+    if raw not in choices:
+        _fail(path, f"expected one of {', '.join(map(repr, choices))}, got {raw!r}")
+    return raw
+
+
+_SCALARS: dict[Any, Reader] = {
+    float: _number,
+    int: _integer,
+    bool: _flag,
+    str: _name,
+    IPv4Address: _address(IPv4Address, "address"),
+    IPv4Network: _address(IPv4Network, "network"),
+}
+
+
+def _reader(hint: Any) -> Reader:
+    """The reader of values declared as ``hint``."""
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    if dataclasses.is_dataclass(hint):
+        return partial(_read, hint)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is list:
+        return _list_of(_reader(args[0]))
+    if origin is tuple:  # an event's link
+        return _wmr_pair
+    if origin is Literal:
+        return partial(_one_of, args)
+    if origin in (Union, types.UnionType) and type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        read = _reader(inner)
+        return lambda raw, path: None if raw is None else read(raw, path)
+    raise TypeError(f"no reader for {hint!r}")
+
+
+# Per record class: per document key, its field's name and reader; and the
+# (key, field name) pairs that must be given.  Built on a class's first read.
+Schema = tuple[dict[str, tuple[str, Reader]], tuple[tuple[str, str], ...]]
+_SCHEMAS: dict[type, Schema] = {}
+
+
+def _hint(annotation: str, scope: dict[str, Any]) -> Any:
+    """The type a string annotation names in its class's module ``scope``;
+    most are plain names, which need no ``eval``."""
+    if annotation.isidentifier():
+        return scope[annotation] if annotation in scope else getattr(builtins, annotation)
+    return eval(annotation, scope)
+
+
+def _schema(cls: type) -> Schema:
+    scope = vars(sys.modules[cls.__module__])
+    readers, required = {}, []
+    for f in dataclasses.fields(cls):
+        key, hint = f.metadata.get("key", f.name), _hint(f.type, scope)
+        read = f.metadata.get("read") or _reader(hint)
+        if dataclasses.is_dataclass(hint) and f.default_factory is not dataclasses.MISSING:
+            read = partial(_nested, hint, f.default_factory)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            required.append((key, f.name))
+        readers[key] = (f.name, read)
+    _SCHEMAS[cls] = readers, tuple(required)
+    return _SCHEMAS[cls]
+
+
+def _nested(cls: type, default: Callable[[], Any], raw: Any, path: str) -> Any:
+    """A nested record with a default: null reads as the default, and each
+    key the mapping omits takes the default's value."""
+    return default() if raw is None else _read(cls, raw, path, vars(default()))
+
+
+def _values(cls: type, raw: Any, path: str, base: dict[str, Any] | None = None) -> dict[str, Any]:
+    """The constructor arguments of record ``cls`` the mapping ``raw`` gives,
+    each read as its declared type; a key ``raw`` omits takes its value from
+    ``base`` if it has one, or else is left to the field's default."""
     raw = _expect_map(raw, path)
-    _take(raw, path, {"capacity_mbps", "delay_ms"})
-    return LinkDefaults(
-        _number(raw.get("capacity_mbps", base.capacity_mbps), f"{path}.capacity_mbps"),
-        _number(raw.get("delay_ms", base.delay_ms), f"{path}.delay_ms"),
-    )
+    readers, required = _SCHEMAS.get(cls) or _schema(cls)
+    unknown = raw.keys() - readers.keys()
+    if unknown:
+        _fail(path, f"unknown keys: {', '.join(sorted(map(str, unknown)))}")
+    for key, name in required:
+        if key not in raw and (base is None or name not in base):
+            _fail(path, f"missing required key {key!r}")
+    values = dict(base) if base else {}
+    for key, value in raw.items():
+        name, read = readers[key]
+        values[name] = read(value, f"{path}.{key}")
+    return values
+
+
+def _read(cls: type, raw: Any, path: str, base: dict[str, Any] | None = None) -> Any:
+    """Record ``cls`` built from the mapping ``raw`` (see :func:`_values`);
+    a value its own checks refuse is an error at ``path``."""
+    values = _values(cls, raw, path, base)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
     doc = _expect_map(doc, source)
-    _take(
-        doc,
-        source,
-        {
-            "name",
-            "duration_s",
-            "control_subnet",
-            "olsr",
-            "eftm",
-            "controller",
-            "switch",
-            "defaults",
-            "wmrs",
-            "controllers",
-            "hosts",
-            "links",
-            "pings",
-            "flows",
-            "events",
-            "measure",
-        },
-    )
     if "name" not in doc or "duration_s" not in doc:
         _fail(source, "name and duration_s are required")
+    # These lists are read once the rest is: a mesh link takes the fields it
+    # omits from the mesh-link defaults, and a ping's or flow's dst may name
+    # a node.
+    late = {"links": LinkSpec, "pings": PingSpec, "flows": FlowSpec}
+    values = _values(Scenario, {k: v for k, v in doc.items() if k not in late}, source)
+    mesh_link = vars(values.get("defaults", Defaults()).mesh_link)
+    address_of = {w.id: w.mesh_addr for w in values.get("wmrs", ())}
+    for node in [*values.get("controllers", ()), *values.get("hosts", ())]:
+        address_of[node.id] = node.addr
 
-    defaults = _expect_map(doc.get("defaults") or {}, f"{source}.defaults")
-    _take(defaults, f"{source}.defaults", {"mesh_link", "attach_link"})
-    mesh_link = _link_defaults(defaults.get("mesh_link"), f"{source}.defaults.mesh_link", LinkDefaults())
-    attach_link = _link_defaults(
-        defaults.get("attach_link"), f"{source}.defaults.attach_link", LinkDefaults(100.0, 0.5)
-    )
+    def read_late(cls: type, raw: Any, path: str) -> Any:
+        if isinstance(raw, dict) and "dst" in raw and str(raw["dst"]) in address_of:
+            raw = {**raw, "dst": address_of[str(raw["dst"])]}
+        return _read(cls, raw, path, mesh_link if cls is LinkSpec else None)
 
-    wmrs: list[WmrSpec] = []
-    for i, raw in enumerate(_list(doc.get("wmrs"), f"{source}.wmrs")):
-        path = f"{source}.wmrs[{i}]"
-        raw = _expect_map(raw, path)
-        _take(raw, path, {"id", "mesh_addr", "access", "gateway"})
-        access: list[AccessNetSpec] = []
-        for j, net in enumerate(_list(raw.get("access"), f"{path}.access")):
-            npath = f"{path}.access[{j}]"
-            net = _expect_map(net, npath)
-            _take(net, npath, {"subnet", "addr"})
-            access.append(
-                AccessNetSpec(
-                    _net(_required(net, "subnet", npath), npath),
-                    _addr(_required(net, "addr", npath), npath),
-                )
-            )
-        wmrs.append(
-            WmrSpec(
-                id=str(_required(raw, "id", path)),
-                mesh_addr=_addr(raw.get("mesh_addr"), path),
-                access=access,
-                gateway=bool(raw.get("gateway", False)),
-            )
-        )
-
-    controllers: list[ControllerSpec] = []
-    for i, raw in enumerate(_list(doc.get("controllers"), f"{source}.controllers")):
-        path = f"{source}.controllers[{i}]"
-        raw = _expect_map(raw, path)
-        _take(raw, path, {"id", "addr", "attach", "path_overrides"})
-        overrides: dict[IPv4Network, list[str]] = {}
-        for j, item in enumerate(_list(raw.get("path_overrides"), f"{path}.path_overrides")):
-            opath = f"{path}.path_overrides[{j}]"
-            item = _expect_map(item, opath)
-            _take(item, opath, {"dst", "path"})
-            hops = _list(_required(item, "path", opath), f"{opath}.path")
-            overrides[_net(_required(item, "dst", opath), opath)] = [str(h) for h in hops]
-        controllers.append(
-            ControllerSpec(
-                id=str(_required(raw, "id", path)),
-                addr=_addr(raw.get("addr"), path),
-                attach=str(raw.get("attach", "")),
-                path_overrides=overrides,
-            )
-        )
-
-    hosts: list[HostSpec] = []
-    for i, raw in enumerate(_list(doc.get("hosts"), f"{source}.hosts")):
-        path = f"{source}.hosts[{i}]"
-        raw = _expect_map(raw, path)
-        _take(raw, path, {"id", "addr", "attach"})
-        hosts.append(
-            HostSpec(
-                str(_required(raw, "id", path)),
-                _addr(raw.get("addr"), path),
-                str(raw.get("attach", "")),
-            )
-        )
-
-    by_id = {n.id: n for n in [*wmrs, *controllers, *hosts]}
-
-    def resolve_dst(raw_dst: Any, path: str) -> IPv4Address:
-        if str(raw_dst) in by_id:
-            node = by_id[str(raw_dst)]
-            if isinstance(node, WmrSpec):
-                return node.mesh_addr
-            return node.addr
-        return _addr(raw_dst, path)
-
-    links: list[LinkSpec] = []
-    for i, raw in enumerate(_list(doc.get("links"), f"{source}.links")):
-        path = f"{source}.links[{i}]"
-        raw = _expect_map(raw, path)
-        _take(raw, path, {"a", "b", "capacity_mbps", "delay_ms", "initial"})
-        initial = str(raw.get("initial", "up")).lower()
-        if initial not in ("up", "down"):
-            _fail(path, f"initial must be up or down, got {initial!r}")
-        links.append(
-            LinkSpec(
-                a=str(raw.get("a", "")),
-                b=str(raw.get("b", "")),
-                capacity_mbps=_number(
-                    raw.get("capacity_mbps", mesh_link.capacity_mbps), f"{path}.capacity_mbps"
-                ),
-                delay_ms=_number(raw.get("delay_ms", mesh_link.delay_ms), f"{path}.delay_ms"),
-                initial_up=initial == "up",
-            )
-        )
-
-    pings: list[PingSpec] = []
-    for i, raw in enumerate(_list(doc.get("pings"), f"{source}.pings")):
-        path = f"{source}.pings[{i}]"
-        raw = _expect_map(raw, path)
-        _take(raw, path, {"id", "src", "dst", "interval_s", "start_s"})
-        pings.append(
-            PingSpec(
-                id=str(_required(raw, "id", path)),
-                src=str(raw.get("src", "")),
-                dst=resolve_dst(raw.get("dst"), f"{path}.dst"),
-                interval_s=_number(raw.get("interval_s", 1.0), f"{path}.interval_s"),
-                start_s=_number(raw.get("start_s", 0.0), f"{path}.start_s"),
-            )
-        )
-
-    flows: list[FlowSpec] = []
-    for i, raw in enumerate(_list(doc.get("flows"), f"{source}.flows")):
-        path = f"{source}.flows[{i}]"
-        raw = _expect_map(raw, path)
-        _take(raw, path, {"id", "src", "dst", "demand_mbps", "start_s", "stop_s", "loss_recovery_s"})
-        demand = raw.get("demand_mbps")
-        stop = raw.get("stop_s")
-        flows.append(
-            FlowSpec(
-                id=str(_required(raw, "id", path)),
-                src=str(raw.get("src", "")),
-                dst=resolve_dst(raw.get("dst"), f"{path}.dst"),
-                demand_mbps=(
-                    _number(demand, f"{path}.demand_mbps") if demand is not None else None
-                ),
-                start_s=_number(raw.get("start_s", 0.0), f"{path}.start_s"),
-                stop_s=_number(stop, f"{path}.stop_s") if stop is not None else None,
-                loss_recovery_s=_number(
-                    raw.get("loss_recovery_s", 1.0), f"{path}.loss_recovery_s"
-                ),
-            )
-        )
-
-    events: list[EventSpec] = []
-    for i, raw in enumerate(_list(doc.get("events"), f"{source}.events")):
-        path = f"{source}.events[{i}]"
-        raw = _expect_map(raw, path)
-        _take(raw, path, {"at_s", "action", "link", "flow"})
-        link = raw.get("link")
-        if link is not None and not (isinstance(link, (list, tuple)) and len(link) == 2):
-            _fail(f"{path}.link", f"expected a list of two wmr ids, got {link!r}")
-        events.append(
-            EventSpec(
-                at_s=_number(raw.get("at_s", -1.0), f"{path}.at_s"),
-                action=str(raw.get("action", "")),
-                link=(str(link[0]), str(link[1])) if link is not None else None,
-                flow=str(raw["flow"]) if raw.get("flow") is not None else None,
-            )
-        )
-
-    measure: MeasureSpec | None = None
-    if doc.get("measure") is not None:
-        path = f"{source}.measure"
-        raw = _expect_map(doc["measure"], path)
-        _take(raw, path, {"kind", "event_at_s", "wmrs", "probe", "flow"})
-        measure = MeasureSpec(
-            kind=str(raw.get("kind", "")),
-            event_at_s=_number(raw.get("event_at_s", -1.0), f"{path}.event_at_s"),
-            wmrs=[str(w) for w in _list(raw.get("wmrs"), f"{path}.wmrs")],
-            probe=str(raw["probe"]) if raw.get("probe") is not None else None,
-            flow=str(raw["flow"]) if raw.get("flow") is not None else None,
-        )
-
-    return Scenario(
-        name=str(doc["name"]),
-        duration_s=_number(doc["duration_s"], f"{source}.duration_s"),
-        control_subnet=_net(doc.get("control_subnet", "10.0.0.0/16"), f"{source}.control_subnet"),
-        olsr=_config(OlsrConfig, doc.get("olsr"), f"{source}.olsr"),
-        eftm=_config(EftmConfig, doc.get("eftm"), f"{source}.eftm"),
-        controller=_config(ControllerConfig, doc.get("controller"), f"{source}.controller"),
-        switch=_config(SwitchConfig, doc.get("switch"), f"{source}.switch"),
-        mesh_link=mesh_link,
-        attach_link=attach_link,
-        wmrs=wmrs,
-        controllers=controllers,
-        hosts=hosts,
-        links=links,
-        pings=pings,
-        flows=flows,
-        events=events,
-        measure=measure,
-        source=source,
-    )
+    for key, cls in late.items():
+        values[key] = _list_of(partial(read_late, cls))(doc.get(key), f"{source}.{key}")
+    return Scenario(**values, source=source)
 
 
 def parse_yaml(text: str, source: str) -> Any:
@@ -452,7 +358,12 @@ def parse_yaml(text: str, source: str) -> Any:
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ScenarioError(f"{source}: not valid YAML: {exc}") from None
+        mark = getattr(exc, "problem_mark", None)
+        if mark is not None and exc.problem:
+            detail = f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+        else:
+            detail = str(exc).splitlines()[0]
+        raise ScenarioError(f"{source}: not valid YAML: {detail}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -554,9 +465,9 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
             _fail(doc, f"{where}: capacity must be positive")
         if link.delay_ms < 0:
             _fail(doc, f"{where}: delay must be >= 0")
-    if s.attach_link.capacity_mbps <= 0:
+    if s.defaults.attach_link.capacity_mbps <= 0:
         _fail(doc, "defaults.attach_link: capacity must be positive")
-    if s.attach_link.delay_ms < 0:
+    if s.defaults.attach_link.delay_ms < 0:
         _fail(doc, "defaults.attach_link: delay must be >= 0")
 
     flow_ids = {f.id for f in s.flows}

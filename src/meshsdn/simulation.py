@@ -31,7 +31,7 @@ from .olsr import HelloMsg, OlsrDaemon, RouteEntry
 from .scenario import Scenario
 from .switch import FlowSwitch, Packet
 from .topology import Interface, Link, Node, Topology
-from .traffic import BulkFlowCfg, FluidTraffic, PingManager, PingProbeCfg
+from .traffic import FluidTraffic, PingManager
 
 
 class NodeRuntime:
@@ -334,17 +334,10 @@ class Simulation:
             {wmr_id: runtime.switch for wmr_id, runtime in self.wmrs.items()},
             self.log.append,
         )
-        for p in s.pings:
-            self.pings.add_probe(
-                PingProbeCfg(p.id, p.src, p.dst, p.interval_s, p.start_s)
-            )
-        for f in s.flows:
-            demand = f.demand_mbps * 1_000_000 if f.demand_mbps is not None else None
-            self.fluid.add_flow(
-                BulkFlowCfg(
-                    f.id, f.src, f.dst, demand, f.start_s, f.stop_s, f.loss_recovery_s
-                )
-            )
+        for ping in s.pings:
+            self.pings.add_probe(ping)
+        for flow in s.flows:
+            self.fluid.add_flow(flow)
 
         for ev in s.events:
             self.engine.schedule(
@@ -357,7 +350,7 @@ class Simulation:
             self.controllers[c.id].start()
 
     def _attach_link(self, stub: str, wmr: str) -> Link:
-        d = self.scenario.attach_link
+        d = self.scenario.defaults.attach_link
         return Link(
             stub,
             wmr,

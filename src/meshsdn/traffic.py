@@ -32,9 +32,11 @@ from .topology import Link, Topology
 
 
 @dataclass
-class PingProbeCfg:
-    probe_id: str
-    src_host: str
+class PingSpec:
+    """A probe from host ``src`` to ``dst`` every ``interval_s``."""
+
+    id: str
+    src: str
     dst: IPv4Address
     interval_s: float = 1.0
     start_s: float = 0.0
@@ -52,29 +54,19 @@ class PingManager:
         self.sim = sim
         self._originate = originate
         self._log = log
-        self._probes: dict[str, PingProbeCfg] = {}
         self._next_seq: dict[str, int] = {}
 
-    def add_probe(self, cfg: PingProbeCfg) -> None:
-        self._probes[cfg.probe_id] = cfg
-        self._next_seq[cfg.probe_id] = 0
-        delay = max(0, to_us(cfg.start_s) - self.sim.now())
-        self.sim.schedule(
-            delay, lambda: self._send(cfg.probe_id), target=cfg.src_host, kind="ping"
-        )
+    def add_probe(self, spec: PingSpec) -> None:
+        self._next_seq[spec.id] = 0
+        delay = max(0, to_us(spec.start_s) - self.sim.now())
+        self.sim.schedule(delay, lambda: self._send(spec), target=spec.src, kind="ping")
 
-    def _send(self, probe_id: str) -> None:
-        cfg = self._probes[probe_id]
-        seq = self._next_seq[probe_id]
-        self._next_seq[probe_id] = seq + 1
-        self._originate(
-            cfg.src_host, cfg.dst, cp.PingRequest(probe_id, seq, self.sim.now())
-        )
+    def _send(self, spec: PingSpec) -> None:
+        seq = self._next_seq[spec.id]
+        self._next_seq[spec.id] = seq + 1
+        self._originate(spec.src, spec.dst, cp.PingRequest(spec.id, seq, self.sim.now()))
         self.sim.schedule(
-            to_us(cfg.interval_s),
-            lambda: self._send(probe_id),
-            target=cfg.src_host,
-            kind="ping",
+            to_us(spec.interval_s), lambda: self._send(spec), target=spec.src, kind="ping"
         )
 
     def on_reply(self, reply: cp.PingReply) -> None:
@@ -147,11 +139,13 @@ def max_min_allocate(
 
 
 @dataclass
-class BulkFlowCfg:
-    flow_id: str
-    src_host: str
+class FlowSpec:
+    """A bulk flow from host ``src`` to ``dst`` between its start and stop."""
+
+    id: str
+    src: str
     dst: IPv4Address
-    demand_bps: float | None = None  # None: take whatever the path gives
+    demand_mbps: float | None = None  # None: take whatever the path gives
     start_s: float = 0.0
     stop_s: float | None = None
     loss_recovery_s: float = 1.0
@@ -159,7 +153,7 @@ class BulkFlowCfg:
 
 @dataclass
 class _FlowState:
-    cfg: BulkFlowCfg
+    demand_bps: float  # math.inf when uncapped
     access: Link  # the source host's attach link
     router: str  # the router at its other end
     packet: Packet  # what each sample matches against the flow tables
@@ -197,30 +191,30 @@ class FluidTraffic:
         self._allocated: tuple[dict[str, float], dict[str, list[Link]]] | None = None
         self._shares: dict[str, float] = {}
 
-    def add_flow(self, cfg: BulkFlowCfg) -> None:
+    def add_flow(self, spec: FlowSpec) -> None:
         # The topology is complete and fixed by now, so what a flow starts
-        # from and where it ends are resolved once, not on every sample.
-        (access,) = self.topo.links_of(cfg.src_host)
-        src = self.topo.nodes[cfg.src_host].interfaces[0].address
-        owner = self.topo.owner_of(cfg.dst)
-        self._flows[cfg.flow_id] = _FlowState(
-            cfg,
+        # from, where it ends and what it asks for are resolved once, not on
+        # every sample.
+        (access,) = self.topo.links_of(spec.src)
+        src = self.topo.nodes[spec.src].interfaces[0].address
+        owner = self.topo.owner_of(spec.dst)
+        demand = spec.demand_mbps
+        self._flows[spec.id] = _FlowState(
+            math.inf if demand is None else demand * 1_000_000,
             access,
-            access.other(cfg.src_host),
-            Packet(src, cfg.dst, "data", flow_id=cfg.flow_id),
+            access.other(spec.src),
+            Packet(src, spec.dst, "data", flow_id=spec.id),
             owner.id if owner is not None else None,
-            to_us(cfg.loss_recovery_s),
+            to_us(spec.loss_recovery_s),
         )
         self._flow_ids = sorted(self._flows)
-        delay = max(0, to_us(cfg.start_s) - self.sim.now())
-        self.sim.schedule(
-            delay, lambda: self.start_flow(cfg.flow_id), target=cfg.src_host, kind="flow"
-        )
-        if cfg.stop_s is not None:
+        delay = max(0, to_us(spec.start_s) - self.sim.now())
+        self.sim.schedule(delay, lambda: self.start_flow(spec.id), target=spec.src, kind="flow")
+        if spec.stop_s is not None:
             self.sim.schedule(
-                max(0, to_us(cfg.stop_s) - self.sim.now()),
-                lambda: self.stop_flow(cfg.flow_id),
-                target=cfg.src_host,
+                max(0, to_us(spec.stop_s) - self.sim.now()),
+                lambda: self.stop_flow(spec.id),
+                target=spec.src,
                 kind="flow",
             )
 
@@ -252,8 +246,7 @@ class FluidTraffic:
                 if state.path_ok_since is None:
                     state.path_ok_since = now
                 paths[flow_id] = links
-                demand = state.cfg.demand_bps
-                demands[flow_id] = math.inf if demand is None else demand
+                demands[flow_id] = state.demand_bps
         if paths:
             if self._allocated != (demands, paths):
                 self._shares = max_min_allocate(demands, paths)

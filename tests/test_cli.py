@@ -127,6 +127,34 @@ def test_param_that_is_not_yaml_is_an_error_not_a_traceback(tmp_path, capsys, co
     assert capsys.readouterr().err.startswith("error: --param eftm.poll_period_s: not valid YAML")
 
 
+def test_param_that_is_not_yaml_is_reported_in_one_line(capsys):
+    assert main(["run", "merge", "--param", "eftm.poll_period_s=[1,"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("at line 1, column 4\n")
+
+
+def test_param_of_the_wrong_type_fails_before_the_run(capsys):
+    # An int field given a word used to pass validation, then raise a
+    # TypeError from deep inside the run.
+    assert main(["run", "partition", "--param", "controller.rule_priority=high"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: builtin:partition.controller.rule_priority: expected an integer, got 'high'\n"
+    )
+    assert captured.out == ""
+
+
+def test_sweep_takes_a_list_as_one_value(capsys):
+    # Each --param is one YAML flow sequence: the commas inside [...] do not
+    # split the axis.
+    param = "eftm.priority_override=[10.0.255.2,10.0.255.1]"
+    assert main(["sweep", "merge", "--param", param, "--seed", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" seed")[0] for line in out] == [
+        "merge[eftm.priority_override=['10.0.255.2', '10.0.255.1']]"
+    ]
+
+
 def test_sweep_runs_cartesian_product(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     code = main(

@@ -1,6 +1,7 @@
 """Scenario parsing and validation: shipped files, overrides, rejections."""
 import copy
 import json
+from ipaddress import IPv4Address, IPv4Network
 import os
 import subprocess
 import sys
@@ -58,6 +59,21 @@ def test_valid_doc_parses_and_resolves_names():
     assert str(s.flows[0].dst) == "10.0.0.2"
     assert s.links[0].capacity_mbps == 10.0  # mesh link default
     assert s.measure.kind == "merge"
+
+
+def test_keys_written_otherwise_than_their_fields():
+    doc = valid_doc()
+    doc["defaults"] = {"mesh_link": {"delay_ms": 5.0}, "attach_link": {"capacity_mbps": 50.0}}
+    doc["links"][0]["initial"] = "down"
+    doc["controllers"][0]["path_overrides"] = [{"dst": "192.168.1.0/24", "path": ["wmr2", "wmr1"]}]
+    doc["flows"][0]["dst"] = "h1"
+    s = scenario_from_mapping(doc, source="t")
+    # Omitted link fields come from the defaults that apply to the link.
+    assert (s.links[0].capacity_mbps, s.links[0].delay_ms) == (10.0, 5.0)
+    assert (s.defaults.attach_link.capacity_mbps, s.defaults.attach_link.delay_ms) == (50.0, 0.5)
+    assert s.links[0].initial_up is False
+    assert s.controllers[0].path_overrides == {IPv4Network("192.168.1.0/24"): ["wmr2", "wmr1"]}
+    assert s.flows[0].dst == IPv4Address("192.168.1.10")  # a node's name reads as its address
 
 
 def test_shipped_scenarios_validate():
@@ -236,6 +252,28 @@ REJECTIONS = [
         r"^t\.controller: refresh interval must be positive$",
     ),
     (_set(["controller"], {"switch_timeout_s": -1}), r"^t\.controller: timeouts must be >= 0$"),
+    # Every key is read as the type its record declares: a value of another
+    # type used to pass, and run as something else or fail mid-run.
+    (
+        _set(["eftm"], {"emergency_policy": "allow_all"}),
+        r"^t\.eftm\.emergency_policy: expected one of 'control-only', 'allow-all', 'selective',"
+        r" got 'allow_all'$",
+    ),
+    (
+        _set(["controller"], {"rule_priority": "high"}),
+        r"^t\.controller\.rule_priority: expected an integer, got 'high'$",
+    ),
+    (_set(["olsr"], {"hellos_to_up": 2.5}), r"^t\.olsr\.hellos_to_up: expected an integer, got 2\.5$"),
+    (
+        _set(["olsr"], {"randomize_phase": "no"}),
+        r"^t\.olsr\.randomize_phase: expected true or false, got 'no'$",
+    ),
+    (
+        _set(["wmrs", 1, "gateway"], "false"),
+        r"^t\.wmrs\[1\]\.gateway: expected true or false, got 'false'$",
+    ),
+    (_set(["hosts", 0, "id"], ["a"]), r"^t\.hosts\[0\]\.id: expected a string, got \['a'\]$"),
+    (_del(["wmrs", 1, "mesh_addr"]), r"^t\.wmrs\[1\]: missing required key 'mesh_addr'$"),
 ]
 
 

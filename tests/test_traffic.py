@@ -24,13 +24,7 @@ from meshsdn.switch import (
     SwitchConfig,
 )
 from meshsdn.topology import Interface, Link, Node, Topology
-from meshsdn.traffic import (
-    BulkFlowCfg,
-    FluidTraffic,
-    PingManager,
-    PingProbeCfg,
-    max_min_allocate,
-)
+from meshsdn.traffic import FlowSpec, FluidTraffic, PingManager, PingSpec, max_min_allocate
 
 from support import StubHost
 
@@ -215,9 +209,7 @@ def test_ping_round_trip_and_cadence():
         originate=originate,
         log=lambda k, d: results.append(d) if k == "PingResult" else None,
     )
-    manager.add_probe(
-        PingProbeCfg("p1", "h1", IPv4Address("10.0.255.1"), interval_s=1.0, start_s=0.5)
-    )
+    manager.add_probe(PingSpec("p1", "h1", IPv4Address("10.0.255.1"), interval_s=1.0, start_s=0.5))
     sim.run_until(to_us(2.6))
     assert [(t, p.seq) for t, p in sent] == [
         (to_us(0.5), 0),
@@ -317,9 +309,8 @@ def test_allocation_is_reused_until_a_demand_or_path_changes(monkeypatch):
         switches,
         log=lambda kind, data: samples.append((sim.now(), data["flow"], data["bps"])),
     )
-    capped = BulkFlowCfg("capped", "h1", dst, demand_bps=2e6, loss_recovery_s=0.0)
-    fluid.add_flow(BulkFlowCfg("greedy", "h1", dst, loss_recovery_s=0.0))
-    fluid.add_flow(capped)
+    fluid.add_flow(FlowSpec("greedy", "h1", dst, loss_recovery_s=0.0))
+    fluid.add_flow(FlowSpec("capped", "h1", dst, demand_mbps=2.0, loss_recovery_s=0.0))
 
     def tick_at(t):
         sim.run_until(to_us(t))
@@ -337,7 +328,7 @@ def test_allocation_is_reused_until_a_demand_or_path_changes(monkeypatch):
     assert tick_at(0.2) == direct(2e6, long_path)
     assert len(calls) == 2  # unchanged inputs: the last shares are reused
 
-    capped.demand_bps = 4e6
+    fluid._flows["capped"].demand_bps = 4e6
     assert tick_at(0.3) == direct(4e6, long_path) == {"capped": 4e6, "greedy": 6e6}
     assert len(calls) == 3
     assert tick_at(0.4) == direct(4e6, long_path) and len(calls) == 3
@@ -360,7 +351,9 @@ MESH = IPv4Network("10.0.0.0/16")
 DST, STRAY = IPv4Address("192.168.4.10"), IPv4Address("192.168.4.99")
 WALK_HOSTS = {"h1": ("192.168.1.10", "w1"), "h3": ("192.168.2.10", "w2"), "h2": ("192.168.4.10", "w4")}
 WALK_LINKS = [("w1", "w2"), ("w2", "w3"), ("w3", "w4"), ("w1", "w3"), ("w2", "w4")]
-WALK_FLOWS = [("f1", "h1", DST, None), ("f2", "h3", DST, 2e6), ("f3", "h1", STRAY, None)]
+WALK_FLOWS = [  # id, src, dst, demand_mbps
+    ("f1", "h1", DST, None), ("f2", "h3", DST, 2.0), ("f3", "h1", STRAY, None)
+]
 WMRS = ["w1", "w2", "w3", "w4"]
 WALK_PATHS = [["w1", "w2", "w4"], ["w1", "w3", "w4"], ["w1", "w2", "w3", "w4"], ["w2", "w4"], ["w2", "w1", "w3", "w4"]]
 
@@ -453,12 +446,13 @@ class WalkWorld:
         def recording_trace(state, now):
             links = trace(state, now)
             ids = None if links is None else [lk.id for lk in links]
-            self.walks.append((now, state.cfg.flow_id, ids))
+            self.walks.append((now, state.packet.flow_id, ids))
             return links
 
         self.fluid._trace = recording_trace
         for flow_id, src, dst, demand in WALK_FLOWS:
-            self.fluid.add_flow(BulkFlowCfg(flow_id, src, dst, demand_bps=demand, loss_recovery_s=0.3))
+            spec = FlowSpec(flow_id, src, dst, demand_mbps=demand, loss_recovery_s=0.3)
+            self.fluid.add_flow(spec)
 
     def log(self, kind, data):
         self.records.append((self.sim.now(), kind, data))
