@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .metrics import SUMMARY_COLUMNS, SummaryRow
-from .scenario import ScenarioError, apply_overrides, parse_yaml, scenario_from_mapping
+from .scenario import ScenarioError, apply_overrides, parse_yaml, read_text, scenario_from_mapping
 from .simulation import RunResult, run_scenario
 
 
@@ -30,16 +30,16 @@ def _builtin_names() -> list[str]:
 def _load_doc(ref: str) -> tuple[Any, str]:
     path = Path(ref)
     if path.is_file():
-        text, source = path.read_text(), str(path)
+        source = str(path)
     else:
-        candidate = resources.files("meshsdn").joinpath("scenarios", f"{ref}.yaml")
-        if not candidate.is_file():
+        path = resources.files("meshsdn").joinpath("scenarios", f"{ref}.yaml")
+        if not path.is_file():
             raise ScenarioError(
                 f"{ref}: no such file or built-in scenario"
                 f" (built-ins: {', '.join(_builtin_names())})"
             )
-        text, source = candidate.read_text(), f"builtin:{ref}"
-    return parse_yaml(text, source), source
+        source = f"builtin:{ref}"
+    return parse_yaml(read_text(path, source), source), source
 
 
 def _parse_params(pairs: list[str]) -> dict[str, Any]:

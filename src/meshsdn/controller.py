@@ -10,9 +10,8 @@ switches' own master selection.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import control_plane as cp
 from .engine import SimTime, Simulator, to_us
@@ -20,8 +19,7 @@ from .olsr import TopologySnapshot, first_hop_tree
 from .switch import DeliverLocal, DropAction, ForwardTo, RuleSpec, origin_controller
 
 
-@dataclass
-class ControllerConfig:
+class ControllerConfig(NamedTuple):
     flush_on_connect: bool = True
     rule_idle_timeout_s: float = 30.0
     rule_priority: int = 100
@@ -31,7 +29,8 @@ class ControllerConfig:
     # considered gone even if it never said goodbye.
     switch_timeout_s: float = 5.0
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
+        """Raise ValueError for a value the controller cannot run with."""
         if self.refresh_interval_s <= 0:
             raise ValueError("refresh interval must be positive")
         if min(

@@ -16,10 +16,9 @@ configured), and keeps exactly one control connection alive:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 from . import control_plane as cp
 from .engine import SimTime, Simulator, to_us
@@ -43,21 +42,21 @@ EMERGENCY_DROP_PRIORITY = 10
 ALL_DESTINATIONS = IPv4Network("0.0.0.0/0")
 
 
-@dataclass
-class EftmConfig:
+class EftmConfig(NamedTuple):
     poll_period_s: float = 3.0
     connect_timeout_s: float = 2.0
     keepalive_interval_s: float = 1.0
     controller_range: IPv4Network = IPv4Network("10.0.255.0/24")
     hysteresis_hold_s: float = 0.0
     emergency_policy: EmergencyPolicy = "control-only"
-    selective_prefixes: list[IPv4Network] = field(default_factory=list)
+    selective_prefixes: list[IPv4Network] = ()
     # Explicit priority order; discovered controllers not listed rank after
     # the listed ones, by ascending address.
     priority_override: list[IPv4Address] | None = None
     randomize_phase: bool = True
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
+        """Raise ValueError for a value the selector cannot run with."""
         if self.poll_period_s <= 0 or self.connect_timeout_s <= 0:
             raise ValueError("poll period and connect timeout must be positive")
         if self.keepalive_interval_s <= 0:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
 from typing import Callable
@@ -36,23 +35,31 @@ def fmt_time(t: SimTime) -> str:
     return f"{sign}{t // US_PER_S}.{t % US_PER_S:06d}"
 
 
-@dataclass(slots=True)
 class Event:
     """A scheduled callback; also acts as its own cancellation handle."""
 
-    fire_at: SimTime
-    seq: int
-    target: str
-    kind: str
-    callback: Callable[[], None] | None
-    cancelled: bool = False
+    __slots__ = ("fire_at", "seq", "target", "kind", "callback", "cancelled")
+
+    def __init__(
+        self,
+        fire_at: SimTime,
+        seq: int,
+        target: str,
+        kind: str,
+        callback: Callable[[], None] | None,
+    ) -> None:
+        self.fire_at = fire_at
+        self.seq = seq
+        self.target = target
+        self.kind = kind
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
         self.callback = None
 
 
-@dataclass
 class Simulator:
     """Virtual clock plus event queue.
 
@@ -71,13 +78,14 @@ class Simulator:
     while the lane holds events would break that order.
     """
 
-    seed: int = 0
-    lane_delay: SimTime | None = None
-    _now: SimTime = 0
-    _seq: int = 0
-    _queue: list[tuple[SimTime, int, Event]] = field(default_factory=list)
-    _lane: deque[tuple[SimTime, int, Event]] = field(default_factory=deque)
-    _rngs: dict[str, random.Random] = field(default_factory=dict)
+    def __init__(self, seed: int = 0, lane_delay: SimTime | None = None) -> None:
+        self.seed = seed
+        self.lane_delay = lane_delay
+        self._now: SimTime = 0
+        self._seq = 0
+        self._queue: list[tuple[SimTime, int, Event]] = []
+        self._lane: deque[tuple[SimTime, int, Event]] = deque()
+        self._rngs: dict[str, random.Random] = {}
 
     def now(self) -> SimTime:
         return self._now

@@ -14,7 +14,6 @@ reactively installed rules always agree with what each hop would have routed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
 from types import MappingProxyType
@@ -23,8 +22,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 from .engine import SimTime, Simulator, to_us
 
 
-@dataclass
-class OlsrConfig:
+class OlsrConfig(NamedTuple):
     hello_interval_s: float = 5.0
     hellos_to_up: int = 3
     hello_loss_intervals_to_down: int = 3
@@ -35,7 +33,8 @@ class OlsrConfig:
     # rely on this to pin emission instants.
     randomize_phase: bool = True
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
+        """Raise ValueError for a value the daemon cannot run with."""
         if self.hello_interval_s <= 0 or self.tc_interval_s <= 0:
             raise ValueError("timer intervals must be positive")
         if self.hellos_to_up < 1 or self.hello_loss_intervals_to_down < 1:
@@ -77,13 +76,19 @@ class FloodMsg(NamedTuple):
     validity_us: SimTime
 
 
-@dataclass
 class NeighborRecord:
-    neighbor: str
-    address: IPv4Address
-    consecutive_hellos: int
-    last_hello_at: SimTime
-    sym: bool = False
+    def __init__(
+        self,
+        neighbor: str,
+        address: IPv4Address,
+        consecutive_hellos: int,
+        last_hello_at: SimTime,
+    ) -> None:
+        self.neighbor = neighbor
+        self.address = address
+        self.consecutive_hellos = consecutive_hellos
+        self.last_hello_at = last_hello_at
+        self.sym = False
 
 
 def route_key(prefix: IPv4Network) -> int:

@@ -10,15 +10,23 @@ in the message.
 from __future__ import annotations
 
 import builtins
-import dataclasses
 import math
 import sys
 import types
-from dataclasses import InitVar, dataclass, field
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
 from pathlib import Path
-from typing import Any, Callable, Literal, NoReturn, Union, get_args, get_origin
+from typing import (
+    Any,
+    Callable,
+    Literal,
+    Mapping,
+    NamedTuple,
+    NoReturn,
+    Union,
+    get_args,
+    get_origin,
+)
 
 from .controller import ControllerConfig
 from .eftm import EftmConfig
@@ -31,121 +39,88 @@ class ScenarioError(ValueError):
     """A scenario file that cannot be run as written."""
 
 
-# Readers for the two keys written otherwise than their field's type.
-
-
-def _up_or_down(raw: Any, path: str) -> bool:
-    initial = str(raw).lower()
-    if initial not in ("up", "down"):
-        _fail(path, f"initial must be up or down, got {initial!r}")
-    return initial == "up"
-
-
-def _path_overrides(raw: Any, path: str) -> dict[IPv4Network, list[str]]:
-    return {o.dst: o.path for o in _list_of(partial(_read, PathOverride))(raw, path)}
-
-
-@dataclass
-class LinkDefaults:
+class LinkDefaults(NamedTuple):
     capacity_mbps: float = 10.0
     delay_ms: float = 2.0
 
 
-@dataclass
-class Defaults:
+class Defaults(NamedTuple):
     """What a mesh link leaves out, and what every attach link has."""
 
-    mesh_link: LinkDefaults = field(default_factory=LinkDefaults)
-    attach_link: LinkDefaults = field(default_factory=lambda: LinkDefaults(100.0, 0.5))
+    mesh_link: LinkDefaults = LinkDefaults()
+    attach_link: LinkDefaults = LinkDefaults(100.0, 0.5)
 
 
-@dataclass
-class AccessNetSpec:
+class AccessNetSpec(NamedTuple):
     subnet: IPv4Network
     addr: IPv4Address
 
 
-@dataclass
-class WmrSpec:
+class WmrSpec(NamedTuple):
     id: str
     mesh_addr: IPv4Address
-    access: list[AccessNetSpec] = field(default_factory=list)
+    access: list[AccessNetSpec] = ()
     gateway: bool = False
 
 
-@dataclass
-class PathOverride:
+class PathOverride(NamedTuple):
     dst: IPv4Network
     path: list[str]
 
 
-@dataclass
-class ControllerSpec:
+class ControllerSpec(NamedTuple):
     id: str
     addr: IPv4Address
     attach: str
-    # Written as a list of {dst, path} entries.
-    path_overrides: dict[IPv4Network, list[str]] = field(
-        default_factory=dict, metadata={"read": _path_overrides}
-    )
+    path_overrides: Mapping[IPv4Network, list[str]] = types.MappingProxyType({})
 
 
-@dataclass
-class HostSpec:
+class HostSpec(NamedTuple):
     id: str
     addr: IPv4Address
     attach: str
 
 
-@dataclass
-class LinkSpec:
+class LinkSpec(NamedTuple):
     a: str
     b: str
     capacity_mbps: float  # when omitted, from defaults.mesh_link
     delay_ms: float  # likewise
-    # Written as ``initial: up|down``.
-    initial_up: bool = field(default=True, metadata={"key": "initial", "read": _up_or_down})
+    initial_up: bool = True
 
 
-@dataclass
-class EventSpec:
+class EventSpec(NamedTuple):
     at_s: float
     action: str  # link-up | link-down | start-flow | stop-flow
     link: tuple[str, str] | None = None
     flow: str | None = None
 
 
-@dataclass
-class MeasureSpec:
+class MeasureSpec(NamedTuple):
     kind: str  # merge | partition
     event_at_s: float
-    wmrs: list[str] = field(default_factory=list)
+    wmrs: list[str] = ()
     probe: str | None = None
     flow: str | None = None
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     duration_s: float
     control_subnet: IPv4Network = IPv4Network("10.0.0.0/16")
-    olsr: OlsrConfig = field(default_factory=OlsrConfig)
-    eftm: EftmConfig = field(default_factory=EftmConfig)
-    controller: ControllerConfig = field(default_factory=ControllerConfig)
-    switch: SwitchConfig = field(default_factory=SwitchConfig)
-    defaults: Defaults = field(default_factory=Defaults)
-    wmrs: list[WmrSpec] = field(default_factory=list)
-    controllers: list[ControllerSpec] = field(default_factory=list)
-    hosts: list[HostSpec] = field(default_factory=list)
-    links: list[LinkSpec] = field(default_factory=list)
-    pings: list[PingSpec] = field(default_factory=list)
-    flows: list[FlowSpec] = field(default_factory=list)
-    events: list[EventSpec] = field(default_factory=list)
+    olsr: OlsrConfig = OlsrConfig()
+    eftm: EftmConfig = EftmConfig()
+    controller: ControllerConfig = ControllerConfig()
+    switch: SwitchConfig = SwitchConfig()
+    defaults: Defaults = Defaults()
+    wmrs: list[WmrSpec] = ()
+    controllers: list[ControllerSpec] = ()
+    hosts: list[HostSpec] = ()
+    links: list[LinkSpec] = ()
+    pings: list[PingSpec] = ()
+    flows: list[FlowSpec] = ()
+    events: list[EventSpec] = ()
     measure: MeasureSpec | None = None
-    source: InitVar[str | None] = None  # the document; names it in errors
-
-    def __post_init__(self, source: str | None) -> None:
-        validate_scenario(self, source)
 
 
 # -- reading -----------------------------------------------------------------
@@ -245,7 +220,7 @@ def _reader(hint: Any) -> Reader:
     """The reader of values declared as ``hint``."""
     if hint in _SCALARS:
         return _SCALARS[hint]
-    if dataclasses.is_dataclass(hint):
+    if hasattr(hint, "_fields"):  # a record
         return partial(_read, hint)
     origin, args = get_origin(hint), get_args(hint)
     if origin is list:
@@ -267,33 +242,61 @@ Schema = tuple[dict[str, tuple[str, Reader]], tuple[tuple[str, str], ...]]
 _SCHEMAS: dict[type, Schema] = {}
 
 
-def _hint(annotation: str, scope: dict[str, Any]) -> Any:
-    """The type a string annotation names in its class's module ``scope``;
-    most are plain names, which need no ``eval``."""
+def _up_or_down(raw: Any, path: str) -> bool:
+    initial = str(raw).lower()
+    if initial not in ("up", "down"):
+        _fail(path, f"initial must be up or down, got {initial!r}")
+    return initial == "up"
+
+
+def _path_overrides(raw: Any, path: str) -> dict[IPv4Network, list[str]]:
+    return {o.dst: o.path for o in _list_of(partial(_read, PathOverride))(raw, path)}
+
+
+# The fields written otherwise than their name and type: per record class,
+# field name -> (document key, reader).
+_WRITTEN_OTHERWISE: dict[type, dict[str, tuple[str, Reader]]] = {
+    LinkSpec: {"initial_up": ("initial", _up_or_down)},  # initial: up|down
+    # A list of {dst, path} entries.
+    ControllerSpec: {"path_overrides": ("path_overrides", _path_overrides)},
+}
+
+
+def _hint(annotation: Any, scope: dict[str, Any]) -> Any:
+    """The type a string annotation, which a named tuple keeps as a
+    ``ForwardRef``, names in its class's module ``scope``; most are plain
+    names, which need no ``eval``."""
+    annotation = getattr(annotation, "__forward_arg__", annotation)
     if annotation.isidentifier():
         return scope[annotation] if annotation in scope else getattr(builtins, annotation)
     return eval(annotation, scope)
 
 
 def _schema(cls: type) -> Schema:
+    """The schema of record ``cls``, from its fields, their defaults and
+    their annotations."""
     scope = vars(sys.modules[cls.__module__])
+    defaults, otherwise = cls._field_defaults, _WRITTEN_OTHERWISE.get(cls, {})
     readers, required = {}, []
-    for f in dataclasses.fields(cls):
-        key, hint = f.metadata.get("key", f.name), _hint(f.type, scope)
-        read = f.metadata.get("read") or _reader(hint)
-        if dataclasses.is_dataclass(hint) and f.default_factory is not dataclasses.MISSING:
-            read = partial(_nested, hint, f.default_factory)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            required.append((key, f.name))
-        readers[key] = (f.name, read)
+    for name in cls._fields:
+        if name in otherwise:
+            key, read = otherwise[name]
+        else:
+            key, hint = name, _hint(cls.__annotations__[name], scope)
+            read = _reader(hint)
+            if hasattr(hint, "_fields") and name in defaults:
+                read = partial(_nested, hint, defaults[name])
+        if name not in defaults:
+            required.append((key, name))
+        readers[key] = (name, read)
     _SCHEMAS[cls] = readers, tuple(required)
     return _SCHEMAS[cls]
 
 
-def _nested(cls: type, default: Callable[[], Any], raw: Any, path: str) -> Any:
+def _nested(cls: type, default: Any, raw: Any, path: str) -> Any:
     """A nested record with a default: null reads as the default, and each
     key the mapping omits takes the default's value."""
-    return default() if raw is None else _read(cls, raw, path, vars(default()))
+    return default if raw is None else _read(cls, raw, path, default._asdict())
 
 
 def _values(cls: type, raw: Any, path: str, base: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -317,12 +320,16 @@ def _values(cls: type, raw: Any, path: str, base: dict[str, Any] | None = None) 
 
 def _read(cls: type, raw: Any, path: str, base: dict[str, Any] | None = None) -> Any:
     """Record ``cls`` built from the mapping ``raw`` (see :func:`_values`);
-    a value its own checks refuse is an error at ``path``."""
-    values = _values(cls, raw, path, base)
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    a value the record's ``check`` method, if it has one, refuses is an
+    error at ``path``."""
+    record = cls(**_values(cls, raw, path, base))
+    check = getattr(cls, "check", None)
+    if check is not None:
+        try:
+            check(record)
+        except ValueError as exc:
+            _fail(path, str(exc))
+    return record
 
 
 def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
@@ -334,7 +341,7 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
     # a node.
     late = {"links": LinkSpec, "pings": PingSpec, "flows": FlowSpec}
     values = _values(Scenario, {k: v for k, v in doc.items() if k not in late}, source)
-    mesh_link = vars(values.get("defaults", Defaults()).mesh_link)
+    mesh_link = values.get("defaults", Defaults()).mesh_link._asdict()
     address_of = {w.id: w.mesh_addr for w in values.get("wmrs", ())}
     for node in [*values.get("controllers", ()), *values.get("hosts", ())]:
         address_of[node.id] = node.addr
@@ -346,7 +353,9 @@ def scenario_from_mapping(doc: Any, source: str = "scenario") -> Scenario:
 
     for key, cls in late.items():
         values[key] = _list_of(partial(read_late, cls))(doc.get(key), f"{source}.{key}")
-    return Scenario(**values, source=source)
+    scenario = Scenario(**values)
+    validate_scenario(scenario, source)
+    return scenario
 
 
 def parse_yaml(text: str, source: str) -> Any:
@@ -366,9 +375,22 @@ def parse_yaml(text: str, source: str) -> Any:
         raise ScenarioError(f"{source}: not valid YAML: {detail}") from None
 
 
+def read_text(path: Any, source: str) -> str:
+    """The UTF-8 text of the file at ``path``, a ``Path`` or a package
+    resource; a ScenarioError naming ``source`` if it cannot be read or is
+    not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        detail = f"{exc.reason} at byte {exc.start}"
+        raise ScenarioError(f"{source}: not UTF-8 text: {detail}") from None
+    except OSError as exc:
+        raise ScenarioError(f"{source}: cannot read: {exc.strerror or exc}") from None
+
+
 def load_scenario(path: str | Path) -> Scenario:
     source = str(path)
-    return scenario_from_mapping(parse_yaml(Path(path).read_text(), source), source=source)
+    return scenario_from_mapping(parse_yaml(read_text(Path(path), source), source), source=source)
 
 
 def apply_overrides(doc: Any, overrides: dict[str, Any]) -> Any:

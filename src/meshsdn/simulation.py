@@ -9,10 +9,9 @@ down, silently disappears.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import control_plane as cp
 from .controller import Controller
@@ -241,8 +240,7 @@ class HostRuntime(NodeRuntime):
             self._dispatch(packet)
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     scenario: str
     seed: int
     log: MetricLog

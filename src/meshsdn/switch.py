@@ -9,7 +9,6 @@ installed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Literal, Mapping, NamedTuple, Protocol, Sequence
@@ -28,15 +27,26 @@ class ForwardTo(NamedTuple):
     next_hop: str
 
 
-# Dataclasses, not named tuples like ForwardTo: a named tuple without fields
-# would equal () and every other one.
-@dataclass(frozen=True)
-class DeliverLocal:
+class _FieldlessAction:
+    """An action without fields, equal to every action of its own type and
+    to nothing else.  Not a named tuple like ForwardTo: a named tuple without
+    fields would equal () and every other one."""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
+
+class DeliverLocal(_FieldlessAction):
     pass
 
 
-@dataclass(frozen=True)
-class DropAction:
+class DropAction(_FieldlessAction):
     pass
 
 
@@ -45,28 +55,46 @@ Action = ForwardTo | DeliverLocal | DropAction
 PacketKind = Literal["olsr", "control", "ping", "data"]
 
 
-@dataclass(slots=True)
 class Packet:
-    src: IPv4Address
-    dst: IPv4Address
-    kind: PacketKind
-    payload: object = None
-    flow_id: str = ""
-    hops_left: int = 64  # guards against transient routing loops
+    __slots__ = ("src", "dst", "kind", "payload", "flow_id", "hops_left")
+
+    def __init__(
+        self,
+        src: IPv4Address,
+        dst: IPv4Address,
+        kind: PacketKind,
+        payload: object = None,
+        flow_id: str = "",
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.flow_id = flow_id
+        self.hops_left = 64  # guards against transient routing loops
 
 
-@dataclass
 class FlowRule:
-    priority: int
-    dst_prefix: IPv4Network
-    action: Action
-    origin: str
-    src_prefix: IPv4Network | None = None
-    idle_timeout_us: SimTime = 0  # 0 disables the timeout
-    hard_timeout_us: SimTime = 0
-    installed_at: SimTime = 0
-    last_hit: SimTime = 0
-    install_order: int = 0
+    def __init__(
+        self,
+        priority: int,
+        dst_prefix: IPv4Network,
+        action: Action,
+        origin: str,
+        src_prefix: IPv4Network | None = None,
+        idle_timeout_us: SimTime = 0,  # 0 disables the timeout
+        hard_timeout_us: SimTime = 0,
+    ) -> None:
+        self.priority = priority
+        self.dst_prefix = dst_prefix
+        self.action = action
+        self.origin = origin
+        self.src_prefix = src_prefix
+        self.idle_timeout_us = idle_timeout_us
+        self.hard_timeout_us = hard_timeout_us
+        self.installed_at: SimTime = 0
+        self.last_hit: SimTime = 0
+        self.install_order = 0
 
     @property
     def key(self) -> tuple[int, IPv4Network, IPv4Network | None]:
@@ -184,12 +212,12 @@ class FlowTable:
         return [r.summary() for r in ordered]
 
 
-@dataclass
-class SwitchConfig:
+class SwitchConfig(NamedTuple):
     buffer_timeout_s: float = 1.0
     sweep_interval_s: float = 1.0
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
+        """Raise ValueError for a value the switch cannot run with."""
         if self.sweep_interval_s <= 0 or self.buffer_timeout_s < 0:
             raise ValueError("sweep interval must be positive and buffer timeout >= 0")
 

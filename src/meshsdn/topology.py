@@ -7,7 +7,6 @@ own Hello traffic, exactly like the deployed system would.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Iterator, Literal, NamedTuple
@@ -22,12 +21,18 @@ class Interface(NamedTuple):
     role: InterfaceRole
 
 
-@dataclass
 class Node:
-    id: str
-    kind: NodeKind
-    interfaces: list[Interface] = field(default_factory=list)
-    gateway: bool = False
+    def __init__(
+        self,
+        id: str,
+        kind: NodeKind,
+        interfaces: list[Interface] | None = None,
+        gateway: bool = False,
+    ) -> None:
+        self.id = id
+        self.kind = kind
+        self.interfaces = [] if interfaces is None else interfaces
+        self.gateway = gateway
 
     @property
     def mesh_address(self) -> IPv4Address:
@@ -49,20 +54,18 @@ def link_id(a: str, b: str) -> str:
     return f"{lo}<->{hi}"
 
 
-@dataclass
 class Link:
-    a: str
-    b: str
-    capacity_bps: int
-    delay_us: int
-    up: bool = True
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError(f"link endpoints must differ, got {self.a!r} twice")
-        if self.capacity_bps <= 0:
+    def __init__(self, a: str, b: str, capacity_bps: int, delay_us: int, up: bool = True) -> None:
+        self.a = a
+        self.b = b
+        self.capacity_bps = capacity_bps
+        self.delay_us = delay_us
+        self.up = up
+        if a == b:
+            raise ValueError(f"link endpoints must differ, got {a!r} twice")
+        if capacity_bps <= 0:
             raise ValueError(f"link {self.id}: capacity must be positive")
-        if self.delay_us < 0:
+        if delay_us < 0:
             raise ValueError(f"link {self.id}: delay must be >= 0")
 
     @cached_property

@@ -21,9 +21,8 @@ does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from ipaddress import IPv4Address
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import control_plane as cp
 from .engine import SimTime, Simulator, to_us
@@ -31,8 +30,7 @@ from .switch import DeliverLocal, FlowRule, FlowSwitch, FlowTable, ForwardTo, Pa
 from .topology import Link, Topology
 
 
-@dataclass
-class PingSpec:
+class PingSpec(NamedTuple):
     """A probe from host ``src`` to ``dst`` every ``interval_s``."""
 
     id: str
@@ -138,8 +136,7 @@ def max_min_allocate(
 # -- fluid bulk flows --------------------------------------------------------
 
 
-@dataclass
-class FlowSpec:
+class FlowSpec(NamedTuple):
     """A bulk flow from host ``src`` to ``dst`` between its start and stop."""
 
     id: str
@@ -151,19 +148,27 @@ class FlowSpec:
     loss_recovery_s: float = 1.0
 
 
-@dataclass
 class _FlowState:
-    demand_bps: float  # math.inf when uncapped
-    access: Link  # the source host's attach link
-    router: str  # the router at its other end
-    packet: Packet  # what each sample matches against the flow tables
-    owner: str | None  # the node that owns the destination address
-    recovery_us: SimTime
-    active: bool = False
-    path_ok_since: SimTime | None = None
-    # The last complete walk: its links, and per hop the table, that
-    # table's change count when the walk matched, and the rule it matched.
-    walk: tuple[list[Link], list[tuple[FlowTable, int, FlowRule]]] | None = None
+    def __init__(
+        self,
+        demand_bps: float,  # math.inf when uncapped
+        access: Link,  # the source host's attach link
+        router: str,  # the router at its other end
+        packet: Packet,  # what each sample matches against the flow tables
+        owner: str | None,  # the node that owns the destination address
+        recovery_us: SimTime,
+    ) -> None:
+        self.demand_bps = demand_bps
+        self.access = access
+        self.router = router
+        self.packet = packet
+        self.owner = owner
+        self.recovery_us = recovery_us
+        self.active = False
+        self.path_ok_since: SimTime | None = None
+        # The last complete walk: its links, and per hop the table, that
+        # table's change count when the walk matched, and the rule it matched.
+        self.walk: tuple[list[Link], list[tuple[FlowTable, int, FlowRule]]] | None = None
 
 
 class FluidTraffic:

@@ -55,6 +55,14 @@ def test_validate_reports_hostile_number_in_one_line(tmp_path, capsys):
     assert err == f"error: {path}: pings[0]: interval_s must be positive\n"
 
 
+def test_validate_reports_a_file_that_is_not_utf8_in_one_line(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"name: t\xff\nduration_s: 5.0\n")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: not UTF-8 text: invalid start byte at byte 7\n"
+
+
 def test_validate_errors_tell_apart_files_with_one_name(tmp_path, capsys):
     errors = {}
     for sub, extra in (

@@ -4,7 +4,6 @@ They are named tuples, which are cheap to define and to build.  A named tuple
 compares as a plain tuple, so records of two types with equal fields are
 equal; the simulator tells them apart by type, never by value.
 """
-import dataclasses
 import inspect
 from ipaddress import IPv4Address, IPv4Network
 
@@ -90,11 +89,13 @@ def test_handlers_dispatch_by_type_not_by_value():
 
 
 def test_actions_without_fields_keep_distinct_types():
-    assert dataclasses.is_dataclass(DeliverLocal) and dataclasses.is_dataclass(DropAction)
     assert DeliverLocal() == DeliverLocal() and DropAction() == DropAction()
-    assert DeliverLocal() != DropAction()
+    assert DeliverLocal() != DropAction() and DropAction() != DeliverLocal()
     for action in (DeliverLocal(), DropAction()):
-        assert action != () and action != ForwardTo("wmr2") and ForwardTo("wmr2") != action
+        assert action != () and () != action
+        assert action != ForwardTo("wmr2") and ForwardTo("wmr2") != action
+        assert hash(action) == hash(type(action)())
+    assert len({DeliverLocal(), DeliverLocal(), DropAction(), DropAction(), ForwardTo("wmr2")}) == 3
 
 
 def test_rule_summary_names_each_action():

@@ -94,8 +94,19 @@ def test_load_scenario_reads_yaml_and_reports_syntax(tmp_path):
         load_scenario(bad)
 
 
+def test_load_scenario_reports_a_file_it_cannot_read(tmp_path):
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes(b"name: t\xff\nduration_s: 5.0\n")
+    with pytest.raises(ScenarioError, match=r"\.yaml: not UTF-8 text: invalid start byte at byte 7$"):
+        load_scenario(latin1)
+    with pytest.raises(ScenarioError, match=r": cannot read: Is a directory$"):
+        load_scenario(tmp_path)
+
+
 # Run in a fresh interpreter, so that nothing imported by the test session
 # counts: the document arrives as JSON in argv[1], a YAML file's path in argv[2].
+# Nor may the run load dataclasses or inspect: importing them and decorating
+# records with them once took a third of meshsdn's import.
 YAML_ON_DEMAND = """
 import json, sys
 import meshsdn
@@ -103,6 +114,8 @@ from meshsdn.scenario import scenario_from_mapping
 result = meshsdn.run_scenario(scenario_from_mapping(json.loads(sys.argv[1]), source="inline"), 0)
 assert result.log.records, "the run logged nothing"
 assert "yaml" not in sys.modules, "a run built from a mapping imported PyYAML"
+for name in ("dataclasses", "inspect"):
+    assert name not in sys.modules, f"a run built from a mapping imported {name}"
 assert meshsdn.load_scenario(sys.argv[2]).duration_s == 5.0
 assert "yaml" in sys.modules
 """
