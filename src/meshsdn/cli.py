@@ -86,14 +86,28 @@ def _log_name(result: RunResult) -> str:
     return f"{result.scenario.translate(_FILE_NAME_ESCAPES)}-seed{result.seed}.ndjson"
 
 
-def _write_outputs(out_dir: Path, results: list[RunResult]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for result in results:
-        (out_dir / _log_name(result)).write_text(result.log.to_ndjson())
-        rows.append(result.summary.as_csv_line())
-    header = ",".join(SUMMARY_COLUMNS)
-    (out_dir / "results.csv").write_text("\n".join([header, *rows]) + "\n")
+def _out_dir(out: str | None) -> Path | None:
+    """The ``--out`` directory, created before any seed runs."""
+    if out is None:
+        return None
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out {out}: {exc.strerror or exc}") from None
+    return path
+
+
+def _write_outputs(out_dir: Path | None, results: list[RunResult]) -> None:
+    if out_dir is None:
+        return
+    rows = [",".join(SUMMARY_COLUMNS), *(result.summary.as_csv_line() for result in results)]
+    try:
+        for result in results:
+            (out_dir / _log_name(result)).write_text(result.log.to_ndjson())
+        (out_dir / "results.csv").write_text("\n".join(rows) + "\n")
+    except OSError as exc:
+        raise ScenarioError(f"{exc.filename or out_dir}: {exc.strerror or exc}") from None
 
 
 def _run_series(doc: Any, source: str, overrides: dict[str, Any], seeds: list[int]) -> list[RunResult]:
@@ -108,9 +122,9 @@ def _run_series(doc: Any, source: str, overrides: dict[str, Any], seeds: list[in
 
 def cmd_run(args: argparse.Namespace) -> int:
     doc, source = _load_doc(args.scenario)
-    results = _run_series(doc, source, _parse_params(args.param), _parse_seeds(args))
-    if args.out is not None:
-        _write_outputs(Path(args.out), results)
+    overrides, seeds = _parse_params(args.param), _parse_seeds(args)
+    out_dir = _out_dir(args.out)
+    _write_outputs(out_dir, _run_series(doc, source, overrides, seeds))
     return 0
 
 
@@ -137,6 +151,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not isinstance(values, list) or not values:
             raise ScenarioError(f"--param {pair!r}: expected KEY=V1,V2,...")
         axes.append((key, values))
+    out_dir = _out_dir(args.out)
     base_name = str(doc.get("name", "scenario"))
     results: list[RunResult] = []
     for combo in itertools.product(*(values for _, values in axes)):
@@ -146,8 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # Each combination gets a pristine copy of the document.
         fresh = copy.deepcopy(doc)
         results.extend(_run_series(fresh, source, overrides, seeds))
-    if args.out is not None:
-        _write_outputs(Path(args.out), results)
+    _write_outputs(out_dir, results)
     return 0
 
 

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import control_plane as cp
 from .engine import SimTime, Simulator, to_us
-from .olsr import TopologySnapshot, first_hop_tree
+from .olsr import TopologySnapshot, by_address, first_hop_tree
 from .switch import DeliverLocal, DropAction, ForwardTo, RuleSpec, origin_controller
 
 
@@ -44,7 +44,6 @@ class Controller:
         self,
         node_id: str,
         address: IPv4Address,
-        attached_wmr: str,
         cfg: ControllerConfig,
         sim: Simulator,
         pull_snapshot: Callable[[], TopologySnapshot],
@@ -55,7 +54,6 @@ class Controller:
     ) -> None:
         self.node_id = node_id
         self.address = address
-        self.attached_wmr = attached_wmr
         self.cfg = cfg
         self.sim = sim
         self._pull = pull_snapshot
@@ -63,11 +61,15 @@ class Controller:
         self._send = send
         self._log = log
         self.path_overrides = path_overrides or {}
+        self._refresh_interval_us = to_us(cfg.refresh_interval_s)
+        self._switch_timeout_us = to_us(cfg.switch_timeout_s)
+        self._rule_idle_timeout_us = to_us(cfg.rule_idle_timeout_s)
+        self._unknown_dst_hard_timeout_us = to_us(cfg.unknown_dst_hard_timeout_s)
 
         self.topo_view: TopologySnapshot | None = None
         self.view_stale = False
-        self._switches: dict[str, IPv4Address] = {}
-        self._last_seen: dict[str, SimTime] = {}
+        # Each connected switch's address and when it was last heard from.
+        self._switches: dict[str, tuple[IPv4Address, SimTime]] = {}
 
     # -- topology view ------------------------------------------------------
 
@@ -75,7 +77,7 @@ class Controller:
         """Pull the topology view now, then again every ``refresh_interval_s``."""
         self.refresh_topology()
         self.sim.schedule(
-            to_us(self.cfg.refresh_interval_s),
+            self._refresh_interval_us,
             self.start,
             target=self.node_id,
             kind="topo-refresh",
@@ -101,16 +103,14 @@ class Controller:
         return sorted(self._switches)
 
     def _evict_silent(self) -> None:
-        deadline = self.sim.now() - to_us(self.cfg.switch_timeout_s)
+        deadline = self.sim.now() - self._switch_timeout_us
         for wmr in sorted(self._switches):
-            if self._last_seen[wmr] < deadline:
+            if self._switches[wmr][1] < deadline:
                 del self._switches[wmr]
-                del self._last_seen[wmr]
                 self._action("switch-timeout", wmr=wmr)
 
     def _seen(self, wmr: str, addr: IPv4Address) -> None:
-        self._switches[wmr] = addr
-        self._last_seen[wmr] = self.sim.now()
+        self._switches[wmr] = (addr, self.sim.now())
 
     # -- control-channel handlers -------------------------------------------
 
@@ -128,9 +128,7 @@ class Controller:
             self._action("flush-on-connect", wmr=msg.wmr)
 
     def on_disconnect(self, msg: cp.DisconnectNotice) -> None:
-        if msg.wmr in self._switches:
-            del self._switches[msg.wmr]
-            del self._last_seen[msg.wmr]
+        if self._switches.pop(msg.wmr, None) is not None:
             self._action("switch-disconnected", wmr=msg.wmr)
 
     def on_keepalive(self, msg: cp.KeepaliveRequest, src: IPv4Address) -> None:
@@ -169,8 +167,13 @@ class Controller:
         return best
 
     def _path(self, start: str, goal: str, prefix: IPv4Network) -> list[str] | None:
-        """Hop sequence from ``start`` to ``goal``, one greedy first-hop query
-        per hop so every step matches what that hop's own routing would pick."""
+        """Hop sequence from ``start`` to ``goal``, None if there is none.
+
+        Each hop is the neighbour one hop nearer the goal with the lowest
+        (address, id): the first hop that hop's own routing picks.  One
+        search from the goal gives every node's distance to it, because the
+        snapshot's adjacency is symmetric (``OlsrDaemon.graph`` builds it so).
+        """
         assert self.topo_view is not None
         override = self.path_overrides.get(prefix)
         if override is not None and override[0] == start and override[-1] == goal:
@@ -182,16 +185,13 @@ class Controller:
             held = addrs.get(node)
             return held[0] if held else None
 
+        dist, _ = first_hop_tree(adj, goal, addr_of)
+        if start not in dist:
+            return None
+        rank = by_address(addr_of)
         path = [start]
-        current = start
-        while current != goal:
-            _, first = first_hop_tree(adj, current, addr_of)
-            if goal not in first:
-                return None
-            current = first[goal]
-            path.append(current)
-            if len(path) > len(adj) + 1:  # corrupted view; refuse to loop
-                return None
+        for nearer in range(dist[start] - 1, -1, -1):
+            path.append(min((v for v in adj[path[-1]] if dist.get(v) == nearer), key=rank))
         return path
 
     def _install_path(self, prefix: IPv4Network, path: list[str]) -> None:
@@ -209,9 +209,9 @@ class Controller:
                 dst_prefix=prefix,
                 action=action,
                 origin=origin_controller(self.address),
-                idle_timeout_us=to_us(self.cfg.rule_idle_timeout_s),
+                idle_timeout_us=self._rule_idle_timeout_us,
             )
-            self._send(self._switches[wmr], cp.FlowModMsg(spec))
+            self._send(self._switches[wmr][0], cp.FlowModMsg(spec))
             self._action("install", wmr=wmr, rule=f"{prefix}->{action}")
 
     def _install_unknown_drop(self, msg: cp.PacketInMsg) -> None:
@@ -220,9 +220,9 @@ class Controller:
             dst_prefix=IPv4Network(f"{msg.dst}/32"),
             action=DropAction(),
             origin=origin_controller(self.address),
-            hard_timeout_us=to_us(self.cfg.unknown_dst_hard_timeout_s),
+            hard_timeout_us=self._unknown_dst_hard_timeout_us,
         )
-        self._send(self._switches[msg.wmr], cp.FlowModMsg(spec))
+        self._send(self._switches[msg.wmr][0], cp.FlowModMsg(spec))
         self._action("install-unknown-drop", wmr=msg.wmr, dst=str(msg.dst))
 
     def _action(self, action: str, **data: object) -> None:

@@ -64,18 +64,6 @@ class EftmConfig(NamedTuple):
         if self.hysteresis_hold_s < 0:
             raise ValueError("hysteresis hold must be >= 0")
 
-    @property
-    def poll_period_us(self) -> SimTime:
-        return to_us(self.poll_period_s)
-
-    @property
-    def connect_timeout_us(self) -> SimTime:
-        return to_us(self.connect_timeout_s)
-
-    @property
-    def keepalive_interval_us(self) -> SimTime:
-        return to_us(self.keepalive_interval_s)
-
 
 class MasterSelector:
     """One router's controller-selection state machine.
@@ -104,9 +92,10 @@ class MasterSelector:
         self._send = send
         self._log = log
         self._rng = sim.node_rng(node_id)
-        # The timer constants, read once: every keepalive needs them.
-        self._connect_timeout_us = cfg.connect_timeout_us
-        self._keepalive_interval_us = cfg.keepalive_interval_us
+        self._poll_period_us = to_us(cfg.poll_period_s)
+        self._connect_timeout_us = to_us(cfg.connect_timeout_s)
+        self._keepalive_interval_us = to_us(cfg.keepalive_interval_s)
+        self._hysteresis_hold_us = to_us(cfg.hysteresis_hold_s)
 
         self.mode: Mode = "disconnected"
         self._controller: IPv4Address | None = None
@@ -127,7 +116,7 @@ class MasterSelector:
 
     def start(self) -> None:
         phase = (
-            round(self._rng.random() * self.cfg.poll_period_us)
+            round(self._rng.random() * self._poll_period_us)
             if self.cfg.randomize_phase
             else 0
         )
@@ -139,7 +128,7 @@ class MasterSelector:
         """Reachable-looking controllers, best first.  A controller is known
         while its /32 announcement inside ``controller_range`` is live."""
         found: set[IPv4Address] = set()
-        for _, prefix, _ in self.olsr.hna_entries():
+        for _, prefix in self.olsr.hna_entries():
             if prefix.prefixlen == 32 and prefix.network_address in self.cfg.controller_range:
                 found.add(prefix.network_address)
         return sorted(found, key=self._priority_key)
@@ -191,7 +180,7 @@ class MasterSelector:
     def _periodic_poll(self) -> None:
         self.poll_tick()
         self.sim.schedule(
-            self.cfg.poll_period_us, self._periodic_poll, target=self.node_id, kind="poll"
+            self._poll_period_us, self._periodic_poll, target=self.node_id, kind="poll"
         )
 
     def poll_tick(self) -> None:
@@ -216,7 +205,7 @@ class MasterSelector:
         self._cycle = []
         if self.mode != "connected":
             self._open_connection(msg.controller)
-        elif self.sim.now() - self._last_change >= to_us(self.cfg.hysteresis_hold_s):
+        elif self.sim.now() - self._last_change >= self._hysteresis_hold_us:
             self._hard_handover(msg.controller)
 
     # -- connection lifecycle -----------------------------------------------

@@ -36,22 +36,14 @@ def fmt_time(t: SimTime) -> str:
 
 
 class Event:
-    """A scheduled callback; also acts as its own cancellation handle."""
+    """A scheduled callback; also acts as its own cancellation handle.
 
-    __slots__ = ("fire_at", "seq", "target", "kind", "callback", "cancelled")
+    Its instant and sequence number live in the queue entry beside it.
+    """
 
-    def __init__(
-        self,
-        fire_at: SimTime,
-        seq: int,
-        target: str,
-        kind: str,
-        callback: Callable[[], None] | None,
-    ) -> None:
-        self.fire_at = fire_at
-        self.seq = seq
-        self.target = target
-        self.kind = kind
+    __slots__ = ("callback", "cancelled")
+
+    def __init__(self, callback: Callable[[], None] | None) -> None:
         self.callback = callback
         self.cancelled = False
 
@@ -101,14 +93,16 @@ class Simulator:
         """Schedule ``callback`` after ``delay`` microseconds; returns a handle.
 
         A zero delay fires at the current time but strictly after the event
-        being processed now.  Negative delays are rejected.
+        being processed now.  Negative delays are rejected.  ``target`` and
+        ``kind`` name the event for an observer that wraps this method; the
+        engine does not keep them.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule {delay} us in the past")
         fire_at = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = Event(fire_at, seq, target, kind, callback)
+        event = Event(callback)
         if delay == self.lane_delay:
             self._lane.append((fire_at, seq, event))
         else:

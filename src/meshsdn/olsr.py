@@ -42,23 +42,6 @@ class OlsrConfig(NamedTuple):
         if not 0.0 <= self.jitter < 0.5:
             raise ValueError("jitter must be in [0, 0.5)")
 
-    @property
-    def hello_interval_us(self) -> SimTime:
-        return to_us(self.hello_interval_s)
-
-    @property
-    def neighbor_hold_us(self) -> SimTime:
-        return self.hello_loss_intervals_to_down * self.hello_interval_us
-
-    @property
-    def tc_interval_us(self) -> SimTime:
-        return to_us(self.tc_interval_s)
-
-    @property
-    def flood_validity_us(self) -> SimTime:
-        # Entries survive three lost refreshes, mirroring neighbor expiry.
-        return 3 * self.tc_interval_us
-
 
 class HelloMsg(NamedTuple):
     origin: str
@@ -77,18 +60,10 @@ class FloodMsg(NamedTuple):
 
 
 class NeighborRecord:
-    def __init__(
-        self,
-        neighbor: str,
-        address: IPv4Address,
-        consecutive_hellos: int,
-        last_hello_at: SimTime,
-    ) -> None:
-        self.neighbor = neighbor
+    def __init__(self, address: IPv4Address, last_hello_at: SimTime) -> None:
         self.address = address
-        self.consecutive_hellos = consecutive_hellos
+        self.consecutive_hellos = 0
         self.last_hello_at = last_hello_at
-        self.sym = False
 
 
 def route_key(prefix: IPv4Network) -> int:
@@ -169,6 +144,19 @@ class RoutingTable:
         return {p: (e.next_hop, e.hop_count) for p, e in self._entries.items()}
 
 
+def by_address(
+    addr_of: Callable[[str], IPv4Address | None],
+) -> Callable[[str], tuple[int, str]]:
+    """Sort key that ranks nodes by address, lowest first, then by node id;
+    a node without an address ranks after every node with one."""
+
+    def key(v: str) -> tuple[int, str]:
+        addr = addr_of(v)
+        return (int(addr) if addr is not None else 1 << 40, v)
+
+    return key
+
+
 def first_hop_tree(
     adjacency: Mapping[str, Iterable[str]],
     source: str,
@@ -176,18 +164,14 @@ def first_hop_tree(
 ) -> tuple[dict[str, int], dict[str, str]]:
     """Hop counts and first hops from ``source`` over an undirected graph.
 
-    Among equal-cost paths the returned first hop is the one with the lowest
-    address (node id as a final tie-break), which makes the result unique and
-    independent of adjacency iteration order.  The hop counts are listed in
-    (hop count, node id) order, ``source`` first.
+    Among equal-cost paths the returned first hop is the one that ranks first
+    :func:`by_address`, which makes the result unique and independent of
+    adjacency iteration order.  The hop counts are listed in (hop count,
+    node id) order, ``source`` first.
     """
     # Every first hop is a neighbor of the source, so only those need a rank:
     # their position in (address, node id) order, best first.
-    def address_order(v: str) -> tuple[int, str]:
-        addr = addr_of(v)
-        return (int(addr) if addr is not None else 1 << 40, v)
-
-    hops = sorted((v for v in adjacency.get(source, ()) if v != source), key=address_order)
+    hops = sorted((v for v in adjacency.get(source, ()) if v != source), key=by_address(addr_of))
     dist: dict[str, int] = {source: 0}
     first: dict[str, str] = {}
     # The rank of each reached node's first hop, an index into ``hops``.
@@ -249,11 +233,11 @@ class OlsrDaemon:
         self._links = links
         self._send = send
         self._log = log
-        # The timer constants, read once: every Hello and tick needs them.
-        self._hello_interval_us = cfg.hello_interval_us
-        self._tc_interval_us = cfg.tc_interval_us
-        self._neighbor_hold_us = cfg.neighbor_hold_us
-        self._flood_validity_us = cfg.flood_validity_us
+        self._hello_interval_us = to_us(cfg.hello_interval_s)
+        self._tc_interval_us = to_us(cfg.tc_interval_s)
+        self._neighbor_hold_us = cfg.hello_loss_intervals_to_down * self._hello_interval_us
+        # Entries survive three lost refreshes, mirroring neighbor expiry.
+        self._flood_validity_us = 3 * self._tc_interval_us
         self._jitter = cfg.jitter
 
         self.neighbors: dict[str, NeighborRecord] = {}
@@ -264,11 +248,10 @@ class OlsrDaemon:
         # route, then of each HNA prefix: the order in which it offers routes.
         self._prefixes: dict[str, tuple[tuple[int, IPv4Network], ...]] = {}
         # Kept in step with ``neighbors`` and ``link_state`` wherever they
-        # change: the symmetric neighbours, sorted and as a set, and the graph
-        # routes run over.  That graph maps this node to its symmetric
-        # neighbours and every other node to its confirmed remote edges,
-        # those both ends advertise; a node without one has no key.
-        self._sym: tuple[str, ...] = ()
+        # change: the symmetric neighbours, and the graph routes run over.
+        # That graph maps this node to its symmetric neighbours and every
+        # other node to its confirmed remote edges, those both ends
+        # advertise; a node without one has no key.
         self._sym_set: set[str] = set()
         self._adj: dict[str, set[str]] = {node_id: self._sym_set}
         # What the last route build saw moved: the graph or a first-hop
@@ -336,22 +319,14 @@ class OlsrDaemon:
     # -- neighbor sensing ---------------------------------------------------
 
     def sym_neighbors(self) -> list[str]:
-        return list(self._sym)
-
-    def _set_sym(self, neighbor: str, sym: bool) -> None:
-        if sym:
-            self._sym_set.add(neighbor)
-        else:
-            self._sym_set.discard(neighbor)
-        self._sym = tuple(sorted(self._sym_set))
-        self._tree_stale = True
+        return sorted(self._sym_set)
 
     def handle_hello(self, msg: HelloMsg) -> None:
         origin = msg.origin
         now = self.sim.now()
         rec = self.neighbors.get(origin)
         if rec is None:
-            rec = self.neighbors[origin] = NeighborRecord(origin, msg.address, 0, now)
+            rec = self.neighbors[origin] = NeighborRecord(msg.address, now)
         rec.consecutive_hellos += 1
         rec.last_hello_at = now
         self.sim.schedule(
@@ -360,9 +335,9 @@ class OlsrDaemon:
             target=self.node_id,
             kind="neighbor-expiry",
         )
-        if not rec.sym and rec.consecutive_hellos >= self.cfg.hellos_to_up:
-            rec.sym = True
-            self._set_sym(origin, True)
+        if origin not in self._sym_set and rec.consecutive_hellos >= self.cfg.hellos_to_up:
+            self._sym_set.add(origin)
+            self._tree_stale = True
             self._on_new_adjacency(origin)
 
     def _neighbor_expiry_check(self, origin: str) -> None:
@@ -370,10 +345,10 @@ class OlsrDaemon:
         if rec is None:
             return
         if self.sim.now() - rec.last_hello_at >= self._neighbor_hold_us:
-            was_sym = rec.sym
             del self.neighbors[origin]
-            if was_sym:
-                self._set_sym(origin, False)
+            if origin in self._sym_set:
+                self._sym_set.remove(origin)
+                self._tree_stale = True
                 self._originate_flood()
                 self._recompute()
 
@@ -402,7 +377,7 @@ class OlsrDaemon:
             origin=self.node_id,
             seq=self._own_seq,
             addresses=self.addresses,
-            neighbors=self._sym,
+            neighbors=tuple(sorted(self._sym_set)),
             hna=self.originated_hna,
             validity_us=self._flood_validity_us,
         )
@@ -518,7 +493,7 @@ class OlsrDaemon:
         """
         me = self.node_id
         adj = {node: set(peers) for node, peers in self._adj.items()}
-        for nbr in self._sym:
+        for nbr in self._sym_set:
             held = adj.get(nbr)
             if held is None:
                 adj[nbr] = {me}
@@ -603,17 +578,13 @@ class OlsrDaemon:
 
     # -- controller-facing view --------------------------------------------
 
-    def hna_entries(self) -> list[tuple[str, IPv4Network, SimTime]]:
-        """Live (origin, prefix, expires_at) tuples, own announcements included."""
+    def hna_entries(self) -> list[tuple[str, IPv4Network]]:
+        """Live (origin, prefix) pairs, own announcements included."""
         now = self.sim.now()
-        out: list[tuple[str, IPv4Network, SimTime]] = []
-        for prefix in self.originated_hna:
-            out.append((self.node_id, prefix, 1 << 62))
+        out = [(self.node_id, prefix) for prefix in self.originated_hna]
         for origin in sorted(self.link_state):
-            expires_at = self._expires_at[origin]
-            if expires_at > now:
-                for prefix in self.link_state[origin].hna:
-                    out.append((origin, prefix, expires_at))
+            if self._expires_at[origin] > now:
+                out.extend((origin, prefix) for prefix in self.link_state[origin].hna)
         return out
 
     def snapshot(self) -> TopologySnapshot:
@@ -627,5 +598,5 @@ class OlsrDaemon:
             captured_at=self.sim.now(),
             adjacency={n: tuple(sorted(vs)) for n, vs in sorted(adj.items())},
             addresses=addresses,
-            hna=tuple((origin, prefix) for origin, prefix, _ in self.hna_entries()),
+            hna=tuple(self.hna_entries()),
         )

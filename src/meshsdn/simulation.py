@@ -109,9 +109,9 @@ class WmrRuntime(NodeRuntime):
     The router is its switch's :class:`~meshsdn.switch.SwitchHost`.
     """
 
-    def __init__(self, sim: "Simulation", node: Node, spec_gateway: bool) -> None:
+    def __init__(self, sim: "Simulation", node: Node, gateway: bool) -> None:
         self.access_networks = tuple(itf.network for itf in node.access_interfaces)
-        default_route = [IPv4Network("0.0.0.0/0")] if spec_gateway else []
+        default_route = [IPv4Network("0.0.0.0/0")] if gateway else []
         super().__init__(sim, node, [*self.access_networks, *default_route])
         scenario = sim.scenario
         nodes = sim.topo.nodes
@@ -198,7 +198,6 @@ class ControllerRuntime(NodeRuntime):
         self.controller = controller = Controller(
             node.id,
             self.address,
-            attach,
             sim.scenario.controller,
             sim.engine,
             pull_snapshot=lambda: sim.wmrs[attach].daemon.snapshot(),
@@ -254,7 +253,6 @@ class RunResult(NamedTuple):
 class Simulation:
     def __init__(self, scenario: Scenario, seed: int = 0) -> None:
         self.scenario = scenario
-        self.seed = seed
         self.topo = Topology()
         self._build_topology()
         # Most events are deliveries, each scheduled with its link's delay:
@@ -279,7 +277,7 @@ class Simulation:
             interfaces = [Interface(w.mesh_addr, s.control_subnet, "mesh")]
             for net in w.access:
                 interfaces.append(Interface(net.addr, net.subnet, "access"))
-            self.topo.add_node(Node(w.id, "wmr", interfaces, gateway=w.gateway))
+            self.topo.add_node(Node(w.id, "wmr", interfaces))
         for c in s.controllers:
             self.topo.add_node(
                 Node(c.id, "controller", [Interface(c.addr, s.control_subnet, "mesh")])
@@ -417,7 +415,7 @@ class Simulation:
                     self.log.records, measure.flow, event_at, steady_window=to_us(5.0)
                 )
         summary = SummaryRow(
-            seed=self.seed,
+            seed=self.engine.seed,
             scenario=self.scenario.name,
             connectivity_time_us=connectivity,
             selection_delay_us=selection,
@@ -427,7 +425,7 @@ class Simulation:
         )
         return RunResult(
             scenario=self.scenario.name,
-            seed=self.seed,
+            seed=self.engine.seed,
             log=self.log,
             summary=summary,
             connectivity_us=connectivity,

@@ -221,10 +221,6 @@ class SwitchConfig(NamedTuple):
         if self.sweep_interval_s <= 0 or self.buffer_timeout_s < 0:
             raise ValueError("sweep interval must be positive and buffer timeout >= 0")
 
-    @property
-    def buffer_timeout_us(self) -> SimTime:
-        return to_us(self.buffer_timeout_s)
-
 
 class SwitchHost(Protocol):
     """The router a switch forwards for, given to the switch at construction.
@@ -270,7 +266,8 @@ class FlowSwitch:
         self._control_net = int(control_subnet.network_address)
         self._control_mask = int(control_subnet.netmask)
         self._addresses = frozenset(int(addr) for addr in host.addresses)
-        self.cfg = cfg
+        self._buffer_timeout_us = to_us(cfg.buffer_timeout_s)
+        self._sweep_interval_us = to_us(cfg.sweep_interval_s)
         self.sim = sim
         self.log = log
         self.host = host
@@ -279,7 +276,7 @@ class FlowSwitch:
 
     def start(self) -> None:
         self.sim.schedule(
-            to_us(self.cfg.sweep_interval_s), self._sweep, target=self.node_id, kind="rule-sweep"
+            self._sweep_interval_us, self._sweep, target=self.node_id, kind="rule-sweep"
         )
 
     def classify(self, packet: Packet) -> Literal["basic", "sdn"]:
@@ -340,7 +337,7 @@ class FlowSwitch:
 
     def _buffer(self, packet: Packet) -> None:
         handle = self.sim.schedule(
-            self.cfg.buffer_timeout_us,
+            self._buffer_timeout_us,
             lambda p=packet: self._buffer_expire(p),
             target=self.node_id,
             kind="buffer-timeout",
@@ -387,7 +384,7 @@ class FlowSwitch:
         if gone:
             self._log_table("expire", extra={"removed": [r.summary() for r in gone]})
         self.sim.schedule(
-            to_us(self.cfg.sweep_interval_s), self._sweep, target=self.node_id, kind="rule-sweep"
+            self._sweep_interval_us, self._sweep, target=self.node_id, kind="rule-sweep"
         )
 
     # -- logging ------------------------------------------------------------
@@ -422,12 +419,5 @@ class RuleSpec(NamedTuple):
     hard_timeout_us: SimTime = 0
 
     def build(self) -> FlowRule:
-        return FlowRule(
-            priority=self.priority,
-            dst_prefix=self.dst_prefix,
-            action=self.action,
-            origin=self.origin,
-            src_prefix=self.src_prefix,
-            idle_timeout_us=self.idle_timeout_us,
-            hard_timeout_us=self.hard_timeout_us,
-        )
+        # The fields are FlowRule's parameters, in order.
+        return FlowRule(*self)

@@ -22,17 +22,10 @@ class Interface(NamedTuple):
 
 
 class Node:
-    def __init__(
-        self,
-        id: str,
-        kind: NodeKind,
-        interfaces: list[Interface] | None = None,
-        gateway: bool = False,
-    ) -> None:
+    def __init__(self, id: str, kind: NodeKind, interfaces: list[Interface] | None = None) -> None:
         self.id = id
         self.kind = kind
         self.interfaces = [] if interfaces is None else interfaces
-        self.gateway = gateway
 
     @property
     def mesh_address(self) -> IPv4Address:

@@ -99,6 +99,27 @@ def test_run_writes_logs_and_summary(tmp_path, capsys):
     assert lines[1].startswith("3,tiny,")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_that_cannot_be_a_directory_is_one_line_before_any_run(tmp_path, capsys, command):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    args = [command, tiny_path(tmp_path), "--out", str(plain / "out")]
+    if command == "sweep":
+        args += ["--param", "duration_s=6.0"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no seed ran
+    assert captured.err == f"error: --out {plain / 'out'}: Not a directory\n"
+
+
+def test_out_file_that_cannot_be_written_is_one_line(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "results.csv").mkdir(parents=True)
+    assert main(["run", tiny_path(tmp_path), "--seed", "0", "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out_dir / 'results.csv'}: Is a directory\n"
+
+
 def test_run_seed_range_is_half_open(tmp_path, capsys):
     assert main(["run", tiny_path(tmp_path), "--seeds", "5:8"]) == 0
     out = capsys.readouterr().out.splitlines()

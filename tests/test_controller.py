@@ -7,12 +7,17 @@ install order and rule contents can be checked exactly.
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meshsdn import control_plane as cp
 from meshsdn.controller import Controller, ControllerConfig
 from meshsdn.engine import Simulator, to_us
-from meshsdn.olsr import TopologySnapshot
+from meshsdn.olsr import TopologySnapshot, first_hop_tree
+from meshsdn.simulation import Simulation
 from meshsdn.switch import DeliverLocal, DropAction, ForwardTo
+
+from support import builtin_scenario
 
 CADDR = IPv4Address("10.0.255.1")
 
@@ -47,7 +52,6 @@ class Bench:
         self.ctrl = Controller(
             "ctrl1",
             CADDR,
-            "wmr2",
             cfg or ControllerConfig(),
             self.sim,
             pull_snapshot=lambda: chain_snapshot(self.sim.now()),
@@ -325,3 +329,86 @@ def test_resolve_prefers_longest_hna_match(dst, expected):
     prefix, origin = bench.ctrl._resolve(IPv4Address(dst))
     assert str(prefix) == expected
     assert origin == ("wmr3" if expected != "192.168.1.0/24" else "wmr1")
+
+
+# -- path search against one first-hop search per hop --------------------------
+
+NODES = [f"w{i}" for i in range(9)]
+# Self edges included: an origin may list itself as a neighbour.
+PAIRS = [(a, b) for i, a in enumerate(NODES) for b in NODES[i:]]
+# Repeated addresses tie on address and fall to the node id; None leaves a
+# node without an address, which ranks after every node with one.
+ADDRESSES = [None, "10.0.0.1", "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"]
+PREFIX = IPv4Network("192.168.9.0/24")
+
+
+@st.composite
+def views(draw):
+    """A snapshot over NODES with symmetric adjacency, as ``graph()`` builds
+    it: every edge listed at both ends, isolated nodes absent; then a start
+    and a goal, the same node one time in ten."""
+    # Each edge is present with probability 1 / sparsity: dense views tie
+    # often, sparse ones have long paths and unreachable goals.
+    sparsity = draw(st.sampled_from([2, 3, 5]))
+    adjacency: dict[str, set[str]] = {}
+    for a, b in PAIRS:
+        if draw(st.integers(0, sparsity - 1)) == 0:
+            adjacency.setdefault(a, set()).add(b)
+            adjacency.setdefault(b, set()).add(a)
+    addresses = {}
+    for node in NODES:
+        addr = draw(st.sampled_from(ADDRESSES))
+        if addr is not None:
+            addresses[node] = (IPv4Address(addr),)
+    view = TopologySnapshot(
+        captured_at=0,
+        adjacency={n: tuple(sorted(peers)) for n, peers in sorted(adjacency.items())},
+        addresses=addresses,
+        hna=(),
+    )
+    start, other = draw(st.permutations(NODES))[:2]
+    return view, start, start if draw(st.integers(0, 9)) == 0 else other
+
+
+def per_hop_path(view, start, goal):
+    """The reference: one first-hop search from each hop, taking its first
+    hop towards ``goal``, as every hop's own routing would."""
+    def addr_of(node):
+        held = view.addresses.get(node)
+        return held[0] if held else None
+
+    path = [start]
+    while path[-1] != goal:
+        _, first = first_hop_tree(view.adjacency, path[-1], addr_of)
+        if goal not in first:
+            return None
+        path.append(first[goal])
+    return path
+
+
+CHAIN_VIEW = chain_snapshot()
+
+
+@settings(max_examples=300, deadline=None)
+@given(views())
+@example((CHAIN_VIEW, "wmr1", "wmr1"))  # start == goal
+@example((CHAIN_VIEW, "wmr1", "wmr3"))
+@example((CHAIN_VIEW, "wmr1", "wmr9"))  # goal outside the view
+@example((CHAIN_VIEW, "wmr9", "wmr1"))  # start outside the view
+def test_path_equals_per_hop_first_hops(case):
+    view, start, goal = case
+    bench = Bench()
+    bench.ctrl.topo_view = view
+    assert bench.ctrl._path(start, goal, PREFIX) == per_hop_path(view, start, goal)
+
+
+def test_snapshot_adjacency_is_symmetric_through_merge_run():
+    sim = Simulation(builtin_scenario("merge"), 0)
+    step = to_us(1.0)
+    for end in range(step, to_us(sim.scenario.duration_s) + 1, step):
+        sim.engine.run_until(end)
+        for wmr in sim.wmrs.values():
+            adjacency = wmr.daemon.snapshot().adjacency
+            for node, peers in adjacency.items():
+                for peer in peers:
+                    assert node in adjacency.get(peer, ()), (end, wmr.node_id, node, peer)

@@ -38,7 +38,7 @@ class FakeDaemon:
         self.on_routes_changed = []
 
     def hna_entries(self):
-        return [(origin, IPv4Network(p), 1 << 62) for origin, p in self.hna]
+        return [(origin, IPv4Network(p)) for origin, p in self.hna]
 
     def set_routes(self, entries):
         """Patch the routing table to hold exactly ``entries``."""

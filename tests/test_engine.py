@@ -157,11 +157,14 @@ def test_lane_fires_every_event_in_heap_order(steps):
 
 def test_event_handle_fields():
     sim = Simulator()
-    handle = sim.schedule(42, lambda: None, target="wmr1", kind="hello")
+    fired = []
+    handle = sim.schedule(42, lambda: fired.append("x"), target="wmr1", kind="hello")
     assert isinstance(handle, Event)
-    assert handle.fire_at == 42
-    assert handle.target == "wmr1"
-    assert handle.kind == "hello"
+    assert sim.pending() == 1
+    handle.cancel()
+    assert sim.pending() == 0
+    sim.run_until(100)
+    assert fired == []
 
 
 @given(st.integers(min_value=-(10**12), max_value=10**12))

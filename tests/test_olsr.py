@@ -439,7 +439,11 @@ daemon_steps = st.lists(
 def reference_graph(daemon):
     """``graph()`` as a full scan of the neighbour and link-state tables."""
     me = daemon.node_id
-    own = {n for n, rec in daemon.neighbors.items() if rec.sym}
+    own = {
+        n
+        for n, rec in daemon.neighbors.items()
+        if rec.consecutive_hellos >= daemon.cfg.hellos_to_up
+    }
     adj = {me: set(own)}
     for nbr in own:
         adj[nbr] = {me}

@@ -295,6 +295,10 @@ def test_rule_spec_round_trip():
     assert built.key == (100, IPv4Network("192.168.2.0/24"), None)
     assert built.idle_timeout_us == to_us(30.0)
     assert built.origin == "controller:10.0.255.1"
+    # build() passes the fields positionally, so they must be FlowRule's
+    # parameters in order.
+    assert RuleSpec._fields == FlowRule.__init__.__code__.co_varnames[1:8]
+    assert tuple(getattr(built, name) for name in RuleSpec._fields) == spec
 
 
 # -- indexed match against a linear scan --------------------------------------
