@@ -33,6 +33,8 @@ class ControllerConfig(NamedTuple):
         """Raise ValueError for a value the controller cannot run with."""
         if self.refresh_interval_s <= 0:
             raise ValueError("refresh interval must be positive")
+        if to_us(self.refresh_interval_s) < 1:
+            raise ValueError("refresh interval must be at least 1 us")
         if min(
             self.rule_idle_timeout_s, self.unknown_dst_hard_timeout_s, self.switch_timeout_s
         ) < 0:

@@ -61,6 +61,14 @@ class EftmConfig(NamedTuple):
             raise ValueError("poll period and connect timeout must be positive")
         if self.keepalive_interval_s <= 0:
             raise ValueError("keepalive interval must be positive")
+        if min(
+            to_us(self.poll_period_s),
+            to_us(self.connect_timeout_s),
+            to_us(self.keepalive_interval_s),
+        ) < 1:
+            raise ValueError(
+                "poll period, connect timeout and keepalive interval must be at least 1 us"
+            )
         if self.hysteresis_hold_s < 0:
             raise ValueError("hysteresis hold must be >= 0")
 
@@ -107,6 +115,9 @@ class MasterSelector:
         self._keepalive_waits: dict[int, object] = {}
         self._keepalive_timer: object | None = None
         self._emergency_rules = False
+        # The last discovery: the daemon's hna_version it read, the origins
+        # whose announcements it found controllers in, and its answer.
+        self._discovered: tuple[int, tuple[str, ...], list[IPv4Address]] | None = None
 
         olsr.on_routes_changed.append(self._on_routes_changed)
 
@@ -126,12 +137,33 @@ class MasterSelector:
 
     def discover_controllers(self) -> list[IPv4Address]:
         """Reachable-looking controllers, best first.  A controller is known
-        while its /32 announcement inside ``controller_range`` is live."""
+        while its /32 announcement inside ``controller_range`` is live.
+
+        The answer is kept and a copy returned while it still holds: while
+        the daemon's ``hna_version`` is the one it was read at, so no
+        origin's prefixes came, changed, went or came back from expiry, and
+        every origin it found a controller in is still live (expires after
+        now).  Otherwise the live announcements are scanned afresh.
+        """
+        olsr = self.olsr
+        kept = self._discovered
+        if kept is not None and kept[0] == olsr.hna_version:
+            now, expires_at = self.sim.now(), olsr.expires_at
+            for origin in kept[1]:
+                if expires_at[origin] <= now:
+                    break
+            else:
+                return list(kept[2])
         found: set[IPv4Address] = set()
-        for _, prefix in self.olsr.hna_entries():
+        origins: set[str] = set()
+        for origin, prefix in olsr.hna_entries():
             if prefix.prefixlen == 32 and prefix.network_address in self.cfg.controller_range:
                 found.add(prefix.network_address)
-        return sorted(found, key=self._priority_key)
+                if origin != olsr.node_id:  # its own announcements never expire
+                    origins.add(origin)
+        controllers = sorted(found, key=self._priority_key)
+        self._discovered = (olsr.hna_version, tuple(origins), controllers)
+        return list(controllers)
 
     def _priority_key(self, addr: IPv4Address) -> tuple[int, int]:
         override = self.cfg.priority_override

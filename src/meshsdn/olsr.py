@@ -37,6 +37,8 @@ class OlsrConfig(NamedTuple):
         """Raise ValueError for a value the daemon cannot run with."""
         if self.hello_interval_s <= 0 or self.tc_interval_s <= 0:
             raise ValueError("timer intervals must be positive")
+        if to_us(self.hello_interval_s) < 1 or to_us(self.tc_interval_s) < 1:
+            raise ValueError("timer intervals must be at least 1 us")
         if self.hellos_to_up < 1 or self.hello_loss_intervals_to_down < 1:
             raise ValueError("hello thresholds must be >= 1")
         if not 0.0 <= self.jitter < 0.5:
@@ -60,10 +62,14 @@ class FloodMsg(NamedTuple):
 
 
 class NeighborRecord:
-    def __init__(self, address: IPv4Address, last_hello_at: SimTime) -> None:
+    def __init__(
+        self, address: IPv4Address, last_hello_at: SimTime, expiry_check: Callable[[], None]
+    ) -> None:
         self.address = address
         self.consecutive_hellos = 0
         self.last_hello_at = last_hello_at
+        # What each Hello from this neighbour schedules, built once.
+        self.expiry_check = expiry_check
 
 
 def route_key(prefix: IPv4Network) -> int:
@@ -76,7 +82,8 @@ Route = tuple[IPv4Network, str | None, int, str]
 
 
 class RouteEntry(NamedTuple):
-    prefix: IPv4Network
+    """The route to one prefix; the prefix is the key the table stores it under."""
+
     next_hop: str | None  # None: deliver on a local interface
     hop_count: int
     origin: str
@@ -210,8 +217,9 @@ class OlsrDaemon:
     """Routing process of one node.
 
     The daemon is transport-agnostic: ``links`` yields the node's routing
-    links as ``(neighbor_id, link)`` pairs and ``send`` hands a message to the
-    transport, which delivers it only if the link is physically Up.
+    links as ``(neighbor_id, link)`` pairs and ``broadcast(links, msg)`` hands
+    the transport one message for the listed links, which delivers it over
+    each link that is physically Up.
     """
 
     def __init__(
@@ -222,7 +230,7 @@ class OlsrDaemon:
         cfg: OlsrConfig,
         sim: Simulator,
         links: Callable[[], list[tuple[str, object]]],
-        send: Callable[[object, object], None],
+        broadcast: Callable[[list[object], object], None],
         log: Callable[[str, dict], None],
     ) -> None:
         self.node_id = node_id
@@ -231,8 +239,9 @@ class OlsrDaemon:
         self.cfg = cfg
         self.sim = sim
         self._links = links
-        self._send = send
+        self._broadcast = broadcast
         self._log = log
+        self._hello = HelloMsg(node_id, self.addresses[0])
         self._hello_interval_us = to_us(cfg.hello_interval_s)
         self._tc_interval_us = to_us(cfg.tc_interval_s)
         self._neighbor_hold_us = cfg.hello_loss_intervals_to_down * self._hello_interval_us
@@ -243,7 +252,14 @@ class OlsrDaemon:
         self.neighbors: dict[str, NeighborRecord] = {}
         # Each origin's accepted advertisement, and when it expires.
         self.link_state: dict[str, FloodMsg] = {}
-        self._expires_at: dict[str, SimTime] = {}
+        self.expires_at: dict[str, SimTime] = {}
+        # Counts every change of some origin's addresses or HNA prefixes
+        # (added, changed or removed), and every return of an expired entry
+        # before its removal: every change to what hna_entries() lists,
+        # except an entry passing its expiry instant.
+        self.hna_version = 0
+        # Per origin, what each of its accepted advertisements schedules.
+        self._entry_expiry: dict[str, Callable[[], None]] = {}
         # Per origin, (route key, prefix) of each of its addresses as a host
         # route, then of each HNA prefix: the order in which it offers routes.
         self._prefixes: dict[str, tuple[tuple[int, IPv4Network], ...]] = {}
@@ -297,9 +313,7 @@ class OlsrDaemon:
         return round(interval_us * factor)
 
     def _hello_tick(self) -> None:
-        hello = HelloMsg(self.node_id, self.addresses[0])
-        for _, link in self._links():
-            self._send(link, hello)
+        self._broadcast([link for _, link in self._links()], self._hello)
         self.sim.schedule(
             self._jittered(self._hello_interval_us),
             self._hello_tick,
@@ -326,12 +340,14 @@ class OlsrDaemon:
         now = self.sim.now()
         rec = self.neighbors.get(origin)
         if rec is None:
-            rec = self.neighbors[origin] = NeighborRecord(msg.address, now)
+            rec = self.neighbors[origin] = NeighborRecord(
+                msg.address, now, partial(self._neighbor_expiry_check, origin)
+            )
         rec.consecutive_hellos += 1
         rec.last_hello_at = now
         self.sim.schedule(
             self._neighbor_hold_us,
-            partial(self._neighbor_expiry_check, origin),
+            rec.expiry_check,
             target=self.node_id,
             kind="neighbor-expiry",
         )
@@ -359,7 +375,7 @@ class OlsrDaemon:
         link = self._link_to(neighbor)
         if link is not None:
             for origin in sorted(self.link_state):
-                self._send(link, self.link_state[origin])
+                self._broadcast([link], self.link_state[origin])
         self._originate_flood()
         self._recompute()
 
@@ -390,10 +406,13 @@ class OlsrDaemon:
         if msg.seq <= self._seen_seq.get(origin, 0):
             return
         self._seen_seq[origin] = msg.seq
+        now = self.sim.now()
         old = self.link_state.get(origin)
         if old is not None and old.addresses == msg.addresses and old.hna == msg.hna:
             same_prefixes = True
             changed = old.neighbors != msg.neighbors
+            if self.expires_at[origin] <= now:
+                self.hna_version += 1  # back in hna_entries() before its removal
         else:
             self._prefixes[origin] = tuple(
                 self._host_route(addr) for addr in msg.addresses
@@ -401,22 +420,20 @@ class OlsrDaemon:
             same_prefixes = False
             changed = True
         validity = msg.validity_us
-        self._expires_at[origin] = self.sim.now() + validity
+        self.expires_at[origin] = now + validity
         self._install(origin, old, msg, same_prefixes)
-        self.sim.schedule(
-            validity,
-            partial(self._entry_expiry_check, origin),
-            target=self.node_id,
-            kind="ls-expiry",
-        )
+        expiry_check = self._entry_expiry.get(origin)
+        if expiry_check is None:
+            expiry_check = self._entry_expiry[origin] = partial(self._entry_expiry_check, origin)
+        self.sim.schedule(validity, expiry_check, target=self.node_id, kind="ls-expiry")
         self._relay(msg, exclude_link=arrival_link)
         if changed:
             self._recompute()
 
     def _entry_expiry_check(self, origin: str) -> None:
-        expires_at = self._expires_at.get(origin)
+        expires_at = self.expires_at.get(origin)
         if expires_at is not None and self.sim.now() >= expires_at:
-            del self._expires_at[origin], self._prefixes[origin]
+            del self.expires_at[origin], self._prefixes[origin]
             self._install(origin, self.link_state[origin], None)
             self._recompute()
 
@@ -444,6 +461,7 @@ class OlsrDaemon:
             self.link_state[origin] = new
         dist = self._tree[0]
         if not same_prefixes:
+            self.hna_version += 1
             if origin in dist:
                 self._routes_stale = True
             if origin in self._sym_set:  # its address ranks it as a first hop
@@ -478,10 +496,12 @@ class OlsrDaemon:
                 self._tree_stale = True
 
     def _relay(self, msg: FloodMsg, exclude_link: object | None) -> None:
-        sym, send = self._sym_set, self._send
-        for nbr, link in self._links():
-            if nbr in sym and link is not exclude_link:
-                send(link, msg)
+        sym = self._sym_set
+        links = [
+            link for nbr, link in self._links() if nbr in sym and link is not exclude_link
+        ]
+        if links:
+            self._broadcast(links, msg)
 
     # -- route computation --------------------------------------------------
 
@@ -559,7 +579,10 @@ class OlsrDaemon:
         if not changed and not gone:
             return
         self.routing_table.patch(
-            {route[0]: RouteEntry(*route) for route in changed.values()},
+            {
+                prefix: RouteEntry(next_hop, hops, origin)
+                for prefix, next_hop, hops, origin in changed.values()
+            },
             [old[key][0] for key in gone],
         )
         # Only a change of next hop or hop count, or a route gained or lost,
@@ -583,7 +606,7 @@ class OlsrDaemon:
         now = self.sim.now()
         out = [(self.node_id, prefix) for prefix in self.originated_hna]
         for origin in sorted(self.link_state):
-            if self._expires_at[origin] > now:
+            if self.expires_at[origin] > now:
                 out.extend((origin, prefix) for prefix in self.link_state[origin].hna)
         return out
 

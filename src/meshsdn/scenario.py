@@ -30,6 +30,7 @@ from typing import (
 
 from .controller import ControllerConfig
 from .eftm import EftmConfig
+from .engine import to_us
 from .olsr import OlsrConfig
 from .switch import SwitchConfig
 from .traffic import FlowSpec, PingSpec
@@ -500,6 +501,8 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
             _fail(doc, f"ping {p.id}: src {p.src!r} is not a host")
         if p.interval_s <= 0:
             _fail(doc, f"pings[{i}]: interval_s must be positive")
+        if to_us(p.interval_s) < 1:
+            _fail(doc, f"pings[{i}]: interval_s must be at least 1 us")
         if p.start_s < 0:
             _fail(doc, f"pings[{i}]: start_s must be >= 0")
     for i, f in enumerate(s.flows):

@@ -26,11 +26,14 @@ from .metrics import (
     network_connectivity_time,
     throughput_recovery,
 )
-from .olsr import HelloMsg, OlsrDaemon, RouteEntry
+from .olsr import HelloMsg, OlsrDaemon
 from .scenario import Scenario
 from .switch import FlowSwitch, Packet
 from .topology import Interface, Link, Node, Topology
 from .traffic import FluidTraffic, PingManager
+
+# Where every OLSR frame is addressed: its receivers are the link's far ends.
+BROADCAST = IPv4Address("255.255.255.255")
 
 
 class NodeRuntime:
@@ -50,6 +53,8 @@ class NodeRuntime:
         # A router's or controller's mesh address; a host's only address.
         self.address = node.interfaces[0].address
         self.addresses = frozenset(itf.address for itf in node.interfaces)
+        # The same addresses as ints, tested against ``Packet.dst_int``.
+        self._local = frozenset(int(addr) for addr in self.addresses)
         self.link_to = {link.other(node.id): link for link in sim.topo.links_of(node.id)}
         self.handlers: dict[type, Callable[[Any, IPv4Address], None]] = {
             cp.PingRequest: lambda msg, src: self.originate(
@@ -66,7 +71,6 @@ class NodeRuntime:
                     if nodes[peer].kind in ("wmr", "controller")
                 )
             )
-            self._peer_address = {peer: nodes[peer].mesh_address for peer, _ in olsr_links}
             self.daemon = OlsrDaemon(
                 node.id,
                 [self.address],
@@ -74,7 +78,7 @@ class NodeRuntime:
                 sim.scenario.olsr,
                 sim.engine,
                 links=lambda: olsr_links,
-                send=self._olsr_send,
+                broadcast=self._olsr_broadcast,
                 log=sim.log.append,
             )
 
@@ -92,10 +96,12 @@ class NodeRuntime:
         if handler is not None:
             handler(packet.payload, packet.src)
 
-    def _olsr_send(self, link: Link, msg: object) -> None:
-        me = self.node_id
-        dst = self._peer_address[link.b if link.a == me else link.a]
-        self.sim.transmit(link, me, Packet(self.address, dst, "olsr", msg))
+    def _olsr_broadcast(self, links: list[Link], msg: object) -> None:
+        """Send one OLSR frame carrying ``msg`` over each of ``links``."""
+        me, transmit = self.node_id, self.sim.transmit
+        frame = Packet(self.address, BROADCAST, "olsr", msg)
+        for link in links:
+            transmit(link, me, frame)
 
     def arrive(self, packet: Packet, link: Link) -> None:
         """The end of a transmission to this node over ``link``."""
@@ -115,11 +121,15 @@ class WmrRuntime(NodeRuntime):
         super().__init__(sim, node, [*self.access_networks, *default_route])
         scenario = sim.scenario
         nodes = sim.topo.nodes
+        # Each attached host's link, by the int value of its address.
         self._host_links = {
-            nodes[peer].interfaces[0].address: link
+            int(nodes[peer].interfaces[0].address): link
             for peer, link in self.link_to.items()
             if nodes[peer].kind == "host"
         }
+        # The switch host's route lookup: the table's own, which every route
+        # change patches in place.
+        self.route = self.daemon.routing_table.lookup
         self.switch = FlowSwitch(
             node.id, scenario.control_subnet, scenario.switch, sim.engine, sim.log.append, self
         )
@@ -164,9 +174,6 @@ class WmrRuntime(NodeRuntime):
     def master(self) -> IPv4Address | None:
         return self.selector.master
 
-    def route(self, dst: IPv4Address | int) -> RouteEntry | None:
-        return self.daemon.routing_table.lookup(dst)
-
     def is_neighbor(self, node_id: str) -> bool:
         return node_id in self.link_to
 
@@ -174,12 +181,13 @@ class WmrRuntime(NodeRuntime):
         self.sim.transmit(self.link_to[neighbor], self.node_id, packet)
 
     def deliver_local(self, packet: Packet) -> None:
-        if packet.dst in self.addresses:
+        dst = packet.dst_int
+        if dst in self._local:
             self._dispatch(packet)
             return
         # A packet for an access subnet with no such host simply vanishes,
         # like a frame to an unanswered ARP.
-        link = self._host_links.get(packet.dst)
+        link = self._host_links.get(dst)
         if link is not None:
             self.sim.transmit(link, self.node_id, packet)
 
@@ -225,7 +233,7 @@ class ControllerRuntime(NodeRuntime):
                 self.daemon.handle_hello(msg)
             else:
                 self.daemon.handle_flood(msg, link)
-        elif packet.dst in self.addresses:  # controllers do not forward transit traffic
+        elif packet.dst_int in self._local:  # controllers do not forward transit traffic
             self._dispatch(packet)
 
 
@@ -235,7 +243,7 @@ class HostRuntime(NodeRuntime):
     def on_packet(self, packet: Packet, link: Link) -> None:
         # Bulk data arriving here is accounted by the fluid model, not counted
         # per packet.
-        if packet.dst in self.addresses:
+        if packet.dst_int in self._local:
             self._dispatch(packet)
 
 

@@ -56,7 +56,20 @@ PacketKind = Literal["olsr", "control", "ping", "data"]
 
 
 class Packet:
-    __slots__ = ("src", "dst", "kind", "payload", "flow_id", "hops_left")
+    """One frame in flight.
+
+    ``dst_int`` is ``dst`` as an int, computed once when the packet is built,
+    so that each hop classifies, matches and routes it without converting
+    the address again.  Forwarding burns one of ``hops_left`` per hop.
+
+    An OLSR frame is a link-local broadcast: its ``dst`` is
+    255.255.255.255, and one frame carries a Hello or advertisement over
+    every link it is sent on, so all its receivers share it.  Sharing is
+    safe because OLSR frames go to the routing daemon and never reach
+    :meth:`FlowSwitch.forward`, the only place a frame is changed.
+    """
+
+    __slots__ = ("src", "dst", "dst_int", "kind", "payload", "flow_id", "hops_left")
 
     def __init__(
         self,
@@ -68,6 +81,7 @@ class Packet:
     ) -> None:
         self.src = src
         self.dst = dst
+        self.dst_int = int(dst)
         self.kind = kind
         self.payload = payload
         self.flow_id = flow_id
@@ -158,7 +172,7 @@ class FlowTable:
         """The unexpired matching rule of highest rank; only it is touched."""
         if self._index is None:
             self._index = self._build_index()
-        dst = int(packet.dst)
+        dst = packet.dst_int
         for mask, by_network in self._index:
             for rule in by_network.get(dst & mask, ()):
                 src = rule.src_prefix
@@ -220,6 +234,8 @@ class SwitchConfig(NamedTuple):
         """Raise ValueError for a value the switch cannot run with."""
         if self.sweep_interval_s <= 0 or self.buffer_timeout_s < 0:
             raise ValueError("sweep interval must be positive and buffer timeout >= 0")
+        if to_us(self.sweep_interval_s) < 1:
+            raise ValueError("sweep interval must be at least 1 us")
 
 
 class SwitchHost(Protocol):
@@ -280,7 +296,7 @@ class FlowSwitch:
         )
 
     def classify(self, packet: Packet) -> Literal["basic", "sdn"]:
-        return "basic" if int(packet.dst) & self._control_mask == self._control_net else "sdn"
+        return "basic" if packet.dst_int & self._control_mask == self._control_net else "sdn"
 
     # -- forwarding ---------------------------------------------------------
 
@@ -289,7 +305,7 @@ class FlowSwitch:
             self._drop(packet, "hop-limit")
             return
         packet.hops_left -= 1
-        dst = int(packet.dst)
+        dst = packet.dst_int
         if dst & self._control_mask == self._control_net:
             self._forward_basic(packet, dst)
         else:

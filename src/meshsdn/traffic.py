@@ -195,6 +195,7 @@ class FluidTraffic:
         # shares.
         self._allocated: tuple[dict[str, float], dict[str, list[Link]]] | None = None
         self._shares: dict[str, float] = {}
+        self._sample_interval_us = to_us(self.SAMPLE_INTERVAL_S)
 
     def add_flow(self, spec: FlowSpec) -> None:
         # The topology is complete and fixed by now, so what a flow starts
@@ -267,9 +268,7 @@ class FluidTraffic:
                     "ThroughputSample",
                     {"flow": flow_id, "bps": shares[flow_id] * ramp},
                 )
-        self.sim.schedule(
-            to_us(self.SAMPLE_INTERVAL_S), self._tick, target="traffic", kind="sample"
-        )
+        self.sim.schedule(self._sample_interval_us, self._tick, target="traffic", kind="sample")
 
     def _trace(self, state: _FlowState, now: SimTime) -> list[Link] | None:
         """Walk the flow through access links and flow tables; None if it

@@ -173,6 +173,18 @@ def test_param_of_the_wrong_type_fails_before_the_run(capsys):
     assert captured.out == ""
 
 
+def test_sub_microsecond_interval_fails_before_the_run(capsys):
+    # It used to round to 0 us, and the poll timer then rescheduled itself
+    # at one instant forever.
+    assert main(["run", "merge", "--seed", "0", "--param", "eftm.poll_period_s=0.0000001"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: builtin:merge.eftm: poll period, connect timeout and keepalive interval"
+        " must be at least 1 us\n"
+    )
+    assert captured.out == ""
+
+
 def test_sweep_takes_a_list_as_one_value(capsys):
     # Each --param is one YAML flow sequence: the commas inside [...] do not
     # split the axis.

@@ -3,9 +3,15 @@
 These tests drive one selector directly: probe and connect messages are
 captured in an outbox and answered by hand, keepalives are auto-acked unless
 a test turns that off.  Phase randomization is disabled so the poll timer
-fires at exactly 0, 3, 6... seconds.
+fires at exactly 0, 3, 6... seconds.  The kept discovery answer is checked
+against a full scan of the live announcements, over whole runs and over a
+real routing daemon at the instants its entries expire.
 """
+import sys
 from ipaddress import IPv4Address, IPv4Network
+from pathlib import Path
+
+import pytest
 
 from meshsdn import control_plane as cp
 from meshsdn.eftm import (
@@ -15,7 +21,9 @@ from meshsdn.eftm import (
     MasterSelector,
 )
 from meshsdn.engine import Simulator, to_us
-from meshsdn.olsr import RouteEntry, RoutingTable
+from meshsdn.olsr import FloodMsg, OlsrConfig, OlsrDaemon, RouteEntry, RoutingTable
+from meshsdn.scenario import scenario_from_mapping
+from meshsdn.simulation import Simulation
 from meshsdn.switch import (
     ORIGIN_EFTM,
     DropAction,
@@ -25,17 +33,34 @@ from meshsdn.switch import (
     SwitchConfig,
 )
 
-from support import StubHost
+from support import StubHost, builtin_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import grid_partition_doc  # noqa: E402
 
 C1 = IPv4Address("10.0.255.1")
 C2 = IPv4Address("10.0.255.2")
 
 
 class FakeDaemon:
+    """Announcements set by hand in ``hna``, all of them live.  Any change
+    to them is a new ``hna_version``."""
+
+    node_id = "wmr1"
+
     def __init__(self):
         self.hna = []
         self.routing_table = RoutingTable()
         self.on_routes_changed = []
+
+    @property
+    def hna_version(self):
+        return tuple(self.hna)
+
+    @property
+    def expires_at(self):
+        return {origin: 1 << 62 for origin, _ in self.hna}
 
     def hna_entries(self):
         return [(origin, IPv4Network(p)) for origin, p in self.hna]
@@ -45,7 +70,7 @@ class FakeDaemon:
         table = self.routing_table
         table.patch(
             {
-                IPv4Network(p): RouteEntry(IPv4Network(p), hop, hops, "t")
+                IPv4Network(p): RouteEntry(hop, hops, "t")
                 for p, hop, hops in entries
             },
             list(table.entries),
@@ -398,3 +423,142 @@ def test_timeout_of_an_answered_probe_spares_the_connect():
     assert bench.selector.mode == "connecting"
     bench.selector.on_connect_accept(cp.ConnectAccept(addr2, connect.token))
     assert bench.selector.master == C1
+
+
+# -- the kept discovery answer -------------------------------------------------
+
+
+def scanned_controllers(selector):
+    """What discovery answers from a full scan of the live announcements."""
+    found = {
+        prefix.network_address
+        for _, prefix in selector.olsr.hna_entries()
+        if prefix.prefixlen == 32 and prefix.network_address in selector.cfg.controller_range
+    }
+    return sorted(found, key=selector._priority_key)
+
+
+@pytest.mark.parametrize("name, seed", [("merge", 0), ("partition", 0), ("grid-partition", 0)])
+def test_kept_discovery_answers_as_a_full_scan_does(name, seed, monkeypatch):
+    """Every poll's answer, and an extra one at each instant an entry
+    expires before its removal, equals a full scan's."""
+    discover = MasterSelector.discover_controllers
+    expiry_check = OlsrDaemon._entry_expiry_check
+    calls = scans = expiries = 0
+
+    def checked(selector):
+        nonlocal calls, scans
+        kept = selector._discovered
+        answer = discover(selector)
+        assert answer == scanned_controllers(selector)
+        calls += 1
+        scans += selector._discovered is not kept
+        return answer
+
+    def checked_at_expiry(daemon, origin):
+        nonlocal expiries
+        selector = selector_of.get(daemon)
+        if selector is not None and daemon.expires_at.get(origin, 1 << 62) <= daemon.sim.now():
+            expiries += 1
+            kept = selector._discovered
+            checked(selector)
+            # The run's own polls go on from the answer they kept.
+            selector._discovered = kept
+        expiry_check(daemon, origin)
+
+    monkeypatch.setattr(MasterSelector, "discover_controllers", checked)
+    monkeypatch.setattr(OlsrDaemon, "_entry_expiry_check", checked_at_expiry)
+    if name == "grid-partition":
+        scenario = scenario_from_mapping(grid_partition_doc(seed), source=f"{name}/{seed}")
+    else:
+        scenario = builtin_scenario(name)
+    sim = Simulation(scenario, seed)
+    selector_of = {runtime.daemon: runtime.selector for runtime in sim.wmrs.values()}
+    sim.run()
+    assert 0 < scans < calls  # the kept answer served some calls
+    assert expiries > 0 or name == "merge"  # a merge only gains announcements
+
+
+VALIDITY = to_us(15.0)
+
+
+def selector_over_daemon():
+    """A selector over a real routing daemon without links, which hears
+    only the advertisements a test hands it."""
+    sim = Simulator()
+    daemon = OlsrDaemon(
+        "wmr1",
+        [IPv4Address("10.0.0.1")],
+        [],
+        OlsrConfig(jitter=0.0, randomize_phase=False),
+        sim,
+        links=lambda: [],
+        broadcast=lambda links, msg: None,
+        log=lambda kind, data: None,
+    )
+    switch = FlowSwitch(
+        "wmr1", IPv4Network("10.0.0.0/16"), SwitchConfig(), sim, lambda k, d: None, StubHost()
+    )
+    selector = MasterSelector(
+        "wmr1",
+        EftmConfig(randomize_phase=False),
+        sim,
+        daemon,
+        switch,
+        send=lambda addr, payload: None,
+        log=lambda kind, data: None,
+    )
+    return sim, daemon, selector
+
+
+def controller_ad(seq):
+    """ctrl1's advertisement of its address as a /32 announcement."""
+    return FloodMsg("ctrl1", seq, (C1,), (), (IPv4Network(f"{C1}/32"),), VALIDITY)
+
+
+def test_discovery_drops_a_controller_at_the_instant_its_announcement_expires():
+    sim, daemon, selector = selector_over_daemon()
+    seen = []
+    # Scheduled before the advertisement arrives, so it runs at the expiry
+    # instant before the entry's removal does.
+    sim.schedule(
+        VALIDITY,
+        lambda: seen.append((selector.discover_controllers(), "ctrl1" in daemon.link_state)),
+    )
+    daemon.handle_flood(controller_ad(1), None)
+    assert selector.discover_controllers() == [C1]
+    sim.run_until(VALIDITY - 1)
+    assert selector.discover_controllers() == [C1]
+    sim.run_until(VALIDITY)
+    assert seen == [([], True)]
+    assert "ctrl1" not in daemon.link_state
+
+
+def test_discovery_forgets_a_removed_announcement():
+    sim, daemon, selector = selector_over_daemon()
+    daemon.handle_flood(controller_ad(1), None)
+    sim.run_until(VALIDITY - 1)
+    assert selector.discover_controllers() == [C1]
+    sim.run_until(VALIDITY + 1)  # the entry expired and was removed
+    assert "ctrl1" not in daemon.link_state
+    assert selector.discover_controllers() == []
+    daemon.handle_flood(controller_ad(2), None)
+    assert selector.discover_controllers() == [C1]
+
+
+def test_discovery_sees_an_expired_announcement_refreshed_before_its_removal():
+    sim, daemon, selector = selector_over_daemon()
+    seen = []
+
+    def poll():
+        seen.append(selector.discover_controllers())
+
+    # At the expiry instant, before the removal check: a poll, the same
+    # announcement again, and another poll.
+    sim.schedule(VALIDITY, poll)
+    sim.schedule(VALIDITY, lambda: daemon.handle_flood(controller_ad(2), None))
+    sim.schedule(VALIDITY, poll)
+    daemon.handle_flood(controller_ad(1), None)
+    sim.run_until(VALIDITY)
+    assert seen == [[], [C1]]
+    assert selector.discover_controllers() == [C1] and "ctrl1" in daemon.link_state

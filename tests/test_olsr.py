@@ -45,7 +45,7 @@ class Wire:
             PINNED,
             self.sim,
             links=lambda me=node_id: self.incident[me],
-            send=lambda link, msg, me=node_id: self._send(me, link, msg),
+            broadcast=lambda links, msg, me=node_id: self._broadcast(me, links, msg),
             log=lambda kind, data: self.log.append((kind, data)),
         )
         self.daemons[node_id] = daemon
@@ -58,21 +58,25 @@ class Wire:
         self.incident[b].append((a, link))
         return link
 
-    def _send(self, sender: str, link: Link, msg: object) -> None:
+    def _broadcast(self, sender: str, links: list[Link], msg: object) -> None:
+        for link in links:
+            if link.up:
+                receiver = link.other(sender)
+                self.sim.schedule(
+                    link.delay_us,
+                    lambda link=link, receiver=receiver: self._deliver(receiver, link, msg),
+                    target=receiver,
+                    kind="deliver",
+                )
+
+    def _deliver(self, receiver: str, link: Link, msg: object) -> None:
         if not link.up:
             return
-        receiver = link.other(sender)
-
-        def deliver() -> None:
-            if not link.up:
-                return
-            daemon = self.daemons[receiver]
-            if isinstance(msg, HelloMsg):
-                daemon.handle_hello(msg)
-            elif isinstance(msg, FloodMsg):
-                daemon.handle_flood(msg, link)
-
-        self.sim.schedule(link.delay_us, deliver, target=receiver, kind="deliver")
+        daemon = self.daemons[receiver]
+        if isinstance(msg, HelloMsg):
+            daemon.handle_hello(msg)
+        elif isinstance(msg, FloodMsg):
+            daemon.handle_flood(msg, link)
 
     def start(self) -> None:
         for daemon in self.daemons.values():
@@ -323,7 +327,7 @@ def test_equal_cost_routes_prefer_lower_first_hop_address():
 def test_longest_prefix_lookup():
     table = RoutingTable(
         {
-            IPv4Network(prefix): RouteEntry(IPv4Network(prefix), hop, 1, hop)
+            IPv4Network(prefix): RouteEntry(hop, 1, hop)
             for prefix, hop in [("10.0.0.0/16", "x"), ("10.0.2.0/24", "y"), ("10.0.2.7/32", "z")]
         }
     )
@@ -337,9 +341,9 @@ def linear_lookup(entries, addr):
     """Reference longest-prefix match: scan every route."""
     best = None
     for prefix, entry in entries.items():
-        if addr in prefix and (best is None or prefix.prefixlen > best.prefix.prefixlen):
-            best = entry
-    return best
+        if addr in prefix and (best is None or prefix.prefixlen > best.prefixlen):
+            best = prefix
+    return None if best is None else entries[best]
 
 
 # A small address pool, so random prefixes overlap and probes also miss.
@@ -358,7 +362,7 @@ route_tables = st.dictionaries(
     ),
     st.sampled_from(["a", "b", "c"]),
     max_size=12,
-).map(lambda hops: {p: RouteEntry(p, hop, 1, hop) for p, hop in hops.items()})
+).map(lambda hops: {p: RouteEntry(hop, 1, hop) for p, hop in hops.items()})
 
 
 def assert_lookups(table, entries, probes):
@@ -387,7 +391,7 @@ def test_lookup_matches_linear_scan_after_replacement(first, second, third, prob
     assert_lookups(table, first, probes)
     # ... and the table itself only changes by a patch.
     with pytest.raises(TypeError):
-        table.entries[IPv4Network("0.0.0.0/0")] = RouteEntry(IPv4Network("0.0.0.0/0"), "d", 1, "d")
+        table.entries[IPv4Network("0.0.0.0/0")] = RouteEntry("d", 1, "d")
     with pytest.raises(AttributeError):
         table.entries = second
     # A patch reaches the entries and the lookup index alike ...
@@ -494,7 +498,7 @@ def lone_daemon(hellos_to_up=1):
         OlsrConfig(jitter=0.0, randomize_phase=False, hellos_to_up=hellos_to_up),
         sim,
         links=lambda: links,
-        send=lambda link, msg: None,
+        broadcast=lambda links, msg: None,
         log=lambda kind, data: None,
     )
     daemon.start()

@@ -30,7 +30,7 @@ SAMPLES = [
     *(cls(*("x",) * len(cls._fields)) for cls in MESSAGES),
     HelloMsg("wmr1", IPv4Address("10.0.0.1")),
     FloodMsg("wmr1", 3, (IPv4Address("10.0.0.1"),), ("wmr2",), (NET,), 15_000_000),
-    RouteEntry(NET, "wmr2", 1, "wmr2"),
+    RouteEntry("wmr2", 1, "wmr2"),
     TopologySnapshot(0, {"wmr1": ("wmr2",)}, {"wmr1": (IPv4Address("10.0.0.1"),)}, ()),
     Interface(IPv4Address("10.0.0.1"), NET, "mesh"),
     ForwardTo("wmr2"),

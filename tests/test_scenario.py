@@ -236,6 +236,36 @@ REJECTIONS = [
     (_set(["pings", 0, "interval_s"], 0), r"^t: pings\[0\]: interval_s must be positive$"),
     (_set(["pings", 0, "interval_s"], -1), r"^t: pings\[0\]: interval_s must be positive$"),
     (_set(["flows", 0, "demand_mbps"], -3), r"^t: flows\[0\]: demand_mbps must be positive$"),
+    # A positive interval below 0.5 us rounds to 0 us, and a timer with a
+    # zero period fires at one instant forever.
+    (
+        _set(["pings", 0, "interval_s"], 1e-7),
+        r"^t: pings\[0\]: interval_s must be at least 1 us$",
+    ),
+    (
+        _set(["olsr"], {"hello_interval_s": 1e-7}),
+        r"^t\.olsr: timer intervals must be at least 1 us$",
+    ),
+    (
+        _set(["olsr"], {"tc_interval_s": 1e-7}),
+        r"^t\.olsr: timer intervals must be at least 1 us$",
+    ),
+    *(
+        (
+            _set(["eftm"], {key: 1e-7}),
+            r"^t\.eftm: poll period, connect timeout and keepalive interval must be at least"
+            r" 1 us$",
+        )
+        for key in ("poll_period_s", "connect_timeout_s", "keepalive_interval_s")
+    ),
+    (
+        _set(["switch"], {"sweep_interval_s": 1e-7}),
+        r"^t\.switch: sweep interval must be at least 1 us$",
+    ),
+    (
+        _set(["controller"], {"refresh_interval_s": 1e-7}),
+        r"^t\.controller: refresh interval must be at least 1 us$",
+    ),
     (_set(["pings", 0, "start_s"], -1), r"^t: pings\[0\]: start_s must be >= 0$"),
     (_set(["flows", 0, "start_s"], -1), r"^t: flows\[0\]: start_s must be >= 0$"),
     (_set(["flows", 0, "stop_s"], 2.0), r"^t: flows\[0\]: stop_s must be after start_s$"),

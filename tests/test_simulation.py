@@ -58,13 +58,13 @@ def test_link_down_drops_what_is_in_flight_and_link_up_carries_again():
     def send_control(msg) -> None:
         sim.transmit(link, "wmr1", Packet(wmr1.address, wmr2.address, "control", msg))
 
-    wmr1._olsr_send(link, hello)
+    wmr1._olsr_broadcast([link], hello)
     send_control(probe)
     engine = sim.engine
     engine.schedule(delay // 2, lambda: sim.topo.set_link_state("wmr1", "wmr2", False))
     engine.schedule(delay // 2 + 1, lambda: send_control(late_probe))  # sent while down
     engine.schedule(delay + 10, lambda: sim.topo.set_link_state("wmr1", "wmr2", True))
-    engine.schedule(delay + 20, lambda: wmr1._olsr_send(link, late_hello))
+    engine.schedule(delay + 20, lambda: wmr1._olsr_broadcast([link], late_hello))
     engine.run_until(3 * delay)
 
     # Equal Hellos compare equal, so tell the messages apart by identity.
