@@ -14,31 +14,20 @@ from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, NamedTuple
 
 from . import control_plane as cp
-from .engine import SimTime, Simulator, to_us
+from .engine import Period, Seconds, SimTime, Simulator, to_us
 from .olsr import TopologySnapshot, by_address, first_hop_tree
 from .switch import DeliverLocal, DropAction, ForwardTo, RuleSpec, origin_controller
 
 
 class ControllerConfig(NamedTuple):
     flush_on_connect: bool = True
-    rule_idle_timeout_s: float = 30.0
+    rule_idle_timeout_s: Seconds = 30.0
     rule_priority: int = 100
-    refresh_interval_s: float = 5.0
-    unknown_dst_hard_timeout_s: float = 5.0
+    refresh_interval_s: Period = 5.0
+    unknown_dst_hard_timeout_s: Seconds = 5.0
     # A switch with no traffic on the control connection for this long is
     # considered gone even if it never said goodbye.
-    switch_timeout_s: float = 5.0
-
-    def check(self) -> None:
-        """Raise ValueError for a value the controller cannot run with."""
-        if self.refresh_interval_s <= 0:
-            raise ValueError("refresh interval must be positive")
-        if to_us(self.refresh_interval_s) < 1:
-            raise ValueError("refresh interval must be at least 1 us")
-        if min(
-            self.rule_idle_timeout_s, self.unknown_dst_hard_timeout_s, self.switch_timeout_s
-        ) < 0:
-            raise ValueError("timeouts must be >= 0")
+    switch_timeout_s: Seconds = 5.0
 
 
 class Controller:

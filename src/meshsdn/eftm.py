@@ -21,7 +21,7 @@ from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Literal, NamedTuple
 
 from . import control_plane as cp
-from .engine import SimTime, Simulator, to_us
+from .engine import Period, Seconds, SimTime, Simulator, to_us
 from .olsr import OlsrDaemon
 from .switch import (
     ORIGIN_EFTM,
@@ -43,34 +43,17 @@ ALL_DESTINATIONS = IPv4Network("0.0.0.0/0")
 
 
 class EftmConfig(NamedTuple):
-    poll_period_s: float = 3.0
-    connect_timeout_s: float = 2.0
-    keepalive_interval_s: float = 1.0
+    poll_period_s: Period = 3.0
+    connect_timeout_s: Period = 2.0
+    keepalive_interval_s: Period = 1.0
     controller_range: IPv4Network = IPv4Network("10.0.255.0/24")
-    hysteresis_hold_s: float = 0.0
+    hysteresis_hold_s: Seconds = 0.0
     emergency_policy: EmergencyPolicy = "control-only"
     selective_prefixes: list[IPv4Network] = ()
     # Explicit priority order; discovered controllers not listed rank after
     # the listed ones, by ascending address.
     priority_override: list[IPv4Address] | None = None
     randomize_phase: bool = True
-
-    def check(self) -> None:
-        """Raise ValueError for a value the selector cannot run with."""
-        if self.poll_period_s <= 0 or self.connect_timeout_s <= 0:
-            raise ValueError("poll period and connect timeout must be positive")
-        if self.keepalive_interval_s <= 0:
-            raise ValueError("keepalive interval must be positive")
-        if min(
-            to_us(self.poll_period_s),
-            to_us(self.connect_timeout_s),
-            to_us(self.keepalive_interval_s),
-        ) < 1:
-            raise ValueError(
-                "poll period, connect timeout and keepalive interval must be at least 1 us"
-            )
-        if self.hysteresis_hold_s < 0:
-            raise ValueError("hysteresis hold must be >= 0")
 
 
 class MasterSelector:

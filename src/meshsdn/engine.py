@@ -11,12 +11,20 @@ import random
 from collections import deque
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Callable
+from typing import Callable, NewType
 
 US_PER_S = 1_000_000
 
 # Simulation timestamps and durations are integer microseconds.
 SimTime = int
+
+# The units a scenario states its figures in.  Each is a plain float at run
+# time; the scenario reader holds a value of each to its bound, and to a
+# figure that stays finite once converted to whole us or bit/s.
+Seconds = NewType("Seconds", float)  # an instant or a duration, >= 0
+Period = NewType("Period", float)  # a timer's period, > 0 and at least 1 us
+Millis = NewType("Millis", float)  # a link delay, >= 0
+Mbps = NewType("Mbps", float)  # a rate, > 0
 
 
 def to_us(seconds: float) -> SimTime:

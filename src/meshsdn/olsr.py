@@ -19,14 +19,14 @@ from ipaddress import IPv4Address, IPv4Network
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .engine import SimTime, Simulator, to_us
+from .engine import Period, SimTime, Simulator, to_us
 
 
 class OlsrConfig(NamedTuple):
-    hello_interval_s: float = 5.0
+    hello_interval_s: Period = 5.0
     hellos_to_up: int = 3
     hello_loss_intervals_to_down: int = 3
-    tc_interval_s: float = 5.0
+    tc_interval_s: Period = 5.0
     # Fractional jitter applied to both the Hello and flood timers.
     jitter: float = 0.1
     # When False, timers start at phase 0 with no random offset; unit tests
@@ -35,10 +35,6 @@ class OlsrConfig(NamedTuple):
 
     def check(self) -> None:
         """Raise ValueError for a value the daemon cannot run with."""
-        if self.hello_interval_s <= 0 or self.tc_interval_s <= 0:
-            raise ValueError("timer intervals must be positive")
-        if to_us(self.hello_interval_s) < 1 or to_us(self.tc_interval_s) < 1:
-            raise ValueError("timer intervals must be at least 1 us")
         if self.hellos_to_up < 1 or self.hello_loss_intervals_to_down < 1:
             raise ValueError("hello thresholds must be >= 1")
         if not 0.0 <= self.jitter < 0.5:

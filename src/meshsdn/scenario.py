@@ -30,7 +30,7 @@ from typing import (
 
 from .controller import ControllerConfig
 from .eftm import EftmConfig
-from .engine import to_us
+from .engine import US_PER_S, Mbps, Millis, Period, Seconds
 from .olsr import OlsrConfig
 from .switch import SwitchConfig
 from .traffic import FlowSpec, PingSpec
@@ -41,8 +41,8 @@ class ScenarioError(ValueError):
 
 
 class LinkDefaults(NamedTuple):
-    capacity_mbps: float = 10.0
-    delay_ms: float = 2.0
+    capacity_mbps: Mbps = 10.0
+    delay_ms: Millis = 2.0
 
 
 class Defaults(NamedTuple):
@@ -85,21 +85,21 @@ class HostSpec(NamedTuple):
 class LinkSpec(NamedTuple):
     a: str
     b: str
-    capacity_mbps: float  # when omitted, from defaults.mesh_link
-    delay_ms: float  # likewise
+    capacity_mbps: Mbps  # when omitted, from defaults.mesh_link
+    delay_ms: Millis  # likewise
     initial_up: bool = True
 
 
 class EventSpec(NamedTuple):
-    at_s: float
-    action: str  # link-up | link-down | start-flow | stop-flow
+    at_s: Seconds
+    action: Literal["link-up", "link-down", "start-flow", "stop-flow"]
     link: tuple[str, str] | None = None
     flow: str | None = None
 
 
 class MeasureSpec(NamedTuple):
-    kind: str  # merge | partition
-    event_at_s: float
+    kind: Literal["merge", "partition"]
+    event_at_s: Seconds
     wmrs: list[str] = ()
     probe: str | None = None
     flow: str | None = None
@@ -107,7 +107,7 @@ class MeasureSpec(NamedTuple):
 
 class Scenario(NamedTuple):
     name: str
-    duration_s: float
+    duration_s: Period
     control_subnet: IPv4Network = IPv4Network("10.0.0.0/16")
     olsr: OlsrConfig = OlsrConfig()
     eftm: EftmConfig = EftmConfig()
@@ -207,8 +207,31 @@ def _one_of(choices: tuple, raw: Any, path: str) -> Any:
     return raw
 
 
+def _unit(scale: int, positive: bool, whole_us: bool = False) -> Reader:
+    """The reader of a number in a unit of ``scale`` base units (us or
+    bit/s): positive, or else >= 0; finite once converted; and, if
+    ``whole_us``, at least 1 us once rounded, so that a timer with this
+    period does not fire at one instant forever."""
+
+    def read_unit(raw: Any, path: str) -> float:
+        value = _number(raw, path)
+        if value < 0 or positive and value == 0:
+            _fail(path, f"must be {'positive' if positive else '>= 0'}, got {raw!r}")
+        if math.isinf(value * scale):
+            _fail(path, f"too large, got {raw!r}")
+        if whole_us and round(value * scale) < 1:
+            _fail(path, f"must be at least 1 us, got {raw!r}")
+        return value
+
+    return read_unit
+
+
 _SCALARS: dict[Any, Reader] = {
     float: _number,
+    Seconds: _unit(US_PER_S, positive=False),
+    Period: _unit(US_PER_S, positive=True, whole_us=True),
+    Millis: _unit(1000, positive=False),
+    Mbps: _unit(1_000_000, positive=True),
     int: _integer,
     bool: _flag,
     str: _name,
@@ -413,11 +436,10 @@ def apply_overrides(doc: Any, overrides: dict[str, Any]) -> Any:
 
 
 def validate_scenario(s: Scenario, source: str | None = None) -> None:
-    """Check the cross-references and values parsing cannot; errors start
-    with ``source``, or with the scenario's name when there is none."""
+    """Check the cross-references and the rules between fields, which
+    reading each value as its declared type cannot; errors start with
+    ``source``, or with the scenario's name when there is none."""
     doc = source or s.name
-    if s.duration_s <= 0:
-        _fail(doc, "duration_s must be positive")
 
     ids: set[str] = set()
     for node_id in [*(w.id for w in s.wmrs), *(c.id for c in s.controllers), *(h.id for h in s.hosts)]:
@@ -484,43 +506,23 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
         if key in seen_links:
             _fail(doc, f"{where}: duplicate link {key}")
         seen_links.add(key)
-        if link.capacity_mbps <= 0:
-            _fail(doc, f"{where}: capacity must be positive")
-        if link.delay_ms < 0:
-            _fail(doc, f"{where}: delay must be >= 0")
-    if s.defaults.attach_link.capacity_mbps <= 0:
-        _fail(doc, "defaults.attach_link: capacity must be positive")
-    if s.defaults.attach_link.delay_ms < 0:
-        _fail(doc, "defaults.attach_link: delay must be >= 0")
 
     flow_ids = {f.id for f in s.flows}
-    for i, p in enumerate(s.pings):
+    for p in s.pings:
         if p.src not in ids:
             _fail(doc, f"ping {p.id}: unknown src {p.src!r}")
         if p.src not in hosts_by_id:
             _fail(doc, f"ping {p.id}: src {p.src!r} is not a host")
-        if p.interval_s <= 0:
-            _fail(doc, f"pings[{i}]: interval_s must be positive")
-        if to_us(p.interval_s) < 1:
-            _fail(doc, f"pings[{i}]: interval_s must be at least 1 us")
-        if p.start_s < 0:
-            _fail(doc, f"pings[{i}]: start_s must be >= 0")
     for i, f in enumerate(s.flows):
         if f.src not in hosts_by_id:
             _fail(doc, f"flow {f.id}: src {f.src!r} is not a host")
-        if f.demand_mbps is not None and f.demand_mbps <= 0:
-            _fail(doc, f"flows[{i}]: demand_mbps must be positive")
-        if f.loss_recovery_s < 0:
-            _fail(doc, f"flows[{i}]: loss_recovery_s must be >= 0")
-        if f.start_s < 0:
-            _fail(doc, f"flows[{i}]: start_s must be >= 0")
         if f.stop_s is not None and f.stop_s <= f.start_s:
             _fail(doc, f"flows[{i}]: stop_s must be after start_s")
 
     last_at = 0.0
     for i, ev in enumerate(s.events):
         where = f"events[{i}]"
-        if ev.at_s < 0 or ev.at_s > s.duration_s:
+        if ev.at_s > s.duration_s:
             _fail(doc, f"{where}: at_s {ev.at_s} outside [0, {s.duration_s}]")
         if ev.at_s < last_at:
             _fail(doc, f"{where}: events must be time-ordered")
@@ -531,16 +533,13 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
             key = tuple(sorted(ev.link))
             if key not in seen_links:
                 _fail(doc, f"{where}: unknown link {ev.link}")
-        elif ev.action in ("start-flow", "stop-flow"):
-            if ev.flow is None or ev.flow not in flow_ids:
-                _fail(doc, f"{where}: unknown flow {ev.flow!r}")
-        else:
-            _fail(doc, f"{where}: unknown action {ev.action!r}")
+        elif ev.flow not in flow_ids:  # start-flow or stop-flow
+            _fail(doc, f"{where}: unknown flow {ev.flow!r}")
 
     if s.measure is not None:
         m = s.measure
-        if m.kind not in ("merge", "partition"):
-            _fail(doc, f"measure.kind must be merge or partition, got {m.kind!r}")
+        if m.event_at_s > s.duration_s:
+            _fail(doc, f"measure: event_at_s {m.event_at_s} outside [0, {s.duration_s}]")
         for w in m.wmrs:
             if w not in wmr_ids:
                 _fail(doc, f"measure: unknown wmr {w!r}")

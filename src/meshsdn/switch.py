@@ -13,7 +13,7 @@ from ipaddress import IPv4Address, IPv4Network
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Literal, Mapping, NamedTuple, Protocol, Sequence
 
-from .engine import SimTime, Simulator, to_us
+from .engine import Period, Seconds, SimTime, Simulator, to_us
 from .olsr import RouteEntry
 
 ORIGIN_EFTM = "eftm"
@@ -227,15 +227,8 @@ class FlowTable:
 
 
 class SwitchConfig(NamedTuple):
-    buffer_timeout_s: float = 1.0
-    sweep_interval_s: float = 1.0
-
-    def check(self) -> None:
-        """Raise ValueError for a value the switch cannot run with."""
-        if self.sweep_interval_s <= 0 or self.buffer_timeout_s < 0:
-            raise ValueError("sweep interval must be positive and buffer timeout >= 0")
-        if to_us(self.sweep_interval_s) < 1:
-            raise ValueError("sweep interval must be at least 1 us")
+    buffer_timeout_s: Seconds = 1.0
+    sweep_interval_s: Period = 1.0
 
 
 class SwitchHost(Protocol):

@@ -25,7 +25,7 @@ from ipaddress import IPv4Address
 from typing import Callable, Mapping, NamedTuple
 
 from . import control_plane as cp
-from .engine import SimTime, Simulator, to_us
+from .engine import Mbps, Period, Seconds, SimTime, Simulator, to_us
 from .switch import DeliverLocal, FlowRule, FlowSwitch, FlowTable, ForwardTo, Packet
 from .topology import Link, Topology
 
@@ -36,8 +36,8 @@ class PingSpec(NamedTuple):
     id: str
     src: str
     dst: IPv4Address
-    interval_s: float = 1.0
-    start_s: float = 0.0
+    interval_s: Period = 1.0
+    start_s: Seconds = 0.0
 
 
 class PingManager:
@@ -52,20 +52,21 @@ class PingManager:
         self.sim = sim
         self._originate = originate
         self._log = log
-        self._next_seq: dict[str, int] = {}
+        self._next_seq: dict[str, int] = {}  # per probe id; probes may share one
 
     def add_probe(self, spec: PingSpec) -> None:
-        self._next_seq[spec.id] = 0
-        delay = max(0, to_us(spec.start_s) - self.sim.now())
-        self.sim.schedule(delay, lambda: self._send(spec), target=spec.src, kind="ping")
+        """Send ``spec``'s requests from its start, each ``interval_s`` after
+        the last, through one callback built here."""
+        sim, interval_us, next_seq = self.sim, to_us(spec.interval_s), self._next_seq
+        next_seq[spec.id] = 0
 
-    def _send(self, spec: PingSpec) -> None:
-        seq = self._next_seq[spec.id]
-        self._next_seq[spec.id] = seq + 1
-        self._originate(spec.src, spec.dst, cp.PingRequest(spec.id, seq, self.sim.now()))
-        self.sim.schedule(
-            to_us(spec.interval_s), lambda: self._send(spec), target=spec.src, kind="ping"
-        )
+        def send() -> None:
+            seq = next_seq[spec.id]
+            next_seq[spec.id] = seq + 1
+            self._originate(spec.src, spec.dst, cp.PingRequest(spec.id, seq, sim.now()))
+            sim.schedule(interval_us, send, target=spec.src, kind="ping")
+
+        sim.schedule(max(0, to_us(spec.start_s) - sim.now()), send, target=spec.src, kind="ping")
 
     def on_reply(self, reply: cp.PingReply) -> None:
         self._log(
@@ -142,10 +143,10 @@ class FlowSpec(NamedTuple):
     id: str
     src: str
     dst: IPv4Address
-    demand_mbps: float | None = None  # None: take whatever the path gives
-    start_s: float = 0.0
-    stop_s: float | None = None
-    loss_recovery_s: float = 1.0
+    demand_mbps: Mbps | None = None  # None: take whatever the path gives
+    start_s: Seconds = 0.0
+    stop_s: Seconds | None = None
+    loss_recovery_s: Seconds = 1.0
 
 
 class _FlowState:

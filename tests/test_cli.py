@@ -38,7 +38,7 @@ def test_validate_reports_broken_file(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("name: t\nduration_s: -1\n")
     assert main(["validate", str(path)]) == 1
-    assert "duration_s must be positive" in capsys.readouterr().err
+    assert "duration_s: must be positive" in capsys.readouterr().err
 
 
 def test_validate_reports_hostile_value_in_one_line(tmp_path, capsys):
@@ -52,7 +52,7 @@ def test_validate_reports_hostile_number_in_one_line(tmp_path, capsys):
     path = tiny_path(tmp_path, {"pings": [{**TINY["pings"][0], "interval_s": 0}]})
     assert main(["validate", path]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path}: pings[0]: interval_s must be positive\n"
+    assert err == f"error: {path}.pings[0].interval_s: must be positive, got 0\n"
 
 
 def test_validate_reports_a_file_that_is_not_utf8_in_one_line(tmp_path, capsys):
@@ -75,7 +75,7 @@ def test_validate_errors_tell_apart_files_with_one_name(tmp_path, capsys):
         errors[path] = capsys.readouterr().err
     a, b = errors
     assert errors == {
-        a: f"error: {a}: pings[0]: interval_s must be positive\n",
+        a: f"error: {a}.pings[0].interval_s: must be positive, got 0\n",
         b: f"error: {b}: ping ping1: src 'wmr1' is not a host\n",
     }
 
@@ -179,8 +179,7 @@ def test_sub_microsecond_interval_fails_before_the_run(capsys):
     assert main(["run", "merge", "--seed", "0", "--param", "eftm.poll_period_s=0.0000001"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: builtin:merge.eftm: poll period, connect timeout and keepalive interval"
-        " must be at least 1 us\n"
+        "error: builtin:merge.eftm.poll_period_s: must be at least 1 us, got 1e-07\n"
     )
     assert captured.out == ""
 

@@ -5,13 +5,19 @@ from ipaddress import IPv4Address, IPv4Network
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+from typing import Union, get_args, get_origin
 
 import pytest
 
 import meshsdn
+from meshsdn.engine import Mbps, Millis, Period, Seconds
 from meshsdn.scenario import (
+    Scenario,
     ScenarioError,
+    _hint,
+    _schema,
     apply_overrides,
     load_scenario,
     scenario_from_mapping,
@@ -165,11 +171,21 @@ def _del(path):
     return mutate
 
 
+def _was(old_match, mutate, match):
+    """A case whose message has changed, under the id its old ``match`` gave
+    it, so that the case keeps its name."""
+    return pytest.param(mutate, match, id=f"mutate-{old_match}")
+
+
 REJECTIONS = [
     (lambda doc: {}, "name and duration_s are required"),
     (lambda doc: "not a mapping", "expected a mapping"),
     (_set(["bogus"], 1), "unknown keys: bogus"),
-    (_set(["duration_s"], 0), "duration_s must be positive"),
+    _was(
+        "duration_s must be positive",
+        _set(["duration_s"], 0),
+        r"^t\.duration_s: must be positive, got 0$",
+    ),
     (_set(["olsr"], {"no_such_knob": 1}), "unknown keys: no_such_knob"),
     (_set(["wmrs", 1, "id"], "wmr1"), "duplicate node id 'wmr1'"),
     (_set(["wmrs", 1, "mesh_addr"], "11.0.0.2"), "outside control subnet"),
@@ -194,7 +210,11 @@ REJECTIONS = [
         lambda doc: _set(["links"], doc["links"] * 2)(doc),
         "duplicate link",
     ),
-    (_set(["links", 0, "capacity_mbps"], 0), "capacity must be positive"),
+    _was(
+        "capacity must be positive",
+        _set(["links", 0, "capacity_mbps"], 0),
+        r"^t\.links\[0\]\.capacity_mbps: must be positive, got 0$",
+    ),
     (_set(["links", 0, "initial"], "sideways"), "initial must be up or down"),
     (_set(["events", 0, "at_s"], 99.0), r"outside \[0, 30\.0\]"),
     (_set(["events", 1, "at_s"], 5.0), "must be time-ordered"),
@@ -202,7 +222,12 @@ REJECTIONS = [
         _set(["events", 0, "link"], ["wmr1", "wmr9"]),
         "unknown link",
     ),
-    (_set(["events", 0, "action"], "explode"), "unknown action 'explode'"),
+    _was(
+        "unknown action 'explode'",
+        _set(["events", 0, "action"], "explode"),
+        r"^t\.events\[0\]\.action: expected one of 'link-up', 'link-down', 'start-flow',"
+        r" 'stop-flow', got 'explode'$",
+    ),
     (
         _set(["events", 0], {"at_s": 10.0, "action": "start-flow", "flow": "nope"}),
         "unknown flow 'nope'",
@@ -213,7 +238,14 @@ REJECTIONS = [
     # to pass validation and crash the run when the ping fired.
     (_set(["pings", 0, "src"], "wmr1"), r"^t: ping ping1: src 'wmr1' is not a host$"),
     (_set(["pings", 0, "src"], "ctrl1"), r"^t: ping ping1: src 'ctrl1' is not a host$"),
-    (_set(["measure", "kind"], "sideways"), "must be merge or partition"),
+    _was(
+        "must be merge or partition",
+        _set(["measure", "kind"], "sideways"),
+        r"^t\.measure\.kind: expected one of 'merge', 'partition', got 'sideways'$",
+    ),
+    # The measured event lies inside the run, as every event does.
+    (_set(["measure", "event_at_s"], -5), r"^t\.measure\.event_at_s: must be >= 0, got -5$"),
+    (_set(["measure", "event_at_s"], 99.0), r"^t: measure: event_at_s 99\.0 outside \[0, 30\.0\]$"),
     (_set(["measure", "wmrs"], ["wmr9"]), "unknown wmr 'wmr9'"),
     (_set(["measure", "probe"], "ping9"), "unknown probe 'ping9'"),
     (_set(["measure", "flow"], "flow9"), "unknown flow 'flow9'"),
@@ -233,68 +265,107 @@ REJECTIONS = [
     (_set(["wmrs"], 5), r"^t\.wmrs: expected a list, got int$"),
     # Numbers that would hang a run, fail at build time or log negative
     # throughput are refused up front.
-    (_set(["pings", 0, "interval_s"], 0), r"^t: pings\[0\]: interval_s must be positive$"),
-    (_set(["pings", 0, "interval_s"], -1), r"^t: pings\[0\]: interval_s must be positive$"),
-    (_set(["flows", 0, "demand_mbps"], -3), r"^t: flows\[0\]: demand_mbps must be positive$"),
+    *(
+        _was(
+            r"^t: pings\[0\]: interval_s must be positive$",
+            _set(["pings", 0, "interval_s"], value),
+            rf"^t\.pings\[0\]\.interval_s: must be positive, got {value}$",
+        )
+        for value in (0, -1)
+    ),
+    _was(
+        r"^t: flows\[0\]: demand_mbps must be positive$",
+        _set(["flows", 0, "demand_mbps"], -3),
+        r"^t\.flows\[0\]\.demand_mbps: must be positive, got -3$",
+    ),
     # A positive interval below 0.5 us rounds to 0 us, and a timer with a
     # zero period fires at one instant forever.
-    (
-        _set(["pings", 0, "interval_s"], 1e-7),
+    _was(
         r"^t: pings\[0\]: interval_s must be at least 1 us$",
-    ),
-    (
-        _set(["olsr"], {"hello_interval_s": 1e-7}),
-        r"^t\.olsr: timer intervals must be at least 1 us$",
-    ),
-    (
-        _set(["olsr"], {"tc_interval_s": 1e-7}),
-        r"^t\.olsr: timer intervals must be at least 1 us$",
+        _set(["pings", 0, "interval_s"], 1e-7),
+        r"^t\.pings\[0\]\.interval_s: must be at least 1 us, got 1e-07$",
     ),
     *(
-        (
-            _set(["eftm"], {key: 1e-7}),
+        _was(
+            r"^t\.olsr: timer intervals must be at least 1 us$",
+            _set(["olsr"], {key: 1e-7}),
+            rf"^t\.olsr\.{key}: must be at least 1 us, got 1e-07$",
+        )
+        for key in ("hello_interval_s", "tc_interval_s")
+    ),
+    *(
+        _was(
             r"^t\.eftm: poll period, connect timeout and keepalive interval must be at least"
             r" 1 us$",
+            _set(["eftm"], {key: 1e-7}),
+            rf"^t\.eftm\.{key}: must be at least 1 us, got 1e-07$",
         )
         for key in ("poll_period_s", "connect_timeout_s", "keepalive_interval_s")
     ),
-    (
-        _set(["switch"], {"sweep_interval_s": 1e-7}),
+    _was(
         r"^t\.switch: sweep interval must be at least 1 us$",
+        _set(["switch"], {"sweep_interval_s": 1e-7}),
+        r"^t\.switch\.sweep_interval_s: must be at least 1 us, got 1e-07$",
     ),
-    (
-        _set(["controller"], {"refresh_interval_s": 1e-7}),
+    _was(
         r"^t\.controller: refresh interval must be at least 1 us$",
+        _set(["controller"], {"refresh_interval_s": 1e-7}),
+        r"^t\.controller\.refresh_interval_s: must be at least 1 us, got 1e-07$",
     ),
-    (_set(["pings", 0, "start_s"], -1), r"^t: pings\[0\]: start_s must be >= 0$"),
-    (_set(["flows", 0, "start_s"], -1), r"^t: flows\[0\]: start_s must be >= 0$"),
+    *(
+        _was(
+            rf"^t: {section}\[0\]: start_s must be >= 0$",
+            _set([section, 0, "start_s"], -1),
+            rf"^t\.{section}\[0\]\.start_s: must be >= 0, got -1$",
+        )
+        for section in ("pings", "flows")
+    ),
     (_set(["flows", 0, "stop_s"], 2.0), r"^t: flows\[0\]: stop_s must be after start_s$"),
     (_set(["flows", 0, "stop_s"], 5.0), r"^t: flows\[0\]: stop_s must be after start_s$"),
-    (
-        _set(["flows", 0, "loss_recovery_s"], -1),
+    _was(
         r"^t: flows\[0\]: loss_recovery_s must be >= 0$",
+        _set(["flows", 0, "loss_recovery_s"], -1),
+        r"^t\.flows\[0\]\.loss_recovery_s: must be >= 0, got -1$",
     ),
     (
         _set(["links", 0, "capacity_mbps"], float("nan")),
         r"^t\.links\[0\]\.capacity_mbps: expected a finite number, got nan$",
     ),
     (_set(["duration_s"], float("inf")), r"^t\.duration_s: expected a finite number, got inf$"),
-    (_set(["links", 0, "delay_ms"], -1), r"^t: links\[0\]: delay must be >= 0$"),
-    (
-        _set(["defaults"], {"attach_link": {"capacity_mbps": 0}}),
+    _was(
+        r"^t: links\[0\]: delay must be >= 0$",
+        _set(["links", 0, "delay_ms"], -1),
+        r"^t\.links\[0\]\.delay_ms: must be >= 0, got -1$",
+    ),
+    _was(
         r"^t: defaults\.attach_link: capacity must be positive$",
+        _set(["defaults"], {"attach_link": {"capacity_mbps": 0}}),
+        r"^t\.defaults\.attach_link\.capacity_mbps: must be positive, got 0$",
     ),
     (
         _set(["olsr"], {"hello_interval_s": float("nan")}),
         r"^t\.olsr\.hello_interval_s: expected a finite number, got nan$",
     ),
-    (_set(["switch"], {"sweep_interval_s": 0}), r"^t\.switch: sweep interval must be positive"),
-    (_set(["switch"], {"buffer_timeout_s": -1}), r"^t\.switch: .*buffer timeout >= 0$"),
-    (
-        _set(["controller"], {"refresh_interval_s": 0}),
-        r"^t\.controller: refresh interval must be positive$",
+    _was(
+        r"^t\.switch: sweep interval must be positive",
+        _set(["switch"], {"sweep_interval_s": 0}),
+        r"^t\.switch\.sweep_interval_s: must be positive, got 0$",
     ),
-    (_set(["controller"], {"switch_timeout_s": -1}), r"^t\.controller: timeouts must be >= 0$"),
+    _was(
+        r"^t\.switch: .*buffer timeout >= 0$",
+        _set(["switch"], {"buffer_timeout_s": -1}),
+        r"^t\.switch\.buffer_timeout_s: must be >= 0, got -1$",
+    ),
+    _was(
+        r"^t\.controller: refresh interval must be positive$",
+        _set(["controller"], {"refresh_interval_s": 0}),
+        r"^t\.controller\.refresh_interval_s: must be positive, got 0$",
+    ),
+    _was(
+        r"^t\.controller: timeouts must be >= 0$",
+        _set(["controller"], {"switch_timeout_s": -1}),
+        r"^t\.controller\.switch_timeout_s: must be >= 0, got -1$",
+    ),
     # Every key is read as the type its record declares: a value of another
     # type used to pass, and run as something else or fail mid-run.
     (
@@ -324,6 +395,67 @@ REJECTIONS = [
 def test_rejects_bad_documents(mutate, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_mapping(mutate(valid_doc()), source="t")
+
+
+def _unit_keys(cls, keys=()):
+    """The key path and unit of each field that record ``cls``, or a record
+    nested in it, reads as a unit; a list is entered at its first item."""
+    readers, _ = _schema(cls)
+    scope = vars(sys.modules[cls.__module__])
+    for key, (name, _) in readers.items():
+        hint, at = _hint(cls.__annotations__[name], scope), (*keys, key)
+        while get_origin(hint) in (list, Union, types.UnionType):
+            if get_origin(hint) is list:
+                at = (*at, 0)
+            (hint,) = (a for a in get_args(hint) if a is not type(None))
+        if hint in (Seconds, Period, Millis, Mbps):
+            yield at, hint
+        elif hasattr(hint, "_fields"):
+            yield from _unit_keys(hint, at)
+
+
+def _dotted(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+UNIT_KEYS = list(_unit_keys(Scenario))
+
+
+def test_the_unit_walk_reaches_every_section():
+    assert {
+        ".duration_s",
+        ".olsr.hello_interval_s",
+        ".eftm.hysteresis_hold_s",
+        ".controller.switch_timeout_s",
+        ".switch.sweep_interval_s",
+        ".defaults.mesh_link.capacity_mbps",
+        ".defaults.attach_link.delay_ms",
+        ".links[0].delay_ms",
+        ".pings[0].interval_s",
+        ".flows[0].demand_mbps",
+        ".flows[0].stop_s",
+        ".events[0].at_s",
+        ".measure.event_at_s",
+    } <= {_dotted(keys) for keys, _ in UNIT_KEYS}
+
+
+@pytest.mark.parametrize("keys,unit", UNIT_KEYS, ids=[_dotted(k)[1:] for k, _ in UNIT_KEYS])
+def test_every_unit_field_refuses_a_value_it_cannot_run(keys, unit):
+    # A number whose whole us or bit/s overflow used to pass the reader and
+    # end the run in an OverflowError; a negative one, or a zero or
+    # sub-microsecond period, would run as nonsense or hang.
+    path = "t" + _dotted(keys)
+    for value in (1.0e308, -1, *((0, 1e-7) if unit is Period else ())):
+        doc = valid_doc()
+        cursor = doc
+        for part in keys[:-1]:
+            cursor = cursor[part] if isinstance(part, int) else cursor.setdefault(part, {})
+        cursor[keys[-1]] = value
+        with pytest.raises(ScenarioError) as caught:
+            scenario_from_mapping(doc, source="t")
+        message = str(caught.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message, message
+        assert ("too large" in message) == (value == 1.0e308), message
 
 
 def test_overrides_reach_nested_and_top_level_keys():

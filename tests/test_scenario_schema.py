@@ -5,7 +5,9 @@ document key with the field it fills and the reader it goes through, the keys
 that must be given, and the value each other field takes when its key is
 omitted.  The literal below was taken from the reader before its records
 stopped being dataclasses, so a change in how the records are declared
-cannot quietly change what a document means.
+cannot quietly change what a document means.  Since then, each timer, time,
+delay and rate reads as its unit (``Seconds``, ``Period``, ``Millis`` or
+``Mbps``) and each event action and measure kind as one of its choices.
 """
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
@@ -86,7 +88,7 @@ SCHEMA = {
     "Scenario": (
         same(
             name="str",
-            duration_s="float",
+            duration_s="Period",
             control_subnet="IPv4Network",
             olsr="OlsrConfig or its default",
             eftm="EftmConfig or its default",
@@ -122,10 +124,10 @@ SCHEMA = {
     ),
     "OlsrConfig": (
         same(
-            hello_interval_s="float",
+            hello_interval_s="Period",
             hellos_to_up="int",
             hello_loss_intervals_to_down="int",
-            tc_interval_s="float",
+            tc_interval_s="Period",
             jitter="float",
             randomize_phase="bool",
         ),
@@ -134,11 +136,11 @@ SCHEMA = {
     ),
     "EftmConfig": (
         same(
-            poll_period_s="float",
-            connect_timeout_s="float",
-            keepalive_interval_s="float",
+            poll_period_s="Period",
+            connect_timeout_s="Period",
+            keepalive_interval_s="Period",
             controller_range="IPv4Network",
-            hysteresis_hold_s="float",
+            hysteresis_hold_s="Seconds",
             emergency_policy="one of control-only|allow-all|selective",
             selective_prefixes="list of IPv4Network",
             priority_override="list of IPv4Address or null",
@@ -150,23 +152,23 @@ SCHEMA = {
     "ControllerConfig": (
         same(
             flush_on_connect="bool",
-            rule_idle_timeout_s="float",
+            rule_idle_timeout_s="Seconds",
             rule_priority="int",
-            refresh_interval_s="float",
-            unknown_dst_hard_timeout_s="float",
-            switch_timeout_s="float",
+            refresh_interval_s="Period",
+            unknown_dst_hard_timeout_s="Seconds",
+            switch_timeout_s="Seconds",
         ),
         [],
         CONTROLLER,
     ),
-    "SwitchConfig": (same(buffer_timeout_s="float", sweep_interval_s="float"), [], SWITCH),
+    "SwitchConfig": (same(buffer_timeout_s="Seconds", sweep_interval_s="Period"), [], SWITCH),
     "Defaults": (
         same(mesh_link="LinkDefaults or its default", attach_link="LinkDefaults or its default"),
         [],
         DEFAULTS,
     ),
     "LinkDefaults": (
-        same(capacity_mbps="float", delay_ms="float"),
+        same(capacity_mbps="Mbps", delay_ms="Millis"),
         [],
         {"capacity_mbps": 10.0, "delay_ms": 2.0},
     ),
@@ -185,14 +187,14 @@ SCHEMA = {
     "HostSpec": (same(id="str", addr="IPv4Address", attach="str"), ["addr", "attach", "id"], {}),
     "LinkSpec": (
         {
-            **same(a="str", b="str", capacity_mbps="float", delay_ms="float"),
+            **same(a="str", b="str", capacity_mbps="Mbps", delay_ms="Millis"),
             "initial": ("initial_up", "_up_or_down"),
         },
         ["a", "b", "capacity_mbps", "delay_ms"],
         {"initial_up": True},
     ),
     "PingSpec": (
-        same(id="str", src="str", dst="IPv4Address", interval_s="float", start_s="float"),
+        same(id="str", src="str", dst="IPv4Address", interval_s="Period", start_s="Seconds"),
         ["dst", "id", "src"],
         {"interval_s": 1.0, "start_s": 0.0},
     ),
@@ -201,23 +203,28 @@ SCHEMA = {
             id="str",
             src="str",
             dst="IPv4Address",
-            demand_mbps="float or null",
-            start_s="float",
-            stop_s="float or null",
-            loss_recovery_s="float",
+            demand_mbps="Mbps or null",
+            start_s="Seconds",
+            stop_s="Seconds or null",
+            loss_recovery_s="Seconds",
         ),
         ["dst", "id", "src"],
         {"demand_mbps": None, "start_s": 0.0, "stop_s": None, "loss_recovery_s": 1.0},
     ),
     "EventSpec": (
-        same(at_s="float", action="str", link="_wmr_pair or null", flow="str or null"),
+        same(
+            at_s="Seconds",
+            action="one of link-up|link-down|start-flow|stop-flow",
+            link="_wmr_pair or null",
+            flow="str or null",
+        ),
         ["action", "at_s"],
         {"link": None, "flow": None},
     ),
     "MeasureSpec": (
         same(
-            kind="str",
-            event_at_s="float",
+            kind="one of merge|partition",
+            event_at_s="Seconds",
             wmrs="list of str",
             probe="str or null",
             flow="str or null",
@@ -235,6 +242,12 @@ REQUIRED_SAMPLES = {
     "IPv4Address": "10.0.0.1",
     "IPv4Network": "10.0.0.0/24",
     "list of str": [],
+    "Period": 1.0,
+    "Seconds": 1.0,
+    "Mbps": 1.0,
+    "Millis": 1.0,
+    "one of link-up|link-down|start-flow|stop-flow": "link-up",
+    "one of merge|partition": "merge",
 }
 
 
