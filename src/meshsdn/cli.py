@@ -80,10 +80,10 @@ def _describe(summary: SummaryRow) -> str:
 _FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\\": "%5C", "\0": "%00"})
 
 
-def _log_name(result: RunResult) -> str:
+def _log_name(summary: SummaryRow) -> str:
     """``<scenario>-seed<seed>.ndjson``, with any path separator in the name
     (a swept prefix such as ``10.0.255.0/24``, say) escaped."""
-    return f"{result.scenario.translate(_FILE_NAME_ESCAPES)}-seed{result.seed}.ndjson"
+    return f"{summary.scenario.translate(_FILE_NAME_ESCAPES)}-seed{summary.seed}.ndjson"
 
 
 def _out_dir(out: str | None) -> Path | None:
@@ -104,7 +104,7 @@ def _write_outputs(out_dir: Path | None, results: list[RunResult]) -> None:
     rows = [",".join(SUMMARY_COLUMNS), *(result.summary.as_csv_line() for result in results)]
     try:
         for result in results:
-            (out_dir / _log_name(result)).write_text(result.log.to_ndjson())
+            (out_dir / _log_name(result.summary)).write_text(result.log.to_ndjson())
         (out_dir / "results.csv").write_text("\n".join(rows) + "\n")
     except OSError as exc:
         raise ScenarioError(f"{exc.filename or out_dir}: {exc.strerror or exc}") from None

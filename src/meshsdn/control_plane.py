@@ -13,7 +13,7 @@ from ipaddress import IPv4Address
 from typing import NamedTuple
 
 from .engine import SimTime
-from .switch import RuleSpec
+from .switch import FlowRule
 
 
 class ProbeRequest(NamedTuple):
@@ -61,7 +61,11 @@ class PacketInMsg(NamedTuple):
 
 
 class FlowModMsg(NamedTuple):
-    rule: RuleSpec
+    """A rule for the receiving switch to install.  The switch stamps its
+    install time and order on the rule itself, so each message carries a
+    rule of its own."""
+
+    rule: FlowRule
 
 
 class FlushMsg(NamedTuple):

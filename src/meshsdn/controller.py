@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 from . import control_plane as cp
 from .engine import Period, Seconds, SimTime, Simulator, to_us
 from .olsr import TopologySnapshot, by_address, first_hop_tree
-from .switch import DeliverLocal, DropAction, ForwardTo, RuleSpec, origin_controller
+from .switch import DeliverLocal, DropAction, FlowRule, ForwardTo, origin_controller
 
 
 class ControllerConfig(NamedTuple):
@@ -67,12 +67,7 @@ class Controller:
     def start(self) -> None:
         """Pull the topology view now, then again every ``refresh_interval_s``."""
         self.refresh_topology()
-        self.sim.schedule(
-            self._refresh_interval_us,
-            self.start,
-            target=self.node_id,
-            kind="topo-refresh",
-        )
+        self.sim.schedule(self._refresh_interval_us, self.start, kind="topo-refresh")
 
     def refresh_topology(self) -> None:
         if self._attachment_up():
@@ -195,25 +190,25 @@ class Controller:
                 self._action("skip-unconnected-hop", wmr=wmr, prefix=str(prefix))
                 continue
             action = DeliverLocal() if i == len(path) - 1 else ForwardTo(path[i + 1])
-            spec = RuleSpec(
+            rule = FlowRule(
                 priority=self.cfg.rule_priority,
                 dst_prefix=prefix,
                 action=action,
                 origin=origin_controller(self.address),
                 idle_timeout_us=self._rule_idle_timeout_us,
             )
-            self._send(self._switches[wmr][0], cp.FlowModMsg(spec))
+            self._send(self._switches[wmr][0], cp.FlowModMsg(rule))
             self._action("install", wmr=wmr, rule=f"{prefix}->{action}")
 
     def _install_unknown_drop(self, msg: cp.PacketInMsg) -> None:
-        spec = RuleSpec(
+        rule = FlowRule(
             priority=self.cfg.rule_priority,
             dst_prefix=IPv4Network(f"{msg.dst}/32"),
             action=DropAction(),
             origin=origin_controller(self.address),
             hard_timeout_us=self._unknown_dst_hard_timeout_us,
         )
-        self._send(self._switches[msg.wmr][0], cp.FlowModMsg(spec))
+        self._send(self._switches[msg.wmr][0], cp.FlowModMsg(rule))
         self._action("install-unknown-drop", wmr=msg.wmr, dst=str(msg.dst))
 
     def _action(self, action: str, **data: object) -> None:

@@ -114,7 +114,7 @@ class MasterSelector:
             if self.cfg.randomize_phase
             else 0
         )
-        self.sim.schedule(phase, self._periodic_poll, target=self.node_id, kind="poll")
+        self.sim.schedule(phase, self._periodic_poll, kind="poll")
 
     # -- discovery ----------------------------------------------------------
 
@@ -164,7 +164,6 @@ class MasterSelector:
         handle = self.sim.schedule(
             self._connect_timeout_us,
             partial(self._request_timeout, token),
-            target=self.node_id,
             kind=f"{kind}-timeout",
         )
         self._request = (kind, target, token, handle)
@@ -194,9 +193,7 @@ class MasterSelector:
 
     def _periodic_poll(self) -> None:
         self.poll_tick()
-        self.sim.schedule(
-            self._poll_period_us, self._periodic_poll, target=self.node_id, kind="poll"
-        )
+        self.sim.schedule(self._poll_period_us, self._periodic_poll, kind="poll")
 
     def poll_tick(self) -> None:
         if self._request is not None:
@@ -258,7 +255,6 @@ class MasterSelector:
         self._keepalive_timer = self.sim.schedule(
             self._keepalive_interval_us,
             self._keepalive_tick,
-            target=self.node_id,
             kind="keepalive",
         )
 
@@ -279,14 +275,12 @@ class MasterSelector:
         self._keepalive_waits[token] = self.sim.schedule(
             self._connect_timeout_us,
             partial(self._keepalive_timeout, token),
-            target=self.node_id,
             kind="keepalive-timeout",
         )
         self._send(master, cp.KeepaliveRequest(self.node_id, token))
         self._keepalive_timer = self.sim.schedule(
             self._keepalive_interval_us,
             self._keepalive_tick,
-            target=self.node_id,
             kind="keepalive",
         )
 
@@ -304,7 +298,7 @@ class MasterSelector:
     def _disconnect(self, reason: str) -> None:
         self._transition("disconnected", detail={"reason": reason})
         # Out-of-cycle poll: do not wait for the next period boundary.
-        self.sim.schedule(0, self.poll_tick, target=self.node_id, kind="poll")
+        self.sim.schedule(0, self.poll_tick, kind="poll")
 
     # -- emergency mode -----------------------------------------------------
 

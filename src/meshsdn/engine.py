@@ -101,9 +101,10 @@ class Simulator:
         """Schedule ``callback`` after ``delay`` microseconds; returns a handle.
 
         A zero delay fires at the current time but strictly after the event
-        being processed now.  Negative delays are rejected.  ``target`` and
-        ``kind`` name the event for an observer that wraps this method; the
-        engine does not keep them.
+        being processed now.  Negative delays are rejected.  ``kind`` names
+        the event for an observer that wraps this method; the engine does not
+        keep it.  No caller in meshsdn passes ``target``: the keyword stays
+        only because ``bench/tracing.py`` forwards it.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule {delay} us in the past")

@@ -297,8 +297,8 @@ class OlsrDaemon:
             if self.cfg.randomize_phase
             else 0
         )
-        self.sim.schedule(hello_phase, self._hello_tick, target=self.node_id, kind="hello")
-        self.sim.schedule(tc_phase, self._tc_tick, target=self.node_id, kind="tc")
+        self.sim.schedule(hello_phase, self._hello_tick, kind="hello")
+        self.sim.schedule(tc_phase, self._tc_tick, kind="tc")
         self._recompute()
 
     def _jittered(self, interval_us: SimTime) -> SimTime:
@@ -310,21 +310,11 @@ class OlsrDaemon:
 
     def _hello_tick(self) -> None:
         self._broadcast([link for _, link in self._links()], self._hello)
-        self.sim.schedule(
-            self._jittered(self._hello_interval_us),
-            self._hello_tick,
-            target=self.node_id,
-            kind="hello",
-        )
+        self.sim.schedule(self._jittered(self._hello_interval_us), self._hello_tick, kind="hello")
 
     def _tc_tick(self) -> None:
         self._originate_flood()
-        self.sim.schedule(
-            self._jittered(self._tc_interval_us),
-            self._tc_tick,
-            target=self.node_id,
-            kind="tc",
-        )
+        self.sim.schedule(self._jittered(self._tc_interval_us), self._tc_tick, kind="tc")
 
     # -- neighbor sensing ---------------------------------------------------
 
@@ -341,12 +331,7 @@ class OlsrDaemon:
             )
         rec.consecutive_hellos += 1
         rec.last_hello_at = now
-        self.sim.schedule(
-            self._neighbor_hold_us,
-            rec.expiry_check,
-            target=self.node_id,
-            kind="neighbor-expiry",
-        )
+        self.sim.schedule(self._neighbor_hold_us, rec.expiry_check, kind="neighbor-expiry")
         if origin not in self._sym_set and rec.consecutive_hellos >= self.cfg.hellos_to_up:
             self._sym_set.add(origin)
             self._tree_stale = True
@@ -421,7 +406,7 @@ class OlsrDaemon:
         expiry_check = self._entry_expiry.get(origin)
         if expiry_check is None:
             expiry_check = self._entry_expiry[origin] = partial(self._entry_expiry_check, origin)
-        self.sim.schedule(validity, expiry_check, target=self.node_id, kind="ls-expiry")
+        self.sim.schedule(validity, expiry_check, kind="ls-expiry")
         self._relay(msg, exclude_link=arrival_link)
         if changed:
             self._recompute()

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import (
     Any,
     Callable,
+    Iterable,
     Literal,
     Mapping,
     NamedTuple,
@@ -441,12 +442,15 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
     ``source``, or with the scenario's name when there is none."""
     doc = source or s.name
 
-    ids: set[str] = set()
-    for node_id in [*(w.id for w in s.wmrs), *(c.id for c in s.controllers), *(h.id for h in s.hosts)]:
-        if node_id in ids:
-            _fail(doc, f"duplicate node id {node_id!r}")
-        ids.add(node_id)
+    def unique(what: str, names: Iterable[str]) -> set[str]:
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                _fail(doc, f"duplicate {what} id {name!r}")
+            seen.add(name)
+        return seen
 
+    ids = unique("node", (n.id for n in (*s.wmrs, *s.controllers, *s.hosts)))
     wmr_ids = {w.id for w in s.wmrs}
     if not s.eftm.controller_range.subnet_of(s.control_subnet):
         _fail(doc, "eftm.controller_range must lie inside control_subnet")
@@ -507,7 +511,8 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
             _fail(doc, f"{where}: duplicate link {key}")
         seen_links.add(key)
 
-    flow_ids = {f.id for f in s.flows}
+    ping_ids = unique("ping", (p.id for p in s.pings))
+    flow_ids = unique("flow", (f.id for f in s.flows))
     for p in s.pings:
         if p.src not in ids:
             _fail(doc, f"ping {p.id}: unknown src {p.src!r}")
@@ -543,7 +548,7 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
         for w in m.wmrs:
             if w not in wmr_ids:
                 _fail(doc, f"measure: unknown wmr {w!r}")
-        if m.probe is not None and m.probe not in {p.id for p in s.pings}:
+        if m.probe is not None and m.probe not in ping_ids:
             _fail(doc, f"measure: unknown probe {m.probe!r}")
         if m.flow is not None and m.flow not in flow_ids:
             _fail(doc, f"measure: unknown flow {m.flow!r}")

@@ -29,7 +29,7 @@ from .metrics import (
 from .olsr import HelloMsg, OlsrDaemon
 from .scenario import Scenario
 from .switch import FlowSwitch, Packet
-from .topology import Interface, Link, Node, Topology
+from .topology import Link, Node, Topology
 from .traffic import FluidTraffic, PingManager
 
 # Where every OLSR frame is addressed: its receivers are the link's far ends.
@@ -37,8 +37,9 @@ BROADCAST = IPv4Address("255.255.255.255")
 
 
 class NodeRuntime:
-    """What every node shares: its addresses, its links by peer, and one
-    handler per payload type it accepts, called as ``handler(msg, src)``.
+    """What every node shares: its node's address and int address set,
+    its links by peer, and one handler per payload type it accepts, called
+    as ``handler(msg, src)``.
     A router or controller, given the prefixes it announces, also runs the
     routing daemon over its router and controller links.
 
@@ -51,10 +52,9 @@ class NodeRuntime:
         self.node = node
         self.node_id = node.id
         # A router's or controller's mesh address; a host's only address.
-        self.address = node.interfaces[0].address
-        self.addresses = frozenset(itf.address for itf in node.interfaces)
-        # The same addresses as ints, tested against ``Packet.dst_int``.
-        self._local = frozenset(int(addr) for addr in self.addresses)
+        self.address = node.addresses[0]
+        # The node's addresses as ints, tested against ``Packet.dst_int``.
+        self.local = node.local
         self.link_to = {link.other(node.id): link for link in sim.topo.links_of(node.id)}
         self.handlers: dict[type, Callable[[Any, IPv4Address], None]] = {
             cp.PingRequest: lambda msg, src: self.originate(
@@ -116,14 +116,14 @@ class WmrRuntime(NodeRuntime):
     """
 
     def __init__(self, sim: "Simulation", node: Node, gateway: bool) -> None:
-        self.access_networks = tuple(itf.network for itf in node.access_interfaces)
+        self.access_networks = node.access_networks
         default_route = [IPv4Network("0.0.0.0/0")] if gateway else []
         super().__init__(sim, node, [*self.access_networks, *default_route])
         scenario = sim.scenario
         nodes = sim.topo.nodes
         # Each attached host's link, by the int value of its address.
         self._host_links = {
-            int(nodes[peer].interfaces[0].address): link
+            int(nodes[peer].addresses[0]): link
             for peer, link in self.link_to.items()
             if nodes[peer].kind == "host"
         }
@@ -146,7 +146,7 @@ class WmrRuntime(NodeRuntime):
             cp.ProbeReply: lambda msg, src: selector.on_probe_reply(msg),
             cp.ConnectAccept: lambda msg, src: selector.on_connect_accept(msg),
             cp.KeepaliveReply: lambda msg, src: selector.on_keepalive_reply(msg),
-            cp.FlowModMsg: lambda msg, src: self.switch.install_rule(msg.rule.build()),
+            cp.FlowModMsg: lambda msg, src: self.switch.install_rule(msg.rule),
             cp.FlushMsg: lambda msg, src: self.switch.flush_rules(msg.origin_filter),
         }
 
@@ -182,7 +182,7 @@ class WmrRuntime(NodeRuntime):
 
     def deliver_local(self, packet: Packet) -> None:
         dst = packet.dst_int
-        if dst in self._local:
+        if dst in self.local:
             self._dispatch(packet)
             return
         # A packet for an access subnet with no such host simply vanishes,
@@ -233,7 +233,7 @@ class ControllerRuntime(NodeRuntime):
                 self.daemon.handle_hello(msg)
             else:
                 self.daemon.handle_flood(msg, link)
-        elif packet.dst_int in self._local:  # controllers do not forward transit traffic
+        elif packet.dst_int in self.local:  # controllers do not forward transit traffic
             self._dispatch(packet)
 
 
@@ -243,13 +243,14 @@ class HostRuntime(NodeRuntime):
     def on_packet(self, packet: Packet, link: Link) -> None:
         # Bulk data arriving here is accounted by the fluid model, not counted
         # per packet.
-        if packet.dst_int in self._local:
+        if packet.dst_int in self.local:
             self._dispatch(packet)
 
 
 class RunResult(NamedTuple):
-    scenario: str
-    seed: int
+    """A run's log and summary, which names the run by scenario and seed,
+    with the figures derived from the log."""
+
     log: MetricLog
     summary: SummaryRow
     connectivity_us: SimTime | None
@@ -282,18 +283,12 @@ class Simulation:
         )
 
         for w in s.wmrs:
-            interfaces = [Interface(w.mesh_addr, s.control_subnet, "mesh")]
-            for net in w.access:
-                interfaces.append(Interface(net.addr, net.subnet, "access"))
-            self.topo.add_node(Node(w.id, "wmr", interfaces))
+            addresses = [w.mesh_addr, *(net.addr for net in w.access)]
+            self.topo.add_node(Node(w.id, "wmr", addresses, [net.subnet for net in w.access]))
         for c in s.controllers:
-            self.topo.add_node(
-                Node(c.id, "controller", [Interface(c.addr, s.control_subnet, "mesh")])
-            )
+            self.topo.add_node(Node(c.id, "controller", [c.addr]))
         for h in s.hosts:
-            wmr = next(w for w in s.wmrs if w.id == h.attach)
-            subnet = next(net.subnet for net in wmr.access if h.addr in net.subnet)
-            self.topo.add_node(Node(h.id, "host", [Interface(h.addr, subnet, "access")]))
+            self.topo.add_node(Node(h.id, "host", [h.addr]))
 
         for spec in s.links:
             self.topo.add_link(
@@ -344,9 +339,7 @@ class Simulation:
             self.fluid.add_flow(flow)
 
         for ev in s.events:
-            self.engine.schedule(
-                to_us(ev.at_s), self._event_action(ev), target="scenario", kind=ev.action
-            )
+            self.engine.schedule(to_us(ev.at_s), self._event_action(ev), kind=ev.action)
 
         for w in s.wmrs:
             self.wmrs[w.id].start()
@@ -378,10 +371,7 @@ class Simulation:
             return
         receiver = link.b if link.a == sender else link.a
         self.engine.schedule(
-            link.delay_us,
-            partial(self._arrive[receiver], packet, link),
-            target=receiver,
-            kind="deliver",
+            link.delay_us, partial(self._arrive[receiver], packet, link), kind="deliver"
         )
 
     # -- run & measure ------------------------------------------------------
@@ -432,8 +422,6 @@ class Simulation:
             ),
         )
         return RunResult(
-            scenario=self.scenario.name,
-            seed=self.engine.seed,
             log=self.log,
             summary=summary,
             connectivity_us=connectivity,

@@ -234,10 +234,10 @@ class SwitchConfig(NamedTuple):
 class SwitchHost(Protocol):
     """The router a switch forwards for, given to the switch at construction.
 
-    The switch reads ``addresses`` once, at construction.
+    The switch keeps the ``local`` set it finds at construction.
     """
 
-    addresses: AbstractSet[IPv4Address]  # Basic traffic to these is delivered up
+    local: AbstractSet[int]  # Basic traffic to these int addresses is delivered up
     access_networks: Sequence[IPv4Network]  # DeliverLocal may also deliver into these
 
     @property
@@ -269,12 +269,12 @@ class FlowSwitch:
     ) -> None:
         self.node_id = node_id
         self.control_subnet = control_subnet
-        # Int forms of the control subnet and of the host's addresses, which
+        # The control subnet as ints, and the host's int addresses, which
         # stay fixed for the switch's life, so that forwarding tests
         # membership on ints instead of hashing an IPv4Address each time.
         self._control_net = int(control_subnet.network_address)
         self._control_mask = int(control_subnet.netmask)
-        self._addresses = frozenset(int(addr) for addr in host.addresses)
+        self._local = host.local
         self._buffer_timeout_us = to_us(cfg.buffer_timeout_s)
         self._sweep_interval_us = to_us(cfg.sweep_interval_s)
         self.sim = sim
@@ -284,9 +284,7 @@ class FlowSwitch:
         self._buffered: list[tuple[Packet, object]] = []  # (packet, timeout handle)
 
     def start(self) -> None:
-        self.sim.schedule(
-            self._sweep_interval_us, self._sweep, target=self.node_id, kind="rule-sweep"
-        )
+        self.sim.schedule(self._sweep_interval_us, self._sweep, kind="rule-sweep")
 
     def classify(self, packet: Packet) -> Literal["basic", "sdn"]:
         return "basic" if packet.dst_int & self._control_mask == self._control_net else "sdn"
@@ -305,7 +303,7 @@ class FlowSwitch:
             self._forward_sdn(packet, dst)
 
     def _forward_basic(self, packet: Packet, dst: int) -> None:
-        if dst in self._addresses:
+        if dst in self._local:
             self.host.deliver_local(packet)
             return
         entry = self.host.route(dst)
@@ -333,7 +331,7 @@ class FlowSwitch:
         if isinstance(action, ForwardTo):
             self.host.send_to_neighbor(action.next_hop, packet)
         elif isinstance(action, DeliverLocal):
-            if dst in self._addresses or any(
+            if dst in self._local or any(
                 packet.dst in net for net in self.host.access_networks
             ):
                 self.host.deliver_local(packet)
@@ -348,7 +346,6 @@ class FlowSwitch:
         handle = self.sim.schedule(
             self._buffer_timeout_us,
             lambda p=packet: self._buffer_expire(p),
-            target=self.node_id,
             kind="buffer-timeout",
         )
         self._buffered.append((packet, handle))
@@ -392,9 +389,7 @@ class FlowSwitch:
         gone = self.table.remove_expired(self.sim.now())
         if gone:
             self._log_table("expire", extra={"removed": [r.summary() for r in gone]})
-        self.sim.schedule(
-            self._sweep_interval_us, self._sweep, target=self.node_id, kind="rule-sweep"
-        )
+        self.sim.schedule(self._sweep_interval_us, self._sweep, kind="rule-sweep")
 
     # -- logging ------------------------------------------------------------
 
@@ -414,19 +409,3 @@ class FlowSwitch:
                 "kind": packet.kind,
             },
         )
-
-
-class RuleSpec(NamedTuple):
-    """Wire-format description of a rule, as carried by flow-mod messages."""
-
-    priority: int
-    dst_prefix: IPv4Network
-    action: Action
-    origin: str
-    src_prefix: IPv4Network | None = None
-    idle_timeout_us: SimTime = 0
-    hard_timeout_us: SimTime = 0
-
-    def build(self) -> FlowRule:
-        # The fields are FlowRule's parameters, in order.
-        return FlowRule(*self)

@@ -9,37 +9,38 @@ from __future__ import annotations
 
 from functools import cached_property
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Iterator, Literal, NamedTuple
+from typing import Callable, Iterator, Literal, Sequence
 
 NodeKind = Literal["wmr", "controller", "host"]
-InterfaceRole = Literal["mesh", "access", "internet"]
-
-
-class Interface(NamedTuple):
-    address: IPv4Address
-    network: IPv4Network
-    role: InterfaceRole
 
 
 class Node:
-    def __init__(self, id: str, kind: NodeKind, interfaces: list[Interface] | None = None) -> None:
+    """A node and the addresses it holds.
+
+    The first address is a router's or controller's mesh address, or a
+    host's only address; a router's access addresses follow.  ``local``
+    holds the same addresses as ints, and ``access_networks`` a router's
+    access subnets.
+    """
+
+    def __init__(
+        self,
+        id: str,
+        kind: NodeKind,
+        addresses: Sequence[IPv4Address],
+        access_networks: Sequence[IPv4Network] = (),
+    ) -> None:
         self.id = id
         self.kind = kind
-        self.interfaces = [] if interfaces is None else interfaces
+        self.addresses = tuple(addresses)
+        self.local = frozenset(int(addr) for addr in self.addresses)
+        self.access_networks = tuple(access_networks)
 
     @property
     def mesh_address(self) -> IPv4Address:
-        for itf in self.interfaces:
-            if itf.role == "mesh":
-                return itf.address
-        raise ValueError(f"node {self.id} has no mesh interface")
-
-    @property
-    def access_interfaces(self) -> list[Interface]:
-        return [itf for itf in self.interfaces if itf.role == "access"]
-
-    def owns(self, addr: IPv4Address) -> bool:
-        return any(itf.address == addr for itf in self.interfaces)
+        if self.kind == "host":
+            raise ValueError(f"node {self.id} has no mesh interface")
+        return self.addresses[0]
 
 
 def link_id(a: str, b: str) -> str:
@@ -90,8 +91,8 @@ class Topology:
             raise ValueError(f"duplicate node id {node.id!r}")
         self.nodes[node.id] = node
         self._incident[node.id] = []
-        for itf in node.interfaces:
-            self._owners.setdefault(itf.address, node)  # the first node added owns it
+        for addr in node.addresses:
+            self._owners.setdefault(addr, node)  # the first node added owns it
 
     def add_link(self, link: Link) -> None:
         for end in (link.a, link.b):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from ipaddress import IPv4Address
+from itertools import count
 from typing import Callable, Mapping, NamedTuple
 
 from . import control_plane as cp
@@ -52,21 +53,17 @@ class PingManager:
         self.sim = sim
         self._originate = originate
         self._log = log
-        self._next_seq: dict[str, int] = {}  # per probe id; probes may share one
 
     def add_probe(self, spec: PingSpec) -> None:
         """Send ``spec``'s requests from its start, each ``interval_s`` after
-        the last, through one callback built here."""
-        sim, interval_us, next_seq = self.sim, to_us(spec.interval_s), self._next_seq
-        next_seq[spec.id] = 0
+        the last, numbered from 0, through one callback built here."""
+        sim, interval_us, seqs = self.sim, to_us(spec.interval_s), count()
 
         def send() -> None:
-            seq = next_seq[spec.id]
-            next_seq[spec.id] = seq + 1
-            self._originate(spec.src, spec.dst, cp.PingRequest(spec.id, seq, sim.now()))
-            sim.schedule(interval_us, send, target=spec.src, kind="ping")
+            self._originate(spec.src, spec.dst, cp.PingRequest(spec.id, next(seqs), sim.now()))
+            sim.schedule(interval_us, send, kind="ping")
 
-        sim.schedule(max(0, to_us(spec.start_s) - sim.now()), send, target=spec.src, kind="ping")
+        sim.schedule(max(0, to_us(spec.start_s) - sim.now()), send, kind="ping")
 
     def on_reply(self, reply: cp.PingReply) -> None:
         self._log(
@@ -203,7 +200,7 @@ class FluidTraffic:
         # from, where it ends and what it asks for are resolved once, not on
         # every sample.
         (access,) = self.topo.links_of(spec.src)
-        src = self.topo.nodes[spec.src].interfaces[0].address
+        src = self.topo.nodes[spec.src].addresses[0]
         owner = self.topo.owner_of(spec.dst)
         demand = spec.demand_mbps
         self._flows[spec.id] = _FlowState(
@@ -216,12 +213,11 @@ class FluidTraffic:
         )
         self._flow_ids = sorted(self._flows)
         delay = max(0, to_us(spec.start_s) - self.sim.now())
-        self.sim.schedule(delay, lambda: self.start_flow(spec.id), target=spec.src, kind="flow")
+        self.sim.schedule(delay, lambda: self.start_flow(spec.id), kind="flow")
         if spec.stop_s is not None:
             self.sim.schedule(
                 max(0, to_us(spec.stop_s) - self.sim.now()),
                 lambda: self.stop_flow(spec.id),
-                target=spec.src,
                 kind="flow",
             )
 
@@ -269,7 +265,7 @@ class FluidTraffic:
                     "ThroughputSample",
                     {"flow": flow_id, "bps": shares[flow_id] * ramp},
                 )
-        self.sim.schedule(self._sample_interval_us, self._tick, target="traffic", kind="sample")
+        self.sim.schedule(self._sample_interval_us, self._tick, kind="sample")
 
     def _trace(self, state: _FlowState, now: SimTime) -> list[Link] | None:
         """Walk the flow through access links and flow tables; None if it

@@ -45,7 +45,7 @@ class StubHost:
     address, has no route and no controller, takes any node for a neighbour,
     and ignores what its switch hands it."""
 
-    addresses = frozenset()
+    local = frozenset()
     access_networks = ()
     master = None
 

@@ -200,16 +200,16 @@ def test_partition_throughput_recovery(partition_batch, capsys):
     for result in partition_batch:
         rec = result.recovery
         if rec is None or rec.dip_at is None or rec.recovery_after_event is None:
-            ok, detail = False, f"seed {result.seed}: flow never dipped or never recovered"
+            ok, detail = False, f"seed {result.summary.seed}: flow never dipped or never recovered"
             break
         if rec.steady_bps != 10_000_000.0:
-            ok, detail = False, f"seed {result.seed}: steady state {rec.steady_bps} bps"
+            ok, detail = False, f"seed {result.summary.seed}: steady state {rec.steady_bps} bps"
             break
         bound = result.selection_us + to_us(2.0)  # selection + recovery ramp + 1 s
         if rec.recovery_after_event > bound:
             ok, detail = (
                 False,
-                f"seed {result.seed}: gap {to_seconds(rec.recovery_after_event):.3f} s"
+                f"seed {result.summary.seed}: gap {to_seconds(rec.recovery_after_event):.3f} s"
                 f" exceeds selection + 2 s",
             )
             break
@@ -236,7 +236,7 @@ def test_single_master_invariant(merge_batch, partition_batch, capsys):
             if record.data["to"] == "connected":
                 if established.get(node) is not None:
                     violations.append(
-                        f"{result.scenario} seed {result.seed}: {node} connected to"
+                        f"{result.summary.scenario} seed {result.summary.seed}: {node} connected to"
                         f" {record.data['master']} while holding {established[node]}"
                     )
                 established[node] = record.data["master"]

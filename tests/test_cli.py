@@ -316,3 +316,43 @@ def test_report_refuses_malformed_results(tmp_path, capsys, text, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {csv_path}: {message}\n"
     assert captured.out == ""
+
+
+HEADER = "seed,scenario,connectivity_time_s,selection_delay_s,throughput_gap_s\n"
+
+
+@pytest.mark.parametrize(
+    "args, files, message",
+    [
+        (["run", "merge", "--seeds", "3"], {}, "--seeds '3': expected A:B"),
+        (["run", "merge", "--seeds", "5:2"], {}, "--seeds '5:2': need A < B"),
+        (["sweep", "merge", "--param", "k="], {}, "--param 'k=': expected KEY=V1,V2,..."),
+        (
+            ["sweep", "{dir}/list.yaml", "--param", "k=1"],
+            {"list.yaml": b"- a\n- b\n"},
+            "{dir}/list.yaml: expected a mapping",
+        ),
+        (["report", "{dir}"], {"results.csv": HEADER.encode()}, "{dir}/results.csv: empty"),
+        (
+            ["report", "{dir}"],
+            {"results.csv": b"\xff" + HEADER.encode()},
+            "{dir}/results.csv: not a CSV file: 'utf-8' codec can't decode byte 0xff in"
+            " position 0: invalid start byte",
+        ),
+    ],
+    ids=[
+        "seeds-not-a-range",
+        "seeds-backwards",
+        "sweep-no-values",
+        "sweep-list",
+        "report-header-only",
+        "report-not-utf8",
+    ],
+)
+def test_input_errors_exit_1_with_one_line(tmp_path, capsys, args, files, message):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main([arg.format(dir=tmp_path) for arg in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(dir=tmp_path)}\n"

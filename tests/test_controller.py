@@ -128,6 +128,19 @@ def test_packet_in_installs_far_to_near():
         assert rule.hard_timeout_us == 0
 
 
+def test_every_flow_mod_carries_a_rule_of_its_own():
+    # The switch stamps its install time, last hit and install order on the
+    # rule a flow-mod carries, so no two flow-mods may share one.
+    bench = Bench()
+    bench.connect_all()
+    msg = cp.PacketInMsg("wmr1", IPv4Address("192.168.1.10"), None, "flow1", sent_at=0)
+    for dst in ("192.168.3.10", "172.16.9.9") * 2:
+        bench.ctrl.on_packet_in(msg._replace(dst=IPv4Address(dst)), IPv4Address("10.0.0.1"))
+    rules = [rule for _, rule in bench.flow_mods()]
+    assert len(rules) == 8  # a three-hop path and a drop, twice
+    assert len({id(rule) for rule in rules}) == 8
+
+
 def test_unconnected_hops_are_skipped_with_warning():
     bench = Bench()
     bench.connect("wmr1", IPv4Address("10.0.0.1"))

@@ -1,4 +1,4 @@
-"""Immutable value records: messages, routes, actions, rule specs, results.
+"""Immutable value records: messages, routes, actions, results.
 
 They are named tuples, which are cheap to define and to build.  A named tuple
 compares as a plain tuple, so records of two types with equal fields are
@@ -14,8 +14,7 @@ from meshsdn.metrics import RecoveryAnalysis, SummaryRow
 from meshsdn.olsr import FloodMsg, HelloMsg, RouteEntry, TopologySnapshot
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
-from meshsdn.switch import DeliverLocal, DropAction, FlowRule, ForwardTo, Packet, RuleSpec
-from meshsdn.topology import Interface
+from meshsdn.switch import DeliverLocal, DropAction, FlowRule, ForwardTo, Packet
 
 from support import TWO_ROUTERS
 
@@ -23,7 +22,6 @@ MESSAGES = [
     cls for _, cls in inspect.getmembers(cp, inspect.isclass) if cls.__module__ == cp.__name__
 ]
 NET = IPv4Network("10.0.0.0/24")
-RULE = RuleSpec(10, NET, ForwardTo("wmr2"), "eftm")
 # One instance of every record, all of whose fields are hashable but the
 # snapshot's.
 SAMPLES = [
@@ -32,9 +30,7 @@ SAMPLES = [
     FloodMsg("wmr1", 3, (IPv4Address("10.0.0.1"),), ("wmr2",), (NET,), 15_000_000),
     RouteEntry("wmr2", 1, "wmr2"),
     TopologySnapshot(0, {"wmr1": ("wmr2",)}, {"wmr1": (IPv4Address("10.0.0.1"),)}, ()),
-    Interface(IPv4Address("10.0.0.1"), NET, "mesh"),
     ForwardTo("wmr2"),
-    RULE,
     RecoveryAnalysis(1e7, 5, 7, 2),
     SummaryRow(0, "merge", 1, None, 3),
 ]
@@ -42,7 +38,7 @@ SAMPLES = [
 
 def test_every_value_record_is_a_named_tuple():
     assert len(MESSAGES) == 12
-    assert len({type(r) for r in SAMPLES}) == 21
+    assert len({type(r) for r in SAMPLES}) == 19
     for record in SAMPLES:
         assert isinstance(record, tuple) and type(record)._fields, type(record).__name__
 
@@ -63,9 +59,8 @@ def test_equal_fields_give_equal_records_of_one_type(record):
 
 
 def test_defaults_and_methods_survive():
-    assert (RULE.src_prefix, RULE.idle_timeout_us, RULE.hard_timeout_us) == (None, 0, 0)
-    rule = RULE.build()
-    assert isinstance(rule, FlowRule) and rule.action == ForwardTo("wmr2")
+    rule = FlowRule(10, NET, ForwardTo("wmr2"), "eftm")
+    assert (rule.src_prefix, rule.idle_timeout_us, rule.hard_timeout_us) == (None, 0, 0)
     assert RecoveryAnalysis(1e7, 5, 7, 2).recovery_after_event == 5
     assert RecoveryAnalysis(1e7, 5, None, 2).recovery_after_event is None
     assert SummaryRow(4, "a,b", 1_500_000, None, 2).as_csv_line() == '4,"a,b",1.500000,,0.000002'

@@ -160,6 +160,17 @@ def _set(path, value):
     return mutate
 
 
+def _append(path, item):
+    def mutate(doc):
+        cursor = doc
+        for part in path:
+            cursor = cursor[part]
+        cursor.append(item)
+        return doc
+
+    return mutate
+
+
 def _del(path):
     def mutate(doc):
         cursor = doc
@@ -388,6 +399,36 @@ REJECTIONS = [
     ),
     (_set(["hosts", 0, "id"], ["a"]), r"^t\.hosts\[0\]\.id: expected a string, got \['a'\]$"),
     (_del(["wmrs", 1, "mesh_addr"]), r"^t\.wmrs\[1\]: missing required key 'mesh_addr'$"),
+    # Ping and flow ids name what the log and the measure section refer to,
+    # so each must be unique, as node ids are.
+    (
+        _append(["pings"], {"id": "ping1", "src": "h1", "dst": "wmr2", "interval_s": 0.5}),
+        r"^t: duplicate ping id 'ping1'$",
+    ),
+    (
+        _append(["flows"], {"id": "flow1", "src": "h1", "dst": "10.0.0.2", "start_s": 6.0}),
+        r"^t: duplicate flow id 'flow1'$",
+    ),
+    *(
+        (_set(["olsr"], {key: 0}), r"^t\.olsr: hello thresholds must be >= 1$")
+        for key in ("hellos_to_up", "hello_loss_intervals_to_down")
+    ),
+    *(
+        (_set(["olsr"], {"jitter": value}), r"^t\.olsr: jitter must be in \[0, 0\.5\)$")
+        for value in (0.5, -0.1)
+    ),
+    (_set(["hosts", 0, "attach"], "ctrl1"), r"^t: host h1: attach target 'ctrl1' is not a wmr$"),
+    (
+        _set(
+            ["controllers", 0, "path_overrides"],
+            [{"dst": "192.168.1.0/24", "path": ["wmr2", "h1"]}],
+        ),
+        r"^t: controller ctrl1: override 192\.168\.1\.0/24 names non-wmr \['h1'\]$",
+    ),
+    (
+        _set(["events", 0], {"at_s": 10.0, "action": "link-up"}),
+        r"^t: events\[0\]: link-up needs a link$",
+    ),
 ]
 
 

@@ -1,10 +1,11 @@
-"""Node runtimes: every control-plane payload reaches a handler."""
+"""Node runtimes, transport and scenario events."""
+import copy
 import inspect
 
 from meshsdn import control_plane as cp
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.olsr import HelloMsg
-from meshsdn.simulation import Simulation
+from meshsdn.simulation import Simulation, run_scenario
 from meshsdn.switch import Packet
 
 from support import TWO_ROUTERS
@@ -73,3 +74,32 @@ def test_link_down_drops_what_is_in_flight_and_link_up_carries_again():
     assert [(ours[id(msg)], via) for msg, via in received if id(msg) in ours] == [
         ("late hello", link)
     ]
+
+
+def test_stop_flow_and_start_flow_events_pause_and_restart_a_flow():
+    # A second host behind wmr2, so that the flow is SDN traffic the
+    # controller routes; it runs at the full 10 Mbit/s by 17 s.
+    doc = copy.deepcopy(TWO_ROUTERS)
+    doc["wmrs"][1]["access"] = [{"subnet": "192.168.2.0/24", "addr": "192.168.2.1"}]
+    doc["hosts"].append({"id": "h2", "addr": "192.168.2.10", "attach": "wmr2"})
+    doc["duration_s"] = 35.0
+    doc["flows"] = [{"id": "flow1", "src": "h1", "dst": "h2", "start_s": 5.0}]
+    doc["events"] = [
+        {"at_s": 20.0, "action": "stop-flow", "flow": "flow1"},
+        {"at_s": 30.0, "action": "start-flow", "flow": "flow1"},
+    ]
+    result = run_scenario(scenario_from_mapping(doc, source="t"))
+    samples = {
+        r.time: r.data["bps"]
+        for r in result.log.records
+        if r.kind == "ThroughputSample" and r.data["flow"] == "flow1"
+    }
+    times = sorted(samples)
+    assert samples[19_900_000] == 10_000_000.0
+    # Stopped: no sample from the stop up to the restart.
+    assert not [t for t in times if 20_000_000 <= t < 30_000_000]
+    # Restarted: it climbs again from 0 over its 1 s loss-recovery ramp.
+    assert [samples[30_000_000 + 100_000 * k] for k in range(12)] == [
+        min(k, 10) * 1_000_000.0 for k in range(12)
+    ]
+    assert times[-1] == 35_000_000

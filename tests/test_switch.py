@@ -15,7 +15,6 @@ from meshsdn.switch import (
     FlowTable,
     ForwardTo,
     Packet,
-    RuleSpec,
     SwitchConfig,
     origin_controller,
 )
@@ -48,7 +47,7 @@ class Harness:
         self.sent = []
         self.delivered = []
         self.packet_ins = []
-        self.addresses = {IPv4Address("10.0.0.1")}
+        self.local = {int(IPv4Address("10.0.0.1"))}
         self.access_networks = [IPv4Network("192.168.1.0/24")]
         self.master = IPv4Address("10.0.255.1") if connected else None
         self.switch = FlowSwitch(
@@ -281,24 +280,6 @@ def test_rule_events_carry_full_table_dump():
     assert len(installs[1]["table"]) == 2
     # Higher priority first in the dump.
     assert "p=100" in installs[1]["table"][0] and "p=10" in installs[1]["table"][1]
-
-
-def test_rule_spec_round_trip():
-    spec = RuleSpec(
-        priority=100,
-        dst_prefix=IPv4Network("192.168.2.0/24"),
-        action=ForwardTo("wmr2"),
-        origin=origin_controller(IPv4Address("10.0.255.1")),
-        idle_timeout_us=to_us(30.0),
-    )
-    built = spec.build()
-    assert built.key == (100, IPv4Network("192.168.2.0/24"), None)
-    assert built.idle_timeout_us == to_us(30.0)
-    assert built.origin == "controller:10.0.255.1"
-    # build() passes the fields positionally, so they must be FlowRule's
-    # parameters in order.
-    assert RuleSpec._fields == FlowRule.__init__.__code__.co_varnames[1:8]
-    assert tuple(getattr(built, name) for name in RuleSpec._fields) == spec
 
 
 # -- indexed match against a linear scan --------------------------------------

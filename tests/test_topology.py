@@ -3,12 +3,11 @@ from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
-from meshsdn.topology import Interface, Link, Node, Topology, link_id
+from meshsdn.topology import Link, Node, Topology, link_id
 
 
 def mesh_node(node_id: str, addr: str) -> Node:
-    itf = Interface(IPv4Address(addr), IPv4Network("10.0.0.0/16"), "mesh")
-    return Node(node_id, "wmr", [itf])
+    return Node(node_id, "wmr", [IPv4Address(addr)])
 
 
 def chain(n: int) -> Topology:
@@ -52,13 +51,16 @@ def test_duplicate_nodes_and_links_rejected():
 
 
 def test_mesh_address_and_owns():
-    node = mesh_node("n1", "10.0.0.1")
+    access = IPv4Network("192.168.1.0/24")
+    node = Node("n1", "wmr", [IPv4Address("10.0.0.1"), IPv4Address("192.168.1.1")], [access])
     assert node.mesh_address == IPv4Address("10.0.0.1")
-    assert node.owns(IPv4Address("10.0.0.1"))
-    assert not node.owns(IPv4Address("10.0.0.2"))
-    bare = Node("h1", "host", [Interface(IPv4Address("192.168.1.10"), IPv4Network("192.168.1.0/24"), "access")])
+    # A node owns exactly the addresses it holds, and ``local`` holds them as ints.
+    assert node.local == {int(IPv4Address("10.0.0.1")), int(IPv4Address("192.168.1.1"))}
+    assert node.access_networks == (access,)
+    host = Node("h1", "host", [IPv4Address("192.168.1.10")])
+    assert host.local == {int(IPv4Address("192.168.1.10"))} and host.access_networks == ()
     with pytest.raises(ValueError):
-        bare.mesh_address
+        host.mesh_address
 
 
 def test_component_follows_link_state():

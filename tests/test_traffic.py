@@ -23,7 +23,7 @@ from meshsdn.switch import (
     Packet,
     SwitchConfig,
 )
-from meshsdn.topology import Interface, Link, Node, Topology
+from meshsdn.topology import Link, Node, Topology
 from meshsdn.traffic import FlowSpec, FluidTraffic, PingManager, PingSpec, max_min_allocate
 
 from support import StubHost
@@ -270,10 +270,10 @@ def test_allocation_is_reused_until_a_demand_or_path_changes(monkeypatch):
     topo = Topology()
     mesh = IPv4Network("10.0.0.0/16")
     for i in (1, 2, 3):
-        topo.add_node(Node(f"w{i}", "wmr", [Interface(IPv4Address(f"10.0.0.{i}"), mesh, "mesh")]))
+        topo.add_node(Node(f"w{i}", "wmr", [IPv4Address(f"10.0.0.{i}")]))
     src, dst = IPv4Address("192.168.1.10"), IPv4Address("192.168.3.10")
-    topo.add_node(Node("h1", "host", [Interface(src, IPv4Network("192.168.1.0/24"), "access")]))
-    topo.add_node(Node("h2", "host", [Interface(dst, IPv4Network("192.168.3.0/24"), "access")]))
+    topo.add_node(Node("h1", "host", [src]))
+    topo.add_node(Node("h2", "host", [dst]))
     access1, w12, w23, w13, access3 = (
         Link("h1", "w1", 100_000_000, 500),
         Link("w1", "w2", 10_000_000, 1000),
@@ -427,10 +427,9 @@ class WalkWorld:
         self.walks = []
         self.rules = []  # every rule ever installed, in install order
         for i, wmr in enumerate(WMRS, start=1):
-            self.topo.add_node(Node(wmr, "wmr", [Interface(IPv4Address(f"10.0.0.{i}"), MESH, "mesh")]))
+            self.topo.add_node(Node(wmr, "wmr", [IPv4Address(f"10.0.0.{i}")]))
         for host, (addr, wmr) in WALK_HOSTS.items():
-            itf = Interface(IPv4Address(addr), IPv4Network(f"{addr}/24", strict=False), "access")
-            self.topo.add_node(Node(host, "host", [itf]))
+            self.topo.add_node(Node(host, "host", [IPv4Address(addr)]))
             self.topo.add_link(Link(host, wmr, 100_000_000, 500))
         for a, b in WALK_LINKS:
             self.topo.add_link(Link(a, b, 10_000_000, 1000))
