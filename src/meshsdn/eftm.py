@@ -328,7 +328,7 @@ class MasterSelector:
         if policy == "allow-all":
             routes = [
                 (prefix, entry)
-                for prefix, entry in sorted(table.entries.items(), key=lambda kv: str(kv[0]))
+                for prefix, entry in sorted(table.routes.values(), key=lambda kv: str(kv[0]))
                 if not prefix.subnet_of(self.switch.control_subnet)
             ]
         elif policy == "selective":

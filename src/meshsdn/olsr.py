@@ -11,6 +11,15 @@ Routes are shortest-path by hop count with a deterministic tie-break: among
 equal-cost paths, the one whose first hop has the numerically lowest address
 wins.  The same tie-break is reused by the controller's path computation so
 reactively installed rules always agree with what each hop would have routed.
+
+The shortest-path tree (:class:`~meshsdn.routing.FirstHopTree`) is searched
+in full only when the daemon starts, when a neighbor becomes symmetric or
+is lost, and when a symmetric neighbor's address, which ranks it as a first
+hop, changes.  Every other change is a remote edge that an advertisement or
+its expiry adds or removes, and the tree is repaired edge by edge where that
+happens.  Routes are kept per prefix: an index lists the origins offering
+each prefix, and a recompute looks again only at the prefixes of origins
+whose hop count, first hop or offered prefixes moved.
 """
 from __future__ import annotations
 
@@ -20,6 +29,10 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .engine import Period, SimTime, Simulator, to_us
+from .routing import RANK_BITS, RANK_MASK, FirstHopTree
+
+# The controller's path search reads these two from here.
+from .routing import by_address, first_hop_tree  # noqa: F401
 
 
 class OlsrConfig(NamedTuple):
@@ -73,12 +86,8 @@ def route_key(prefix: IPv4Network) -> int:
     return int(prefix.network_address) << 6 | prefix.prefixlen
 
 
-# What a rebuild computes per destination: (prefix, next hop, hop count, origin).
-Route = tuple[IPv4Network, str | None, int, str]
-
-
 class RouteEntry(NamedTuple):
-    """The route to one prefix; the prefix is the key the table stores it under."""
+    """The route to one prefix; the table stores it with its prefix."""
 
     next_hop: str | None  # None: deliver on a local interface
     hop_count: int
@@ -88,45 +97,52 @@ class RouteEntry(NamedTuple):
 class RoutingTable:
     """Routes by prefix, answering longest-prefix-match lookups.
 
-    ``entries`` reads back as a read-only view.  The table changes only by
-    :meth:`patch`, which writes each change into the lookup index as well, so
-    a lookup never answers from a stale table.
+    ``routes`` holds each route as (prefix, entry) under the prefix's
+    :func:`route_key`, and ``entries`` the entries by prefix; both read back
+    as read-only.  The table changes only by :meth:`patch`, which writes
+    each change into the lookup index as well, so a lookup never answers
+    from a stale table.
     """
 
     def __init__(self, entries: Mapping[IPv4Network, RouteEntry] | None = None) -> None:
-        self._entries: dict[IPv4Network, RouteEntry] = {}
-        self._view = MappingProxyType(self._entries)
+        self._routes: dict[int, tuple[IPv4Network, RouteEntry]] = {}
+        self._view = MappingProxyType(self._routes)
         # One dict per prefix length, keyed by network address, and the same
         # dicts listed longest first with their masks.
         self._by_length: dict[int, dict[int, RouteEntry]] = {}
         self._index: list[tuple[int, dict[int, RouteEntry]]] = []
         if entries:
-            self.patch(entries, ())
+            self.patch({route_key(p): (p, e) for p, e in entries.items()}, ())
+
+    @property
+    def routes(self) -> Mapping[int, tuple[IPv4Network, RouteEntry]]:
+        return self._view
 
     @property
     def entries(self) -> Mapping[IPv4Network, RouteEntry]:
-        return self._view
+        return MappingProxyType(dict(self._routes.values()))
 
     def patch(
-        self, changed: Mapping[IPv4Network, RouteEntry], removed: Iterable[IPv4Network]
+        self, changed: Mapping[int, tuple[IPv4Network, RouteEntry]], removed: Iterable[int]
     ) -> None:
-        """Drop the ``removed`` prefixes, then write ``changed`` over the table."""
-        entries, by_length = self._entries, self._by_length
+        """Drop the routes under the ``removed`` route keys, then write the
+        ``changed`` (prefix, entry) pairs under theirs."""
+        routes, by_length = self._routes, self._by_length
         relist = False
-        for prefix in removed:
-            del entries[prefix]
-            routes = by_length[prefix.prefixlen]
-            del routes[int(prefix.network_address)]
-            if not routes:
-                del by_length[prefix.prefixlen]
+        for key in removed:
+            del routes[key]
+            held = by_length[key & 63]
+            del held[key >> 6]
+            if not held:
+                del by_length[key & 63]
                 relist = True
-        for prefix, entry in changed.items():
-            entries[prefix] = entry
-            routes = by_length.get(prefix.prefixlen)
-            if routes is None:
-                routes = by_length[prefix.prefixlen] = {}
+        for key, route in changed.items():
+            routes[key] = route
+            held = by_length.get(key & 63)
+            if held is None:
+                held = by_length[key & 63] = {}
                 relist = True
-            routes[int(prefix.network_address)] = entry
+            held[key >> 6] = route[1]
         if relist:
             self._index = [
                 (0xFFFFFFFF ^ (0xFFFFFFFF >> length), by_length[length])
@@ -144,60 +160,7 @@ class RoutingTable:
         return None
 
     def forwarding_map(self) -> dict[IPv4Network, tuple[str | None, int]]:
-        return {p: (e.next_hop, e.hop_count) for p, e in self._entries.items()}
-
-
-def by_address(
-    addr_of: Callable[[str], IPv4Address | None],
-) -> Callable[[str], tuple[int, str]]:
-    """Sort key that ranks nodes by address, lowest first, then by node id;
-    a node without an address ranks after every node with one."""
-
-    def key(v: str) -> tuple[int, str]:
-        addr = addr_of(v)
-        return (int(addr) if addr is not None else 1 << 40, v)
-
-    return key
-
-
-def first_hop_tree(
-    adjacency: Mapping[str, Iterable[str]],
-    source: str,
-    addr_of: Callable[[str], IPv4Address | None],
-) -> tuple[dict[str, int], dict[str, str]]:
-    """Hop counts and first hops from ``source`` over an undirected graph.
-
-    Among equal-cost paths the returned first hop is the one that ranks first
-    :func:`by_address`, which makes the result unique and independent of
-    adjacency iteration order.  The hop counts are listed in (hop count,
-    node id) order, ``source`` first.
-    """
-    # Every first hop is a neighbor of the source, so only those need a rank:
-    # their position in (address, node id) order, best first.
-    hops = sorted((v for v in adjacency.get(source, ()) if v != source), key=by_address(addr_of))
-    dist: dict[str, int] = {source: 0}
-    first: dict[str, str] = {}
-    # The rank of each reached node's first hop, an index into ``hops``.
-    via: dict[str, int] = {v: rank for rank, v in enumerate(hops)}
-    layer = sorted(via)
-    depth = 1
-    while layer:
-        for v in layer:
-            dist[v] = depth
-            first[v] = hops[via[v]]
-        candidates: dict[str, int] = {}
-        for u in layer:
-            rank = via[u]
-            for v in adjacency.get(u, ()):
-                if v in dist:
-                    continue
-                held = candidates.get(v)
-                if held is None or rank < held:
-                    candidates[v] = rank
-        depth += 1
-        via.update(candidates)
-        layer = sorted(candidates)
-    return dist, first
+        return {p: (e.next_hop, e.hop_count) for p, e in self._routes.values()}
 
 
 class TopologySnapshot(NamedTuple):
@@ -256,9 +219,12 @@ class OlsrDaemon:
         self.hna_version = 0
         # Per origin, what each of its accepted advertisements schedules.
         self._entry_expiry: dict[str, Callable[[], None]] = {}
-        # Per origin, (route key, prefix) of each of its addresses as a host
-        # route, then of each HNA prefix: the order in which it offers routes.
-        self._prefixes: dict[str, tuple[tuple[int, IPv4Network], ...]] = {}
+        # Per origin, the (route key, prefix) pairs it offers routes to: each
+        # of its advertised addresses as a host route, then each HNA prefix;
+        # a neighbour that has advertised nothing offers the address its
+        # Hellos carry.  And per route key, the origins offering it.
+        self._offers: dict[str, tuple[tuple[int, IPv4Network], ...]] = {}
+        self._offered_by: dict[int, dict[str, IPv4Network]] = {}
         # Kept in step with ``neighbors`` and ``link_state`` wherever they
         # change: the symmetric neighbours, and the graph routes run over.
         # That graph maps this node to its symmetric neighbours and every
@@ -266,22 +232,28 @@ class OlsrDaemon:
         # advertise; a node without one has no key.
         self._sym_set: set[str] = set()
         self._adj: dict[str, set[str]] = {node_id: self._sym_set}
-        # What the last route build saw moved: the graph or a first-hop
-        # address (so the shortest-path tree must be redone), or the tree or
-        # some origin's prefixes (so the routes must be rebuilt).
+        # The tree is repaired where an edge between two other nodes comes
+        # or goes; ``_tree_stale`` says it awaits a full search instead.
+        self._tree = FirstHopTree(self._adj, node_id)
         self._tree_stale = True
-        self._routes_stale = True
-        self._tree: tuple[dict[str, int], dict[str, str]] = ({}, {})
         self.routing_table = RoutingTable()
         self.routes_version = 0
         self.on_routes_changed: list[Callable[[], None]] = []
         self._seen_seq: dict[str, int] = {}
         self._own_seq = 0
-        self._own_prefixes = tuple((route_key(p), p) for p in self.originated_hna)
         # The keyed /32 network of every address this node has heard of.
         self._host_routes: dict[IPv4Address, tuple[int, IPv4Network]] = {}
-        # The routes the routing table was last built from, by route key.
-        self._routes: dict[int, Route] = {}
+        # A prefix's route is its own one, if this node originates it, or
+        # else the one via the origin offering it with the lowest (hop
+        # count, id).
+        self._own_routes = {
+            route_key(prefix): (prefix, RouteEntry(None, 0, node_id))
+            for prefix in self.originated_hna
+        }
+        # What the next recompute looks at again: the nodes whose place in
+        # the tree moved, and the route keys whose offers changed.
+        self._moved: set[str] = set()
+        self._dirty: set[int] = set(self._own_routes)
         self._rng = sim.node_rng(node_id)
 
     # -- timers -------------------------------------------------------------
@@ -329,6 +301,8 @@ class OlsrDaemon:
             rec = self.neighbors[origin] = NeighborRecord(
                 msg.address, now, partial(self._neighbor_expiry_check, origin)
             )
+            if origin not in self.link_state:
+                self._offer(origin, (self._host_route(msg.address),))
         rec.consecutive_hellos += 1
         rec.last_hello_at = now
         self.sim.schedule(self._neighbor_hold_us, rec.expiry_check, kind="neighbor-expiry")
@@ -343,6 +317,8 @@ class OlsrDaemon:
             return
         if self.sim.now() - rec.last_hello_at >= self._neighbor_hold_us:
             del self.neighbors[origin]
+            if origin not in self.link_state:
+                self._offer(origin, ())
             if origin in self._sym_set:
                 self._sym_set.remove(origin)
                 self._tree_stale = True
@@ -395,14 +371,19 @@ class OlsrDaemon:
             if self.expires_at[origin] <= now:
                 self.hna_version += 1  # back in hna_entries() before its removal
         else:
-            self._prefixes[origin] = tuple(
-                self._host_route(addr) for addr in msg.addresses
-            ) + tuple((route_key(prefix), prefix) for prefix in msg.hna)
+            self._offer(
+                origin,
+                tuple(self._host_route(addr) for addr in msg.addresses)
+                + tuple((route_key(prefix), prefix) for prefix in msg.hna),
+            )
             same_prefixes = False
             changed = True
         validity = msg.validity_us
         self.expires_at[origin] = now + validity
-        self._install(origin, old, msg, same_prefixes)
+        if changed:
+            self._install(origin, old, msg, same_prefixes)
+        else:
+            self.link_state[origin] = msg  # the same edges, addresses and prefixes
         expiry_check = self._entry_expiry.get(origin)
         if expiry_check is None:
             expiry_check = self._entry_expiry[origin] = partial(self._entry_expiry_check, origin)
@@ -414,7 +395,9 @@ class OlsrDaemon:
     def _entry_expiry_check(self, origin: str) -> None:
         expires_at = self.expires_at.get(origin)
         if expires_at is not None and self.sim.now() >= expires_at:
-            del self.expires_at[origin], self._prefixes[origin]
+            del self.expires_at[origin]
+            rec = self.neighbors.get(origin)
+            self._offer(origin, (self._host_route(rec.address),) if rec is not None else ())
             self._install(origin, self.link_state[origin], None)
             self._recompute()
 
@@ -426,33 +409,32 @@ class OlsrDaemon:
         same_prefixes: bool = False,
     ) -> None:
         """Replace ``origin``'s entry ``old`` by ``new`` (None: none) and bring
-        the graph and the staleness flags up to date.  ``same_prefixes`` says
-        that ``new`` has ``old``'s addresses and HNA prefixes.
+        the graph and the tree up to date.  ``same_prefixes`` says that
+        ``new`` has ``old``'s addresses and HNA prefixes.
 
-        The flags are judged against the last shortest-path tree.  Only nodes
-        it reached offer routes, and a search never follows an edge between
-        two nodes at the same depth or two nodes it did not reach, so such an
-        edge can come or go without moving the tree.  While the tree is
-        unmoved these judgements stay exact; once it is stale, the next
-        recompute redoes it and rebuilds the routes if it moved.
+        Each remote edge that comes or goes repairs the tree at once, unless
+        the tree already awaits a full search.  A symmetric neighbour whose
+        address moves changes its rank as a first hop, which leaves the tree
+        to a full search in the next recompute.
         """
+        ranked = not same_prefixes and origin in self._sym_set
+        if ranked:
+            address = self._addr_of(origin)
         if new is None:
             del self.link_state[origin]
         else:
             self.link_state[origin] = new
-        dist = self._tree[0]
         if not same_prefixes:
             self.hna_version += 1
-            if origin in dist:
-                self._routes_stale = True
-            if origin in self._sym_set:  # its address ranks it as a first hop
+            if ranked and self._addr_of(origin) != address:
                 self._tree_stale = True
         if old is not None and new is not None and old.neighbors == new.neighbors:
             return
         before = set(old.neighbors) if old is not None else set()
         after = set(new.neighbors) if new is not None else set()
         me, adj, link_state = self.node_id, self._adj, self.link_state
-        depth = dist.get(origin)
+        tree = None if self._tree_stale else self._tree
+        moved = self._moved
         for other in before - after:
             held = adj.get(origin)
             if other == me or held is None or other not in held:
@@ -465,16 +447,16 @@ class OlsrDaemon:
                 peer.discard(origin)
                 if not peer:
                     del adj[other]
-            if dist.get(other) != depth:
-                self._tree_stale = True
+            if tree is not None:
+                moved |= tree.remove_edge(origin, other)
         for other in after - before:
             peer_entry = link_state.get(other)
             if other == me or peer_entry is None or origin not in peer_entry.neighbors:
                 continue
             adj.setdefault(origin, set()).add(other)
             adj.setdefault(other, set()).add(origin)
-            if dist.get(other) != depth:
-                self._tree_stale = True
+            if tree is not None:
+                moved |= tree.add_edge(origin, other)
 
     def _relay(self, msg: FloodMsg, exclude_link: object | None) -> None:
         sym = self._sym_set
@@ -520,57 +502,74 @@ class OlsrDaemon:
             keyed = self._host_routes[addr] = (route_key(prefix), prefix)
         return keyed
 
-    def _build_routes(self) -> dict[int, Route]:
-        dist, first = self._tree
-        routes: dict[int, Route] = {}
-        for key, prefix in self._own_prefixes:
-            if key not in routes:
-                routes[key] = (prefix, None, 0, self.node_id)
-        # ``dist`` runs in (hop count, node id) order, so the first route
-        # offered for a prefix has the lowest (hop count, origin) and stays.
-        for node, hops in dist.items():
-            if hops == 0:
-                continue
-            prefixes = self._prefixes.get(node)
-            if prefixes is None:
-                rec = self.neighbors.get(node)
-                prefixes = (self._host_route(rec.address),) if rec is not None else ()
-            via = first[node]
-            for key, prefix in prefixes:
-                if key not in routes:
-                    routes[key] = (prefix, via, hops, node)
-        return routes
+    def _offer(self, origin: str, offer: tuple[tuple[int, IPv4Network], ...]) -> None:
+        """Make ``offer`` the (route key, prefix) pairs ``origin`` offers,
+        and mark the keys it offered before and offers now."""
+        index, dirty = self._offered_by, self._dirty
+        for key, _ in self._offers.pop(origin, ()):
+            held = index.get(key)
+            if held:
+                held.pop(origin, None)
+                if not held:
+                    del index[key]
+            dirty.add(key)
+        if offer:
+            self._offers[origin] = offer
+            for key, prefix in offer:
+                index.setdefault(key, {})[origin] = prefix
+                dirty.add(key)
 
     def _recompute(self) -> None:
         if self._tree_stale:
             self._tree_stale = False
-            # A search from this node never follows an edge back to it, the
-            # one direction ``_adj`` leaves out.
-            tree = first_hop_tree(self._adj, self.node_id, self._addr_of)
-            if tree != self._tree:
-                self._tree = tree
-                self._routes_stale = True
-        if not self._routes_stale:
+            self._moved |= self._tree.rebuild(self._addr_of)
+        moved, dirty = self._moved, self._dirty
+        if moved:
+            offers = self._offers
+            for node in moved:
+                offer = offers.get(node)
+                if offer is not None:
+                    for key, _ in offer:
+                        dirty.add(key)
+            moved.clear()
+        if not dirty:
             return  # the table and its lookup index stay as they are
-        self._routes_stale = False
-        routes = self._build_routes()
-        old, self._routes = self._routes, routes
-        changed = {key: route for key, route in routes.items() if old.get(key) != route}
-        gone = old.keys() - routes.keys()
-        if not changed and not gone:
-            return
-        self.routing_table.patch(
-            {
-                prefix: RouteEntry(next_hop, hops, origin)
-                for prefix, next_hop, hops, origin in changed.values()
-            },
-            [old[key][0] for key in gone],
-        )
+        self._dirty = set()
+        table, own, offered_by = self.routing_table, self._own_routes, self._offered_by
+        routes, place, hops = table.routes, self._tree.key, self._tree.hops
+        changed: dict[int, tuple[IPv4Network, RouteEntry]] = {}
+        gone: list[int] = []
         # Only a change of next hop or hop count, or a route gained or lost,
         # counts as a route change.
-        if not gone and all(
-            key in old and old[key][1:3] == route[1:3] for key, route in changed.items()
-        ):
+        route_change = False
+        for key in sorted(dirty):
+            old = routes.get(key)
+            new = own.get(key)
+            if new is None:
+                best = best_place = None
+                for origin in offered_by.get(key, ()):
+                    held = place.get(origin)
+                    if held is not None and (
+                        best is None or (held >> RANK_BITS, origin) < (best_place >> RANK_BITS, best)
+                    ):
+                        best, best_place = origin, held
+                if best is None:
+                    if old is not None:
+                        gone.append(key)
+                        route_change = True
+                    continue
+                next_hop, hop_count = hops[best_place & RANK_MASK], best_place >> RANK_BITS
+                if old is not None and old[1] == (next_hop, hop_count, best):
+                    continue
+                new = (offered_by[key][best], RouteEntry(next_hop, hop_count, best))
+            elif old is not None:
+                continue  # an own prefix's route never changes
+            changed[key] = new
+            if old is None or old[1][:2] != new[1][:2]:
+                route_change = True
+        if changed or gone:
+            table.patch(changed, gone)
+        if not route_change:
             return
         self.routes_version += 1
         self._log(

@@ -521,6 +521,11 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
     for i, f in enumerate(s.flows):
         if f.src not in hosts_by_id:
             _fail(doc, f"flow {f.id}: src {f.src!r} is not a host")
+        # The fluid model follows flow-table rules only, and traffic to the
+        # control subnet is routed, never given one: such a flow would carry
+        # nothing for its whole life.
+        if f.dst in s.control_subnet:
+            _fail(doc, f"flow {f.id}: dst {f.dst} lies inside control_subnet {s.control_subnet}")
         if f.stop_s is not None and f.stop_s <= f.start_s:
             _fail(doc, f"flows[{i}]: stop_s must be after start_s")
 

@@ -8,10 +8,14 @@ confirmed across a 25-router partition and heal, and many flows over a cut
 link.  A change that only makes the simulator faster or smaller must leave
 the digests untouched, and also the number of events each run schedules
 and of records it logs; one that alters the logs on purpose regenerates
-``bench/golden.json`` and says so.
+``bench/golden.json`` and says so.  A 6 x 6 grid-partition run, whose
+mesh is deeper (diameter 10 against 8) than any benchmark run, is pinned
+here as well, outside the benchmark's goldens.
 """
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,7 +32,16 @@ sys.path.insert(0, str(BENCH))
 from workloads import flows_mesh_doc, grid_partition_doc  # noqa: E402
 
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
-GENERATED = {"grid-partition": grid_partition_doc, "flows-mesh": flows_mesh_doc}
+# Runs pinned here alone: grid-partition/0 at k = 6.
+GOLDEN["grid-partition-6x6/0"] = {
+    "log": "21273e0e92e5a4e93ad76ca43a631f0e92f74567b6aeae13577f6403084ac655",
+    "summary": "56cbdbaa1221a31a72743b5d10be2ae8b5a575afe467114413d53026fc0ee04b",
+}
+GENERATED = {
+    "grid-partition": grid_partition_doc,
+    "grid-partition-6x6": lambda seed: grid_partition_doc(seed, k=6),
+    "flows-mesh": flows_mesh_doc,
+}
 
 
 def sha256(text: str) -> str:
@@ -42,21 +55,58 @@ WORK = {
     "merge/0": (5_770, 243),
     "partition/7": (11_835, 1_030),
     "grid-partition/0": (85_902, 3_036),
+    "grid-partition-6x6/0": (157_632, 5_218),
     "flows-mesh/0": (69_322, 20_202),
 }
 
 
-@pytest.mark.parametrize(
-    "name, seed", [("merge", 0), ("partition", 7), ("grid-partition", 0), ("flows-mesh", 0)]
-)
-def test_log_and_summary_digests(name, seed):
+def run(name: str, seed: int):
     label = f"{name}/{seed}"
     if name in GENERATED:
         scenario = scenario_from_mapping(GENERATED[name](seed), source=label)
     else:
         scenario = builtin_scenario(name)
     sim = Simulation(scenario, seed)
-    result = sim.run()
+    return sim, sim.run()
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        ("merge", 0),
+        ("partition", 7),
+        ("grid-partition", 0),
+        ("grid-partition-6x6", 0),
+        ("flows-mesh", 0),
+    ],
+)
+def test_log_and_summary_digests(name, seed):
+    label = f"{name}/{seed}"
+    sim, result = run(name, seed)
     assert sha256(result.log.to_ndjson()) == GOLDEN[label]["log"]
     assert sha256(result.summary.as_csv_line()) == GOLDEN[label]["summary"]
     assert (sim.engine._seq, len(result.log.records)) == WORK[label]
+
+
+def test_logs_do_not_depend_on_the_string_hash_seed():
+    # Route computation walks sets of node ids, whose order follows the
+    # string hash seed of the process; no such order may reach a log.
+    code = (
+        "import test_digests as t\n"
+        "for name in ('merge', 'grid-partition'):\n"
+        "    print(t.sha256(t.run(name, 0)[1].log.to_ndjson()))\n"
+    )
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join([tests, *sys.path])
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        ).stdout.split()
+        for hash_seed in ("0", "1")
+    ]
+    assert digests[0] == digests[1] == [GOLDEN["merge/0"]["log"], GOLDEN["grid-partition/0"]["log"]]

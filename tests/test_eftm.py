@@ -21,7 +21,7 @@ from meshsdn.eftm import (
     MasterSelector,
 )
 from meshsdn.engine import Simulator, to_us
-from meshsdn.olsr import FloodMsg, OlsrConfig, OlsrDaemon, RouteEntry, RoutingTable
+from meshsdn.olsr import FloodMsg, OlsrConfig, OlsrDaemon, RouteEntry, RoutingTable, route_key
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
 from meshsdn.switch import (
@@ -70,10 +70,10 @@ class FakeDaemon:
         table = self.routing_table
         table.patch(
             {
-                IPv4Network(p): RouteEntry(hop, hops, "t")
+                route_key(IPv4Network(p)): (IPv4Network(p), RouteEntry(hop, hops, "t"))
                 for p, hop, hops in entries
             },
-            list(table.entries),
+            list(table.routes),
         )
 
 

@@ -20,6 +20,7 @@ from meshsdn.olsr import (
     RouteEntry,
     RoutingTable,
     first_hop_tree,
+    route_key,
 )
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
@@ -375,8 +376,11 @@ def assert_lookups(table, entries, probes):
 
 
 def patch_table(table, old, new):
-    """Patch ``table`` from the routes ``old`` to ``new``, as a rebuild does."""
-    table.patch({p: e for p, e in new.items() if old.get(p) is not e}, [p for p in old if p not in new])
+    """Patch ``table`` from the routes ``old`` to ``new``, as a recompute does."""
+    table.patch(
+        {route_key(p): (p, e) for p, e in new.items() if old.get(p) is not e},
+        [route_key(p) for p in old if p not in new],
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -461,9 +465,9 @@ def reference_graph(daemon):
     return adj
 
 
-def reference_forwarding_map(daemon):
-    """The routing table built from scratch out of the daemon's tables."""
-    me = daemon.node_id
+def reference_tree(daemon):
+    """Hop counts and first hops searched from scratch over the daemon's
+    tables."""
 
     def addr_of(node):
         entry = daemon.link_state.get(node)
@@ -472,7 +476,13 @@ def reference_forwarding_map(daemon):
         rec = daemon.neighbors.get(node)
         return rec.address if rec is not None else None
 
-    dist, first = first_hop_tree(reference_graph(daemon), me, addr_of)
+    return first_hop_tree(reference_graph(daemon), daemon.node_id, addr_of)
+
+
+def reference_forwarding_map(daemon):
+    """The routing table built from scratch out of the daemon's tables."""
+    me = daemon.node_id
+    dist, first = reference_tree(daemon)
     routes = {prefix: (None, 0) for prefix in daemon.originated_hna}
     for node in sorted(dist, key=lambda n: (dist[n], n)):
         if node == me:
@@ -511,6 +521,8 @@ def hello_from(daemon, nbr):
 
 def assert_matches_full_rebuild(daemon):
     assert daemon.graph() == reference_graph(daemon)
+    # The kept tree, node by node, first hop included.
+    assert daemon._tree.tree() == reference_tree(daemon)
     assert daemon.routing_table.forwarding_map() == reference_forwarding_map(daemon)
     assert daemon.sym_neighbors() == sorted(reference_graph(daemon)[ME])
 

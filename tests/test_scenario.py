@@ -37,13 +37,20 @@ def valid_doc():
                     "mesh_addr": "10.0.0.1",
                     "access": [{"subnet": "192.168.1.0/24", "addr": "192.168.1.1"}],
                 },
-                {"id": "wmr2", "mesh_addr": "10.0.0.2"},
+                {
+                    "id": "wmr2",
+                    "mesh_addr": "10.0.0.2",
+                    "access": [{"subnet": "192.168.2.0/24", "addr": "192.168.2.1"}],
+                },
             ],
             "controllers": [{"id": "ctrl1", "addr": "10.0.255.1", "attach": "wmr2"}],
-            "hosts": [{"id": "h1", "addr": "192.168.1.10", "attach": "wmr1"}],
+            "hosts": [
+                {"id": "h1", "addr": "192.168.1.10", "attach": "wmr1"},
+                {"id": "h2", "addr": "192.168.2.10", "attach": "wmr2"},
+            ],
             "links": [{"a": "wmr1", "b": "wmr2"}],
             "pings": [{"id": "ping1", "src": "h1", "dst": "ctrl1"}],
-            "flows": [{"id": "flow1", "src": "h1", "dst": "10.0.0.2", "start_s": 5.0}],
+            "flows": [{"id": "flow1", "src": "h1", "dst": "h2", "start_s": 5.0}],
             "events": [
                 {"at_s": 10.0, "action": "link-down", "link": ["wmr1", "wmr2"]},
                 {"at_s": 20.0, "action": "link-up", "link": ["wmr2", "wmr1"]},
@@ -62,7 +69,7 @@ def test_valid_doc_parses_and_resolves_names():
     s = scenario_from_mapping(valid_doc(), source="t")
     assert s.name == "tiny"
     assert str(s.pings[0].dst) == "10.0.255.1"  # controller id resolved
-    assert str(s.flows[0].dst) == "10.0.0.2"
+    assert str(s.flows[0].dst) == "192.168.2.10"  # host id resolved
     assert s.links[0].capacity_mbps == 10.0  # mesh link default
     assert s.measure.kind == "merge"
 
@@ -406,8 +413,17 @@ REJECTIONS = [
         r"^t: duplicate ping id 'ping1'$",
     ),
     (
-        _append(["flows"], {"id": "flow1", "src": "h1", "dst": "10.0.0.2", "start_s": 6.0}),
+        _append(["flows"], {"id": "flow1", "src": "h1", "dst": "h2", "start_s": 6.0}),
         r"^t: duplicate flow id 'flow1'$",
+    ),
+    # A flow only follows flow-table rules, and none covers the control
+    # subnet, whether its dst is written as an address or as a node.
+    *(
+        (
+            _set(["flows", 0, "dst"], dst),
+            rf"^t: flow flow1: dst {addr} lies inside control_subnet 10\.0\.0\.0/16$",
+        )
+        for dst, addr in (("10.0.0.2", r"10\.0\.0\.2"), ("ctrl1", r"10\.0\.255\.1"))
     ),
     *(
         (_set(["olsr"], {key: 0}), r"^t\.olsr: hello thresholds must be >= 1$")
