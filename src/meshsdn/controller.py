@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple
 
 from . import control_plane as cp
 from .engine import Period, Seconds, SimTime, Simulator, to_us
-from .olsr import TopologySnapshot, by_address, first_hop_tree
+from .olsr import TopologySnapshot
+from .routing import by_address, first_hop_tree
 from .switch import DeliverLocal, DropAction, FlowRule, ForwardTo, origin_controller
 
 

@@ -1,4 +1,5 @@
-"""Link-state routing daemon with Hello sensing, flooding, and HNA.
+"""Link-state routing daemon: Hello sensing, flooding and the topology
+database (RFC 3626 §8 and §9).
 
 Each routing participant (mesh router or controller host) runs one
 :class:`OlsrDaemon`.  Link liveness is inferred purely from Hello arrivals:
@@ -7,32 +8,22 @@ is dropped after ``hello_loss_intervals_to_down`` silent intervals.  Topology
 and attached-network (HNA) information is flooded network-wide with per-origin
 sequence numbers; there is no relay-set optimization, every node re-floods.
 
-Routes are shortest-path by hop count with a deterministic tie-break: among
-equal-cost paths, the one whose first hop has the numerically lowest address
-wins.  The same tie-break is reused by the controller's path computation so
-reactively installed rules always agree with what each hop would have routed.
-
-The shortest-path tree (:class:`~meshsdn.routing.FirstHopTree`) is searched
-in full only when the daemon starts, when a neighbor becomes symmetric or
-is lost, and when a symmetric neighbor's address, which ranks it as a first
-hop, changes.  Every other change is a remote edge that an advertisement or
-its expiry adds or removes, and the tree is repaired edge by edge where that
-happens.  Routes are kept per prefix: an index lists the origins offering
-each prefix, and a recompute looks again only at the prefixes of origins
-whose hop count, first hop or offered prefixes moved.
+The daemon keeps the graph routes run over and tells its
+:class:`~meshsdn.routing.PrefixRoutes` each change: a full tree search when
+a neighbor becomes symmetric or is lost, or a symmetric neighbor's address,
+which ranks it as a first hop, changes; a repair for each remote edge an
+advertisement or its expiry adds or removes; and the prefixes each origin
+offers.  Route computation itself (§10) lives in :mod:`meshsdn.routing`;
+the daemon logs each change of the table and runs its callbacks.
 """
 from __future__ import annotations
 
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from .engine import Period, SimTime, Simulator, to_us
-from .routing import RANK_BITS, RANK_MASK, FirstHopTree
-
-# The controller's path search reads these two from here.
-from .routing import by_address, first_hop_tree  # noqa: F401
+from .routing import PrefixRoutes, RoutingTable
 
 
 class OlsrConfig(NamedTuple):
@@ -79,88 +70,6 @@ class NeighborRecord:
         self.last_hello_at = last_hello_at
         # What each Hello from this neighbour schedules, built once.
         self.expiry_check = expiry_check
-
-
-def route_key(prefix: IPv4Network) -> int:
-    """An int that identifies ``prefix``, cheaper to hash and compare."""
-    return int(prefix.network_address) << 6 | prefix.prefixlen
-
-
-class RouteEntry(NamedTuple):
-    """The route to one prefix; the table stores it with its prefix."""
-
-    next_hop: str | None  # None: deliver on a local interface
-    hop_count: int
-    origin: str
-
-
-class RoutingTable:
-    """Routes by prefix, answering longest-prefix-match lookups.
-
-    ``routes`` holds each route as (prefix, entry) under the prefix's
-    :func:`route_key`, and ``entries`` the entries by prefix; both read back
-    as read-only.  The table changes only by :meth:`patch`, which writes
-    each change into the lookup index as well, so a lookup never answers
-    from a stale table.
-    """
-
-    def __init__(self, entries: Mapping[IPv4Network, RouteEntry] | None = None) -> None:
-        self._routes: dict[int, tuple[IPv4Network, RouteEntry]] = {}
-        self._view = MappingProxyType(self._routes)
-        # One dict per prefix length, keyed by network address, and the same
-        # dicts listed longest first with their masks.
-        self._by_length: dict[int, dict[int, RouteEntry]] = {}
-        self._index: list[tuple[int, dict[int, RouteEntry]]] = []
-        if entries:
-            self.patch({route_key(p): (p, e) for p, e in entries.items()}, ())
-
-    @property
-    def routes(self) -> Mapping[int, tuple[IPv4Network, RouteEntry]]:
-        return self._view
-
-    @property
-    def entries(self) -> Mapping[IPv4Network, RouteEntry]:
-        return MappingProxyType(dict(self._routes.values()))
-
-    def patch(
-        self, changed: Mapping[int, tuple[IPv4Network, RouteEntry]], removed: Iterable[int]
-    ) -> None:
-        """Drop the routes under the ``removed`` route keys, then write the
-        ``changed`` (prefix, entry) pairs under theirs."""
-        routes, by_length = self._routes, self._by_length
-        relist = False
-        for key in removed:
-            del routes[key]
-            held = by_length[key & 63]
-            del held[key >> 6]
-            if not held:
-                del by_length[key & 63]
-                relist = True
-        for key, route in changed.items():
-            routes[key] = route
-            held = by_length.get(key & 63)
-            if held is None:
-                held = by_length[key & 63] = {}
-                relist = True
-            held[key >> 6] = route[1]
-        if relist:
-            self._index = [
-                (0xFFFFFFFF ^ (0xFFFFFFFF >> length), by_length[length])
-                for length in sorted(by_length, reverse=True)
-            ]
-
-    def lookup(self, addr: IPv4Address | int) -> RouteEntry | None:
-        """The longest-prefix route for ``addr``, given as an address or as
-        its int value; None if no prefix covers it."""
-        key = int(addr)
-        for mask, routes in self._index:
-            entry = routes.get(key & mask)
-            if entry is not None:
-                return entry
-        return None
-
-    def forwarding_map(self) -> dict[IPv4Network, tuple[str | None, int]]:
-        return {p: (e.next_hop, e.hop_count) for p, e in self._routes.values()}
 
 
 class TopologySnapshot(NamedTuple):
@@ -219,12 +128,6 @@ class OlsrDaemon:
         self.hna_version = 0
         # Per origin, what each of its accepted advertisements schedules.
         self._entry_expiry: dict[str, Callable[[], None]] = {}
-        # Per origin, the (route key, prefix) pairs it offers routes to: each
-        # of its advertised addresses as a host route, then each HNA prefix;
-        # a neighbour that has advertised nothing offers the address its
-        # Hellos carry.  And per route key, the origins offering it.
-        self._offers: dict[str, tuple[tuple[int, IPv4Network], ...]] = {}
-        self._offered_by: dict[int, dict[str, IPv4Network]] = {}
         # Kept in step with ``neighbors`` and ``link_state`` wherever they
         # change: the symmetric neighbours, and the graph routes run over.
         # That graph maps this node to its symmetric neighbours and every
@@ -232,43 +135,21 @@ class OlsrDaemon:
         # advertise; a node without one has no key.
         self._sym_set: set[str] = set()
         self._adj: dict[str, set[str]] = {node_id: self._sym_set}
-        # The tree is repaired where an edge between two other nodes comes
-        # or goes; ``_tree_stale`` says it awaits a full search instead.
-        self._tree = FirstHopTree(self._adj, node_id)
-        self._tree_stale = True
-        self.routing_table = RoutingTable()
+        self._routes = PrefixRoutes(self._adj, node_id, self.originated_hna)
+        self.routing_table: RoutingTable = self._routes.table
         self.routes_version = 0
         self.on_routes_changed: list[Callable[[], None]] = []
         self._seen_seq: dict[str, int] = {}
         self._own_seq = 0
-        # The keyed /32 network of every address this node has heard of.
-        self._host_routes: dict[IPv4Address, tuple[int, IPv4Network]] = {}
-        # A prefix's route is its own one, if this node originates it, or
-        # else the one via the origin offering it with the lowest (hop
-        # count, id).
-        self._own_routes = {
-            route_key(prefix): (prefix, RouteEntry(None, 0, node_id))
-            for prefix in self.originated_hna
-        }
-        # What the next recompute looks at again: the nodes whose place in
-        # the tree moved, and the route keys whose offers changed.
-        self._moved: set[str] = set()
-        self._dirty: set[int] = set(self._own_routes)
         self._rng = sim.node_rng(node_id)
 
     # -- timers -------------------------------------------------------------
 
     def start(self) -> None:
-        hello_phase = (
-            round(self._rng.random() * self._hello_interval_us)
-            if self.cfg.randomize_phase
-            else 0
-        )
-        tc_phase = (
-            round(self._rng.random() * self._tc_interval_us)
-            if self.cfg.randomize_phase
-            else 0
-        )
+        hello_phase = tc_phase = 0
+        if self.cfg.randomize_phase:
+            hello_phase = round(self._rng.random() * self._hello_interval_us)
+            tc_phase = round(self._rng.random() * self._tc_interval_us)
         self.sim.schedule(hello_phase, self._hello_tick, kind="hello")
         self.sim.schedule(tc_phase, self._tc_tick, kind="tc")
         self._recompute()
@@ -301,14 +182,14 @@ class OlsrDaemon:
             rec = self.neighbors[origin] = NeighborRecord(
                 msg.address, now, partial(self._neighbor_expiry_check, origin)
             )
-            if origin not in self.link_state:
-                self._offer(origin, (self._host_route(msg.address),))
+            if origin not in self.link_state:  # until it advertises, its Hello address
+                self._routes.offer(origin, (msg.address,))
         rec.consecutive_hellos += 1
         rec.last_hello_at = now
         self.sim.schedule(self._neighbor_hold_us, rec.expiry_check, kind="neighbor-expiry")
         if origin not in self._sym_set and rec.consecutive_hellos >= self.cfg.hellos_to_up:
             self._sym_set.add(origin)
-            self._tree_stale = True
+            self._routes.rebuild(self._addr_of)
             self._on_new_adjacency(origin)
 
     def _neighbor_expiry_check(self, origin: str) -> None:
@@ -318,10 +199,10 @@ class OlsrDaemon:
         if self.sim.now() - rec.last_hello_at >= self._neighbor_hold_us:
             del self.neighbors[origin]
             if origin not in self.link_state:
-                self._offer(origin, ())
+                self._routes.offer(origin, ())
             if origin in self._sym_set:
                 self._sym_set.remove(origin)
-                self._tree_stale = True
+                self._routes.rebuild(self._addr_of)
                 self._originate_flood()
                 self._recompute()
 
@@ -329,18 +210,12 @@ class OlsrDaemon:
         # Sync the stored database over the new link so a healed partition
         # learns the far side immediately instead of waiting out a full
         # refresh period, then advertise the new adjacency everywhere.
-        link = self._link_to(neighbor)
+        link = next((link for nbr, link in self._links() if nbr == neighbor), None)
         if link is not None:
             for origin in sorted(self.link_state):
                 self._broadcast([link], self.link_state[origin])
         self._originate_flood()
         self._recompute()
-
-    def _link_to(self, neighbor: str) -> object | None:
-        for nbr, link in self._links():
-            if nbr == neighbor:
-                return link
-        return None
 
     # -- flooding -----------------------------------------------------------
 
@@ -371,11 +246,7 @@ class OlsrDaemon:
             if self.expires_at[origin] <= now:
                 self.hna_version += 1  # back in hna_entries() before its removal
         else:
-            self._offer(
-                origin,
-                tuple(self._host_route(addr) for addr in msg.addresses)
-                + tuple((route_key(prefix), prefix) for prefix in msg.hna),
-            )
+            self._routes.offer(origin, msg.addresses, msg.hna)
             same_prefixes = False
             changed = True
         validity = msg.validity_us
@@ -397,25 +268,21 @@ class OlsrDaemon:
         if expires_at is not None and self.sim.now() >= expires_at:
             del self.expires_at[origin]
             rec = self.neighbors.get(origin)
-            self._offer(origin, (self._host_route(rec.address),) if rec is not None else ())
+            self._routes.offer(origin, (rec.address,) if rec is not None else ())
             self._install(origin, self.link_state[origin], None)
             self._recompute()
 
     def _install(
-        self,
-        origin: str,
-        old: FloodMsg | None,
-        new: FloodMsg | None,
-        same_prefixes: bool = False,
+        self, origin: str, old: FloodMsg | None, new: FloodMsg | None, same_prefixes: bool = False
     ) -> None:
         """Replace ``origin``'s entry ``old`` by ``new`` (None: none) and bring
-        the graph and the tree up to date.  ``same_prefixes`` says that
+        the graph and the routes up to date.  ``same_prefixes`` says that
         ``new`` has ``old``'s addresses and HNA prefixes.
 
-        Each remote edge that comes or goes repairs the tree at once, unless
-        the tree already awaits a full search.  A symmetric neighbour whose
-        address moves changes its rank as a first hop, which leaves the tree
-        to a full search in the next recompute.
+        A symmetric neighbour whose address moves changes its rank as a
+        first hop, which takes a full search of the tree; each remote edge
+        that comes or goes then repairs it.  The edges are walked in node id
+        order, so the repair work does not follow the string hash seed.
         """
         ranked = not same_prefixes and origin in self._sym_set
         if ranked:
@@ -427,15 +294,13 @@ class OlsrDaemon:
         if not same_prefixes:
             self.hna_version += 1
             if ranked and self._addr_of(origin) != address:
-                self._tree_stale = True
+                self._routes.rebuild(self._addr_of)
         if old is not None and new is not None and old.neighbors == new.neighbors:
             return
         before = set(old.neighbors) if old is not None else set()
         after = set(new.neighbors) if new is not None else set()
-        me, adj, link_state = self.node_id, self._adj, self.link_state
-        tree = None if self._tree_stale else self._tree
-        moved = self._moved
-        for other in before - after:
+        me, adj, link_state, routes = self.node_id, self._adj, self.link_state, self._routes
+        for other in sorted(before - after):
             held = adj.get(origin)
             if other == me or held is None or other not in held:
                 continue
@@ -447,16 +312,14 @@ class OlsrDaemon:
                 peer.discard(origin)
                 if not peer:
                     del adj[other]
-            if tree is not None:
-                moved |= tree.remove_edge(origin, other)
-        for other in after - before:
+            routes.remove_edge(origin, other)
+        for other in sorted(after - before):
             peer_entry = link_state.get(other)
             if other == me or peer_entry is None or origin not in peer_entry.neighbors:
                 continue
             adj.setdefault(origin, set()).add(other)
             adj.setdefault(other, set()).add(origin)
-            if tree is not None:
-                moved |= tree.add_edge(origin, other)
+            routes.add_edge(origin, other)
 
     def _relay(self, msg: FloodMsg, exclude_link: object | None) -> None:
         sym = self._sym_set
@@ -466,7 +329,7 @@ class OlsrDaemon:
         if links:
             self._broadcast(links, msg)
 
-    # -- route computation --------------------------------------------------
+    # -- the graph and the routes over it -----------------------------------
 
     def graph(self) -> dict[str, set[str]]:
         """Adjacency as this node currently believes it, self edges included.
@@ -495,86 +358,14 @@ class OlsrDaemon:
             return rec.address
         return None
 
-    def _host_route(self, addr: IPv4Address) -> tuple[int, IPv4Network]:
-        keyed = self._host_routes.get(addr)
-        if keyed is None:
-            prefix = IPv4Network((int(addr), 32))
-            keyed = self._host_routes[addr] = (route_key(prefix), prefix)
-        return keyed
-
-    def _offer(self, origin: str, offer: tuple[tuple[int, IPv4Network], ...]) -> None:
-        """Make ``offer`` the (route key, prefix) pairs ``origin`` offers,
-        and mark the keys it offered before and offers now."""
-        index, dirty = self._offered_by, self._dirty
-        for key, _ in self._offers.pop(origin, ()):
-            held = index.get(key)
-            if held:
-                held.pop(origin, None)
-                if not held:
-                    del index[key]
-            dirty.add(key)
-        if offer:
-            self._offers[origin] = offer
-            for key, prefix in offer:
-                index.setdefault(key, {})[origin] = prefix
-                dirty.add(key)
-
     def _recompute(self) -> None:
-        if self._tree_stale:
-            self._tree_stale = False
-            self._moved |= self._tree.rebuild(self._addr_of)
-        moved, dirty = self._moved, self._dirty
-        if moved:
-            offers = self._offers
-            for node in moved:
-                offer = offers.get(node)
-                if offer is not None:
-                    for key, _ in offer:
-                        dirty.add(key)
-            moved.clear()
-        if not dirty:
+        if not self._routes.update():
             return  # the table and its lookup index stay as they are
-        self._dirty = set()
-        table, own, offered_by = self.routing_table, self._own_routes, self._offered_by
-        routes, place, hops = table.routes, self._tree.key, self._tree.hops
-        changed: dict[int, tuple[IPv4Network, RouteEntry]] = {}
-        gone: list[int] = []
-        # Only a change of next hop or hop count, or a route gained or lost,
-        # counts as a route change.
-        route_change = False
-        for key in sorted(dirty):
-            old = routes.get(key)
-            new = own.get(key)
-            if new is None:
-                best = best_place = None
-                for origin in offered_by.get(key, ()):
-                    held = place.get(origin)
-                    if held is not None and (
-                        best is None or (held >> RANK_BITS, origin) < (best_place >> RANK_BITS, best)
-                    ):
-                        best, best_place = origin, held
-                if best is None:
-                    if old is not None:
-                        gone.append(key)
-                        route_change = True
-                    continue
-                next_hop, hop_count = hops[best_place & RANK_MASK], best_place >> RANK_BITS
-                if old is not None and old[1] == (next_hop, hop_count, best):
-                    continue
-                new = (offered_by[key][best], RouteEntry(next_hop, hop_count, best))
-            elif old is not None:
-                continue  # an own prefix's route never changes
-            changed[key] = new
-            if old is None or old[1][:2] != new[1][:2]:
-                route_change = True
-        if changed or gone:
-            table.patch(changed, gone)
-        if not route_change:
-            return
         self.routes_version += 1
+        entries = len(self.routing_table.routes)
         self._log(
             "OlsrRouteChange",
-            {"node": self.node_id, "entries": len(routes), "version": self.routes_version},
+            {"node": self.node_id, "entries": entries, "version": self.routes_version},
         )
         for callback in list(self.on_routes_changed):
             callback()

@@ -1,19 +1,23 @@
-"""Shortest-path first-hop trees over an undirected graph of node ids.
+"""Route computation (RFC 3626 §10): the first-hop tree, the route to each
+prefix, and the routing table.  None of it holds daemon state; the daemon
+in :mod:`meshsdn.olsr` keeps the graph, says what changed in it, and logs
+each change of the table.
 
-A router routes each destination through its first hop on a shortest path,
-by hop count; among equal-cost paths the first hop is the neighbour that
-ranks first :func:`by_address`.  :func:`first_hop_tree` computes that tree
-with a full search.  :class:`FirstHopTree` keeps one up to date as single
-edges come and go, repairing only the nodes whose position the edge moves,
-as in the dynamic shortest-path algorithms of Ramalingam and Reps (J.
-Algorithms 1996) and of Narváez, Siu and Tzeng (IEEE/ACM ToN 2000) on a
-graph whose every edge weighs one hop.  Neither holds any daemon state.
+A router routes each destination through its first hop on a shortest path
+by hop count, the first hop that ranks first :func:`by_address` among equal
+costs.  The controller's paths (:func:`first_hop_tree`, a full search) tie
+the same way, so the rules it installs agree with each hop's own routes.
+:class:`FirstHopTree` repairs a tree as single edges come and go, after
+Ramalingam and Reps (J. Algorithms 1996) and Narváez, Siu and Tzeng
+(IEEE/ACM ToN 2000) with every edge one hop.  :class:`PrefixRoutes` chooses
+each prefix's route over such a tree into a :class:`RoutingTable`.
 """
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from ipaddress import IPv4Address
-from typing import Callable, Iterable, Mapping
+from ipaddress import IPv4Address, IPv4Network
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 
 def by_address(
@@ -81,19 +85,16 @@ class FirstHopTree:
     """The :func:`first_hop_tree` of ``source`` over ``adjacency``, kept by
     repair as edges come and go.
 
-    The caller owns ``adjacency`` and changes it; after each change of one
-    edge between two nodes other than the source it calls :meth:`add_edge`
-    or :meth:`remove_edge`, which repair the tree in place.  A change of the
-    source's own edges, or of the addresses that rank its neighbours as
-    first hops, needs a :meth:`rebuild`.  Each of the three returns the
-    nodes whose hop count or first hop moved, reached or unreached ones
-    included.
+    The caller owns ``adjacency``.  After a change of one edge between two
+    nodes other than the source it calls :meth:`add_edge` or
+    :meth:`remove_edge`; after a change of the source's own edges, or of the
+    addresses that rank its neighbours, :meth:`rebuild`.  Each returns the
+    nodes whose hop count or first hop moved, reached or not.
 
-    ``key`` maps each reached node to its place (the source to 0; see
-    ``ONE_HOP``), and ``hops`` lists the first hops by rank, best first.
-    The source's neighbours sit one hop away at their own rank; every other
-    node takes the lowest key its neighbours offer, so an edge's removal
-    can only raise keys and its addition only lower them.
+    ``key`` maps each reached node to its place (the source to 0), and
+    ``hops`` lists the first hops by rank, best first.  Each node but the
+    source and its neighbours takes the lowest key its neighbours offer, so
+    an edge's removal can only raise keys and its addition only lower them.
     """
 
     def __init__(self, adjacency: Mapping[str, Iterable[str]], source: str) -> None:
@@ -226,3 +227,173 @@ class FirstHopTree:
                 if w in cut and w not in key:
                     heappush(heap, (offer, w))
         return cut
+
+
+def route_key(prefix: IPv4Network) -> int:
+    """An int that identifies ``prefix``, cheaper to hash and compare."""
+    return int(prefix.network_address) << 6 | prefix.prefixlen
+
+
+class RouteEntry(NamedTuple):
+    """The route to one prefix; the table stores it with its prefix."""
+
+    next_hop: str | None  # None: deliver on a local interface
+    hop_count: int
+
+
+class RoutingTable:
+    """Routes by prefix, answering longest-prefix-match lookups.
+
+    ``routes`` holds each route as (prefix, entry) under the prefix's
+    :func:`route_key`, read-only.  The table changes only by :meth:`patch`,
+    which writes the lookup index as well, so no lookup reads a stale table.
+    """
+
+    def __init__(self, entries: Mapping[IPv4Network, RouteEntry] | None = None) -> None:
+        self._routes: dict[int, tuple[IPv4Network, RouteEntry]] = {}
+        self._view = MappingProxyType(self._routes)
+        # One dict per prefix length, keyed by network address, and the same
+        # dicts listed longest first with their masks.
+        self._by_length: dict[int, dict[int, RouteEntry]] = {}
+        self._index: list[tuple[int, dict[int, RouteEntry]]] = []
+        if entries:
+            self.patch({route_key(p): (p, e) for p, e in entries.items()}, ())
+
+    @property
+    def routes(self) -> Mapping[int, tuple[IPv4Network, RouteEntry]]:
+        return self._view
+
+    def patch(
+        self, changed: Mapping[int, tuple[IPv4Network, RouteEntry]], removed: Iterable[int]
+    ) -> None:
+        """Drop the routes under the ``removed`` route keys, then write the
+        ``changed`` (prefix, entry) pairs under theirs."""
+        routes, by_length = self._routes, self._by_length
+        relist = False
+        for key in removed:
+            del routes[key]
+            held = by_length[key & 63]
+            del held[key >> 6]
+            if not held:
+                del by_length[key & 63]
+                relist = True
+        for key, route in changed.items():
+            routes[key] = route
+            held = by_length.get(key & 63)
+            if held is None:
+                held = by_length[key & 63] = {}
+                relist = True
+            held[key >> 6] = route[1]
+        if relist:
+            self._index = [
+                (0xFFFFFFFF ^ (0xFFFFFFFF >> length), by_length[length])
+                for length in sorted(by_length, reverse=True)
+            ]
+
+    def lookup(self, addr: IPv4Address | int) -> RouteEntry | None:
+        """The longest-prefix route for ``addr``, given as an address or as
+        its int value; None if no prefix covers it."""
+        key = int(addr)
+        for mask, routes in self._index:
+            entry = routes.get(key & mask)
+            if entry is not None:
+                return entry
+        return None
+
+    def forwarding_map(self) -> dict[IPv4Network, tuple[str | None, int]]:
+        return {p: (e.next_hop, e.hop_count) for p, e in self._routes.values()}
+
+
+class PrefixRoutes:
+    """The route to each prefix over a :class:`FirstHopTree`, kept in
+    ``table``: the source's own route, if it originates the prefix, or else
+    the one via the node offering it with the lowest (hop count, id).
+
+    The caller says what changed: what a node offers (:meth:`offer`), an
+    edge between two nodes other than the source (:meth:`add_edge`,
+    :meth:`remove_edge`), or the source's own edges or the addresses that
+    rank its neighbours (:meth:`rebuild`).  Each marks the route keys whose
+    choice may have moved, and :meth:`update` chooses those again.
+    """
+
+    def __init__(
+        self, adjacency: Mapping[str, Iterable[str]], source: str, own: Iterable[IPv4Network]
+    ) -> None:
+        self.tree = FirstHopTree(adjacency, source)
+        self.table = RoutingTable()
+        # Per node, the route keys it offers; per route key, the nodes
+        # offering it, each with its prefix.
+        self._offers: dict[str, tuple[int, ...]] = {}
+        self._offered_by: dict[int, dict[str, IPv4Network]] = {}
+        self._own_routes = {route_key(p): (p, RouteEntry(None, 0)) for p in own}
+        self._dirty: set[int] = set(self._own_routes)  # the keys to choose again
+
+    def offer(
+        self, node: str, addresses: Iterable[IPv4Address], prefixes: Iterable[IPv4Network] = ()
+    ) -> None:
+        """Make ``node`` offer a host route to each of ``addresses``, then a
+        route to each of ``prefixes``, in place of what it offered before."""
+        index, dirty = self._offered_by, self._dirty
+        for key in self._offers.pop(node, ()):
+            held = index.get(key)
+            if held:
+                held.pop(node, None)
+                if not held:
+                    del index[key]
+            dirty.add(key)
+        offered = [IPv4Network((int(addr), 32)) for addr in addresses]
+        offered.extend(prefixes)
+        if offered:
+            self._offers[node] = keys = tuple(map(route_key, offered))
+            for key, prefix in zip(keys, offered):
+                index.setdefault(key, {})[node] = prefix
+                dirty.add(key)
+
+    def rebuild(self, addr_of: Callable[[str], IPv4Address | None]) -> None:
+        """Search the tree afresh, ranking first hops by their ``addr_of``."""
+        self._moved(self.tree.rebuild(addr_of))
+
+    def add_edge(self, a: str, b: str) -> None:
+        self._moved(self.tree.add_edge(a, b))
+
+    def remove_edge(self, a: str, b: str) -> None:
+        self._moved(self.tree.remove_edge(a, b))
+
+    def _moved(self, nodes: Iterable[str]) -> None:
+        """Mark the route keys offered by ``nodes``, whose place moved."""
+        offers, dirty = self._offers, self._dirty
+        for node in nodes:
+            dirty.update(offers.get(node, ()))
+
+    def update(self) -> bool:
+        """Choose the route of every marked key again and patch the table;
+        True if a route was gained, lost or moved."""
+        dirty = self._dirty
+        if not dirty:
+            return False
+        self._dirty = set()
+        own, index = self._own_routes, self._offered_by
+        routes, place, hops = self.table.routes, self.tree.key, self.tree.hops
+        changed: dict[int, tuple[IPv4Network, RouteEntry]] = {}
+        gone: list[int] = []
+        for key in sorted(dirty):
+            old = routes.get(key)
+            new = own.get(key)
+            if new is None:
+                reached = [(place[n] >> RANK_BITS, n) for n in index.get(key, ()) if n in place]
+                if not reached:
+                    if old is not None:
+                        gone.append(key)
+                    continue
+                hop_count, best = min(reached)
+                next_hop = hops[place[best] & RANK_MASK]
+                if old is not None and old[1] == (next_hop, hop_count):
+                    continue
+                new = (index[key][best], RouteEntry(next_hop, hop_count))
+            elif old is not None:
+                continue  # an own prefix's route never changes
+            changed[key] = new
+        if not (changed or gone):
+            return False
+        self.table.patch(changed, gone)
+        return True

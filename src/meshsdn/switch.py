@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import AbstractSet, Callable, Literal, Mapping, NamedTuple, Protocol, Sequence
 
 from .engine import Period, Seconds, SimTime, Simulator, to_us
-from .olsr import RouteEntry
+from .routing import RouteEntry
 
 ORIGIN_EFTM = "eftm"
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from meshsdn import control_plane as cp
 from meshsdn.controller import Controller, ControllerConfig
 from meshsdn.engine import Simulator, to_us
-from meshsdn.olsr import TopologySnapshot, first_hop_tree
+from meshsdn.olsr import TopologySnapshot
+from meshsdn.routing import first_hop_tree
 from meshsdn.simulation import Simulation
 from meshsdn.switch import DeliverLocal, DropAction, ForwardTo
 

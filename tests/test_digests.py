@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -90,15 +91,35 @@ def test_log_and_summary_digests(name, seed):
 
 def test_logs_do_not_depend_on_the_string_hash_seed():
     # Route computation walks sets of node ids, whose order follows the
-    # string hash seed of the process; no such order may reach a log.
-    code = (
-        "import test_digests as t\n"
-        "for name in ('merge', 'grid-partition'):\n"
-        "    print(t.sha256(t.run(name, 0)[1].log.to_ndjson()))\n"
+    # string hash seed of the process; no such order may reach a log, nor
+    # the work the first-hop tree does.  Each process also prints how many
+    # searches and repairs of the tree moved nodes, and how many they moved.
+    code = textwrap.dedent(
+        """
+        import test_digests as t
+        from meshsdn.routing import FirstHopTree
+
+        moved = [0, 0]
+
+        def counted(fn):
+            def call(*args):
+                nodes = fn(*args)
+                moved[0] += bool(nodes)
+                moved[1] += len(nodes)
+                return nodes
+
+            return call
+
+        for attr in ("rebuild", "add_edge", "remove_edge"):
+            setattr(FirstHopTree, attr, counted(getattr(FirstHopTree, attr)))
+        for name in ("merge", "grid-partition"):
+            print(t.sha256(t.run(name, 0)[1].log.to_ndjson()))
+        print(*moved)
+        """
     )
     tests = str(Path(__file__).resolve().parent)
     path = os.pathsep.join([tests, *sys.path])
-    digests = [
+    outputs = [
         subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
@@ -109,4 +130,5 @@ def test_logs_do_not_depend_on_the_string_hash_seed():
         ).stdout.split()
         for hash_seed in ("0", "1")
     ]
-    assert digests[0] == digests[1] == [GOLDEN["merge/0"]["log"], GOLDEN["grid-partition/0"]["log"]]
+    assert outputs[0][:2] == [GOLDEN["merge/0"]["log"], GOLDEN["grid-partition/0"]["log"]]
+    assert outputs[0] == outputs[1]

@@ -21,7 +21,8 @@ from meshsdn.eftm import (
     MasterSelector,
 )
 from meshsdn.engine import Simulator, to_us
-from meshsdn.olsr import FloodMsg, OlsrConfig, OlsrDaemon, RouteEntry, RoutingTable, route_key
+from meshsdn.olsr import FloodMsg, OlsrConfig, OlsrDaemon
+from meshsdn.routing import RouteEntry, RoutingTable, route_key
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
 from meshsdn.switch import (
@@ -70,7 +71,7 @@ class FakeDaemon:
         table = self.routing_table
         table.patch(
             {
-                route_key(IPv4Network(p)): (IPv4Network(p), RouteEntry(hop, hops, "t"))
+                route_key(IPv4Network(p)): (IPv4Network(p), RouteEntry(hop, hops))
                 for p, hop, hops in entries
             },
             list(table.routes),

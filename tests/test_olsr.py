@@ -12,16 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsdn.engine import Simulator, to_us
-from meshsdn.olsr import (
-    FloodMsg,
-    HelloMsg,
-    OlsrConfig,
-    OlsrDaemon,
-    RouteEntry,
-    RoutingTable,
-    first_hop_tree,
-    route_key,
-)
+from meshsdn.olsr import FloodMsg, HelloMsg, OlsrConfig, OlsrDaemon
+from meshsdn.routing import RouteEntry, RoutingTable, first_hop_tree, route_key
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
 from meshsdn.topology import Link
@@ -180,7 +172,7 @@ def test_remote_edges_need_mutual_advertisement():
     b.handle_flood(z_msg, link)
     # The half-advertised c-z edge must stay out of the graph, so z gets no
     # route even though its address is known from its own LSA.
-    assert IPv4Network("10.0.0.4/32") not in b.routing_table.entries
+    assert IPv4Network("10.0.0.4/32") not in b.routing_table.forwarding_map()
     z_fixed = FloodMsg("z", 2, (IPv4Address("10.0.0.4"),), ("c",), (), to_us(30.0))
     b.handle_flood(z_fixed, link)
     graph = b.graph()
@@ -328,7 +320,7 @@ def test_equal_cost_routes_prefer_lower_first_hop_address():
 def test_longest_prefix_lookup():
     table = RoutingTable(
         {
-            IPv4Network(prefix): RouteEntry(hop, 1, hop)
+            IPv4Network(prefix): RouteEntry(hop, 1)
             for prefix, hop in [("10.0.0.0/16", "x"), ("10.0.2.0/24", "y"), ("10.0.2.7/32", "z")]
         }
     )
@@ -363,7 +355,7 @@ route_tables = st.dictionaries(
     ),
     st.sampled_from(["a", "b", "c"]),
     max_size=12,
-).map(lambda hops: {p: RouteEntry(hop, 1, hop) for p, hop in hops.items()})
+).map(lambda hops: {p: RouteEntry(hop, 1) for p, hop in hops.items()})
 
 
 def assert_lookups(table, entries, probes):
@@ -394,22 +386,23 @@ def test_lookup_matches_linear_scan_after_replacement(first, second, third, prob
     routes.update(second)
     assert_lookups(table, first, probes)
     # ... and the table itself only changes by a patch.
+    default = IPv4Network("0.0.0.0/0")
     with pytest.raises(TypeError):
-        table.entries[IPv4Network("0.0.0.0/0")] = RouteEntry("d", 1, "d")
+        table.routes[route_key(default)] = (default, RouteEntry("d", 1))
     with pytest.raises(AttributeError):
-        table.entries = second
-    # A patch reaches the entries and the lookup index alike ...
+        table.routes = {}
+    # A patch reaches the routes and the lookup index alike ...
     patch_table(table, first, second)
-    assert dict(table.entries) == second
+    assert dict(table.routes.values()) == second
     assert_lookups(table, second, probes)
     patch_table(table, second, third)
-    assert dict(table.entries) == third
+    assert dict(table.routes.values()) == third
     assert_lookups(table, third, probes)
     # ... also on a table no lookup has read yet, and on one built empty.
     for start in (first, {}):
         fresh = RoutingTable(start)
         patch_table(fresh, start, third)
-        assert dict(fresh.entries) == third
+        assert dict(fresh.routes.values()) == third
         assert_lookups(fresh, third, probes)
 
 
@@ -497,8 +490,20 @@ def reference_forwarding_map(daemon):
     return routes
 
 
-def lone_daemon(hellos_to_up=1):
-    """A started daemon ``ME`` with links to ``HELLO_FROM`` that lead nowhere."""
+def lone_daemon(hellos_to_up=1, route_maps=None):
+    """A started daemon ``ME`` with links to ``HELLO_FROM`` that lead nowhere.
+
+    Given a list ``route_maps``, the daemon appends its forwarding map to it
+    at each ``OlsrRouteChange`` it logs, once the record's entry count is
+    checked against the map.
+    """
+
+    def log(kind, data):
+        if kind == "OlsrRouteChange" and route_maps is not None:
+            routes = daemon.routing_table.forwarding_map()
+            assert data["entries"] == len(routes)
+            route_maps.append(routes)
+
     sim = Simulator(0)
     links = [(nbr, Link(ME, nbr, capacity_bps=1, delay_us=0)) for nbr in HELLO_FROM]
     daemon = OlsrDaemon(
@@ -509,7 +514,7 @@ def lone_daemon(hellos_to_up=1):
         sim,
         links=lambda: links,
         broadcast=lambda links, msg: None,
-        log=lambda kind, data: None,
+        log=log,
     )
     daemon.start()
     return sim, daemon, links[0][1]
@@ -522,7 +527,7 @@ def hello_from(daemon, nbr):
 def assert_matches_full_rebuild(daemon):
     assert daemon.graph() == reference_graph(daemon)
     # The kept tree, node by node, first hop included.
-    assert daemon._tree.tree() == reference_tree(daemon)
+    assert daemon._routes.tree.tree() == reference_tree(daemon)
     assert daemon.routing_table.forwarding_map() == reference_forwarding_map(daemon)
     assert daemon.sym_neighbors() == sorted(reference_graph(daemon)[ME])
 
@@ -530,10 +535,12 @@ def assert_matches_full_rebuild(daemon):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from((1, 2)), daemon_steps)
 def test_kept_graph_and_routes_match_a_full_rebuild(hellos_to_up, steps):
-    sim, daemon, link = lone_daemon(hellos_to_up)
+    route_maps = []
+    sim, daemon, link = lone_daemon(hellos_to_up, route_maps)
     seqs: dict[str, int] = {}
     advertised: dict[str, tuple] = {}
     for step in steps:
+        before, logged = daemon.routing_table.forwarding_map(), len(route_maps)
         if step[0] == "hello":
             hello_from(daemon, step[1])
         elif step[0] == "lsa":
@@ -558,6 +565,12 @@ def test_kept_graph_and_routes_match_a_full_rebuild(hellos_to_up, steps):
         else:
             sim.run_until(sim.now() + to_us(step[1]))
         assert_matches_full_rebuild(daemon)
+        if len(route_maps) == logged:
+            assert daemon.routing_table.forwarding_map() == before
+    # A route change is logged when, and only when, some route was gained,
+    # lost, or moved to another next hop or hop count.
+    for previous, routes in zip([{}, *route_maps], route_maps):
+        assert routes != previous
 
 
 def flood(daemon, link, origin, seq, addr, neighbors):

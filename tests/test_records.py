@@ -11,7 +11,8 @@ import pytest
 
 from meshsdn import control_plane as cp
 from meshsdn.metrics import RecoveryAnalysis, SummaryRow
-from meshsdn.olsr import FloodMsg, HelloMsg, RouteEntry, TopologySnapshot
+from meshsdn.olsr import FloodMsg, HelloMsg, TopologySnapshot
+from meshsdn.routing import RouteEntry
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
 from meshsdn.switch import DeliverLocal, DropAction, FlowRule, ForwardTo, Packet
@@ -28,7 +29,7 @@ SAMPLES = [
     *(cls(*("x",) * len(cls._fields)) for cls in MESSAGES),
     HelloMsg("wmr1", IPv4Address("10.0.0.1")),
     FloodMsg("wmr1", 3, (IPv4Address("10.0.0.1"),), ("wmr2",), (NET,), 15_000_000),
-    RouteEntry("wmr2", 1, "wmr2"),
+    RouteEntry("wmr2", 1),
     TopologySnapshot(0, {"wmr1": ("wmr2",)}, {"wmr1": (IPv4Address("10.0.0.1"),)}, ()),
     ForwardTo("wmr2"),
     RecoveryAnalysis(1e7, 5, 7, 2),
