@@ -25,6 +25,7 @@ KINDS = (
     "RuleEvent",
     "PacketDrop",  # diagnostic extension; not consumed by any metric
 )
+_KIND_SET = frozenset(KINDS)
 
 
 class MetricRecord(NamedTuple):
@@ -53,13 +54,16 @@ class MetricLog:
         self.observers: list[Callable[[MetricRecord], None]] = []
 
     def append(self, kind: str, data: dict) -> None:
-        if kind not in KINDS:
+        if kind not in _KIND_SET:
             raise ValueError(f"unknown record kind {kind!r}")
         records = self.records
-        record = MetricRecord(self._sim.now(), len(records), kind, data)
+        # Built as the bare tuple it is: the named tuple's own __new__ is a
+        # Python-level call, and every record of a run passes through here.
+        record = tuple.__new__(MetricRecord, (self._sim.now(), len(records), kind, data))
         records.append(record)
-        for observer in self.observers:
-            observer(record)
+        if self.observers:
+            for observer in self.observers:
+                observer(record)
 
     def to_ndjson(self) -> str:
         return "\n".join(r.to_json() for r in self.records) + "\n"

@@ -9,6 +9,8 @@ installed.
 """
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from ipaddress import IPv4Address, IPv4Network
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Literal, Mapping, NamedTuple, Protocol, Sequence
@@ -89,6 +91,14 @@ class Packet:
 
 
 class FlowRule:
+    """One match-action entry.
+
+    Its match fields, action, origin and timeouts are fixed once it is
+    built, so its text and dump order are worked out on first use and kept.
+    The switch stamps ``installed_at`` and ``last_hit`` on install, a match
+    moves ``last_hit`` later, and the table numbers ``install_order``.
+    """
+
     def __init__(
         self,
         priority: int,
@@ -126,7 +136,22 @@ class FlowRule:
             return True
         return False
 
+    def earliest_expiry(self) -> float:
+        """The first instant the rule could expire: its hard deadline, or
+        its idle deadline from the last hit if sooner; inf without timeouts.
+        A hit only moves the idle deadline later."""
+        due = math.inf
+        if self.hard_timeout_us:
+            due = self.installed_at + self.hard_timeout_us
+        if self.idle_timeout_us:
+            due = min(due, self.last_hit + self.idle_timeout_us)
+        return due
+
     def summary(self) -> str:
+        return self._summary
+
+    @cached_property
+    def _summary(self) -> str:
         action = self.action
         if isinstance(action, ForwardTo):
             act = f"fwd:{action.next_hop}"
@@ -137,6 +162,10 @@ class FlowRule:
         src = self.src_prefix or "*"
         return f"p={self.priority} dst={self.dst_prefix} src={src} -> {act} [{self.origin}]"
 
+    @cached_property
+    def _dump_key(self) -> tuple[int, str, str, str]:
+        return (-self.priority, str(self.dst_prefix), str(self.src_prefix), self.origin)
+
 
 class FlowTable:
     """Rules keyed by match space, indexed for best-first lookup.
@@ -146,6 +175,13 @@ class FlowTable:
     in ``changes``.  The next match rebuilds the index, so a match never
     answers from a stale one; a reader that kept a match result can tell from
     ``changes`` whether the rule set it came from still holds.
+
+    The table also keeps ``_due``, a lower bound on the first instant any of
+    its rules could expire.  An install lowers it to the new rule's
+    :meth:`FlowRule.earliest_expiry`, and a full expiry scan sets it to the
+    earliest of the rules that scan keeps.  Nothing moves a rule's deadline
+    earlier (``last_hit`` only moves later), so a sweep before ``_due`` has
+    nothing to remove and returns without scanning.
     """
 
     def __init__(self) -> None:
@@ -154,6 +190,7 @@ class FlowTable:
         self._install_counter = 0
         self._index: list[tuple[int, dict[int, list[FlowRule]]]] | None = None
         self.changes = 0
+        self._due = math.inf
 
     def install(self, rule: FlowRule) -> FlowRule:
         self._install_counter += 1
@@ -161,6 +198,7 @@ class FlowTable:
         self._rules[rule.key] = rule
         self._index = None
         self.changes += 1
+        self._due = min(self._due, rule.earliest_expiry())
         return rule
 
     def remove(self, rule: FlowRule) -> None:
@@ -207,7 +245,18 @@ class FlowTable:
         return gone
 
     def remove_expired(self, now: SimTime) -> list[FlowRule]:
-        return self._discard([r for r in self.rules.values() if r.expired(now)])
+        if now < self._due:
+            return []
+        gone = []
+        due = math.inf
+        for rule in self._rules.values():
+            rule_due = rule.earliest_expiry()  # expired(now) is now >= rule_due
+            if now >= rule_due:
+                gone.append(rule)
+            elif rule_due < due:
+                due = rule_due
+        self._due = due
+        return self._discard(gone)
 
     def flush(self, origin_filter: str) -> list[FlowRule]:
         if origin_filter == "*":
@@ -219,11 +268,8 @@ class FlowTable:
         return self._discard(gone)
 
     def dump(self) -> list[str]:
-        ordered = sorted(
-            self.rules.values(),
-            key=lambda r: (-r.priority, str(r.dst_prefix), str(r.src_prefix), r.origin),
-        )
-        return [r.summary() for r in ordered]
+        ordered = sorted(self._rules.values(), key=lambda r: r._dump_key)
+        return [r._summary for r in ordered]
 
 
 class SwitchConfig(NamedTuple):

@@ -85,6 +85,10 @@ class Topology:
         self._between: dict[tuple[str, str], Link] = {}
         # Called as (link, up) after every applied state change.
         self.on_link_event: Callable[[Link, bool], None] | None = None
+        # State changes applied so far.  ``set_link_state`` is the only
+        # writer of ``Link.up`` after construction, so a reader that noted
+        # this count knows no link moved while it stays the same.
+        self.link_events = 0
 
     def add_node(self, node: Node) -> None:
         if node.id in self.nodes:
@@ -120,6 +124,7 @@ class Topology:
         """
         link = self.link_between(a, b)
         link.up = up
+        self.link_events += 1
         if self.on_link_event is not None:
             self.on_link_event(link, up)
 

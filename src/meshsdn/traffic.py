@@ -16,7 +16,19 @@ link on it going down, an install, removal, expiry sweep or flush in a
 visited table, or a rule on it timing out makes the next sample walk from
 scratch.  A walk that ends in a miss, a drop rule or a loop is never kept,
 so each sample that meets one raises its packet-in or drop as a fresh walk
-does.
+does.  Stopping a flow drops its walk, so a restarted flow walks afresh.
+
+Most samples follow no change at all, so a sample first decides whether it
+is *clean*: the sum of the switches' table change counts and the
+topology's link-event count are what they were at the previous sample, and
+the sample comes before the *kept-until horizon*.  That horizon is the
+earliest hard deadline among the rules of every kept walk, or the instant a
+walk was kept if one of its rules has an idle timeout no longer than the
+sample interval.  A longer idle timeout cannot lapse, since each sample
+touches the rules of every kept walk.  On a clean sample a kept walk is
+reused without checking it hop by hop.  A sample's own walks change no
+table and no link: a miss only buffers the packet and raises a packet-in,
+which reaches the controller as a message.
 """
 from __future__ import annotations
 
@@ -164,9 +176,12 @@ class _FlowState:
         self.recovery_us = recovery_us
         self.active = False
         self.path_ok_since: SimTime | None = None
-        # The last complete walk: its links, and per hop the table, that
-        # table's change count when the walk matched, and the rule it matched.
-        self.walk: tuple[list[Link], list[tuple[FlowTable, int, FlowRule]]] | None = None
+        # The last complete walk: its links; per hop the table, that table's
+        # change count when the walk matched, and the rule it matched; and
+        # the instant from which one of those rules may have expired.
+        self.walk: (
+            tuple[list[Link], list[tuple[FlowTable, int, FlowRule]], float] | None
+        ) = None
 
 
 class FluidTraffic:
@@ -194,6 +209,14 @@ class FluidTraffic:
         self._allocated: tuple[dict[str, float], dict[str, list[Link]]] | None = None
         self._shares: dict[str, float] = {}
         self._sample_interval_us = to_us(self.SAMPLE_INTERVAL_S)
+        self._tables = [switch.table for switch in switches.values()]
+        # The tables' change counts summed with the link-event count, as the
+        # last sample found them.  Both only grow, so an equal sum means
+        # neither moved.  With the kept-until horizon of the walks that
+        # sample kept, it decides whether this sample is clean.
+        self._marks = -1
+        self._horizon: float = 0
+        self._clean = False
 
     def add_flow(self, spec: FlowSpec) -> None:
         # The topology is complete and fixed by now, so what a flow starts
@@ -231,9 +254,14 @@ class FluidTraffic:
         state = self._flows[flow_id]
         state.active = False
         state.path_ok_since = None
+        state.walk = None
 
     def _tick(self) -> None:
         now = self.sim.now()
+        marks = sum(table.changes for table in self._tables) + self.topo.link_events
+        self._clean = marks == self._marks and now < self._horizon
+        self._marks = marks
+        horizon = math.inf
         paths: dict[str, list[Link]] = {}
         demands: dict[str, float] = {}
         flows = self._flows
@@ -242,6 +270,9 @@ class FluidTraffic:
             if not state.active:
                 continue
             links = self._trace(state, now)
+            walk = state.walk
+            if walk is not None and walk[2] < horizon:
+                horizon = walk[2]
             if links is None:
                 state.path_ok_since = None
                 self._log("ThroughputSample", {"flow": flow_id, "bps": 0.0})
@@ -250,6 +281,7 @@ class FluidTraffic:
                     state.path_ok_since = now
                 paths[flow_id] = links
                 demands[flow_id] = state.demand_bps
+        self._horizon = horizon
         if paths:
             if self._allocated != (demands, paths):
                 self._shares = max_min_allocate(demands, paths)
@@ -272,8 +304,8 @@ class FluidTraffic:
         currently cannot reach its destination."""
         walk = state.walk
         if walk is not None:
-            links, hops = walk
-            if self._still_valid(links, hops, now):
+            links, hops, _ = walk
+            if self._clean or self._still_valid(links, hops, now):
                 for _, _, rule in hops:
                     rule.last_hit = now  # as the match it stands for would
                 return links
@@ -302,7 +334,7 @@ class FluidTraffic:
                 nxt = action.next_hop
             elif isinstance(action, DeliverLocal) and state.owner is not None:
                 if state.owner == current:
-                    state.walk = (links, hops)
+                    state.walk = (links, hops, self._kept_until(hops, now))
                     return links
                 nxt = state.owner  # the last hop, to the owner of the destination
             else:
@@ -315,10 +347,23 @@ class FluidTraffic:
                 return None
             links.append(hop)
             if isinstance(action, DeliverLocal):
-                state.walk = (links, hops)
+                state.walk = (links, hops, self._kept_until(hops, now))
                 return links
             current = nxt
         return None  # rule loop
+
+    def _kept_until(self, hops: list[tuple[FlowTable, int, FlowRule]], now: SimTime) -> float:
+        """The instant from which a rule of a walk kept at ``now`` may have
+        expired, with each sample after ``now`` touching them all: the
+        earliest hard deadline, or ``now`` if an idle timeout lapses between
+        two samples."""
+        until = math.inf
+        for _, _, rule in hops:
+            if 0 < rule.idle_timeout_us <= self._sample_interval_us:
+                return now
+            if rule.hard_timeout_us:
+                until = min(until, rule.installed_at + rule.hard_timeout_us)
+        return until
 
     @staticmethod
     def _still_valid(

@@ -8,7 +8,9 @@ confirmed across a 25-router partition and heal, and many flows over a cut
 link.  A change that only makes the simulator faster or smaller must leave
 the digests untouched, and also the number of events each run schedules
 and of records it logs; one that alters the logs on purpose regenerates
-``bench/golden.json`` and says so.  A 6 x 6 grid-partition run, whose
+``bench/golden.json`` and says so.  The flows-mesh run also pins the data
+plane's work (kept-walk checks and rule-expiry tests); a change that moves
+it updates the counts and says why.  A 6 x 6 grid-partition run, whose
 mesh is deeper (diameter 10 against 8) than any benchmark run, is pinned
 here as well, outside the benchmark's goldens.
 """
@@ -24,6 +26,8 @@ import pytest
 
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
+from meshsdn.switch import FlowRule
+from meshsdn.traffic import FluidTraffic
 
 from support import builtin_scenario
 
@@ -59,6 +63,10 @@ WORK = {
     "grid-partition-6x6/0": (157_632, 5_218),
     "flows-mesh/0": (69_322, 20_202),
 }
+# Data-plane work of the flows-mesh run, counted the same way: how often the
+# fluid model checks a kept walk hop by hop (``FluidTraffic._still_valid``),
+# and how often any rule is asked whether it has expired (``FlowRule.expired``).
+DATA_PLANE_WORK = {"flows-mesh/0": (858, 14_648)}
 
 
 def run(name: str, seed: int):
@@ -81,12 +89,26 @@ def run(name: str, seed: int):
         ("flows-mesh", 0),
     ],
 )
-def test_log_and_summary_digests(name, seed):
+def test_log_and_summary_digests(name, seed, monkeypatch):
     label = f"{name}/{seed}"
+    calls = {"_still_valid": 0, "expired": 0}
+
+    def counted(fn):
+        def call(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return call
+
+    if label in DATA_PLANE_WORK:
+        monkeypatch.setattr(FluidTraffic, "_still_valid", staticmethod(counted(FluidTraffic._still_valid)))
+        monkeypatch.setattr(FlowRule, "expired", counted(FlowRule.expired))
     sim, result = run(name, seed)
     assert sha256(result.log.to_ndjson()) == GOLDEN[label]["log"]
     assert sha256(result.summary.as_csv_line()) == GOLDEN[label]["summary"]
     assert (sim.engine._seq, len(result.log.records)) == WORK[label]
+    if label in DATA_PLANE_WORK:
+        assert (calls["_still_valid"], calls["expired"]) == DATA_PLANE_WORK[label]
 
 
 def test_logs_do_not_depend_on_the_string_hash_seed():

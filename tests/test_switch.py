@@ -397,3 +397,63 @@ def test_rules_view_refuses_writes():
     with pytest.raises(TypeError):
         del table.rules[r.key]
     assert table.match(data_packet(), 0) is r
+
+
+# -- the sweep bound against a full scan --------------------------------------
+
+sweep_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("install"),
+            rule_args,
+            st.sampled_from([0, 3, 5, 10]),  # idle timeout
+            st.sampled_from([0, 4, 7, 20]),  # hard timeout
+        ),
+        st.tuples(st.just("match"), st.integers(min_value=0, max_value=len(PACKETS) - 1)),
+        st.tuples(st.just("advance"), st.integers(min_value=1, max_value=8)),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=50)),
+        st.tuples(st.just("flush"), st.sampled_from(FILTERS)),
+        st.tuples(st.just("sweep")),
+    ),
+    min_size=5,
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_steps)
+def test_sweep_returns_what_a_full_scan_would(steps):
+    # A sweep that skips its scan before the table's expiry bound must still
+    # return exactly the expired rules, in table order, after every step.
+    table = FlowTable()
+    reference: dict[tuple, FlowRule] = {}
+    now = 0
+
+    def sweep():
+        expected = [r for r in reference.values() if r.expired(now)]
+        assert table.remove_expired(now) == expected, step
+        for r in expected:
+            del reference[r.key]
+
+    for step in steps:
+        op = step[0]
+        if op == "install":
+            _, args, idle, hard = step
+            r = FlowRule(action=DropAction(), **{**args, "idle_timeout_us": idle, "hard_timeout_us": hard})
+            r.installed_at = r.last_hit = now
+            reference[r.key] = table.install(r)
+        elif op == "match":
+            table.match(PACKETS[step[1]], now)
+        elif op == "advance":
+            now += step[1]
+        elif op == "remove" and reference:
+            victim = list(reference.values())[step[1] % len(reference)]
+            table.remove(victim)
+            del reference[victim.key]
+        elif op == "flush":
+            for r in table.flush(step[1]):
+                del reference[r.key]
+        elif op == "sweep":
+            sweep()
+        sweep()  # after every step; after a sweep step it finds nothing
+        assert dict(table.rules) == reference

@@ -1,8 +1,11 @@
 """Graph store invariants and the BFS reachability oracle."""
+import ast
 from ipaddress import IPv4Address, IPv4Network
+from pathlib import Path
 
 import pytest
 
+import meshsdn
 from meshsdn.topology import Link, Node, Topology, link_id
 
 
@@ -114,3 +117,29 @@ def test_link_between_finds_either_order_and_rejects_missing_pairs():
     for a, b in (("n1", "n3"), ("n3", "n1"), ("n1", "ghost"), ("n1", "n1")):
         with pytest.raises(KeyError, match=f"no link {link_id(a, b)}"):
             topo.link_between(a, b)
+
+
+def test_set_link_state_is_the_only_writer_of_link_state():
+    # The fluid model trusts its kept walks while the topology's link-event
+    # count stands still, which holds only if no other code flips Link.up.
+    writers = []
+    for path in sorted(Path(meshsdn.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = {}  # the qualified name of the class or function around each node
+        for parent in ast.walk(tree):
+            for child in ast.iter_child_nodes(parent):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scopes[child] = f"{scopes[parent]}.{child.name}" if parent in scopes else child.name
+                elif parent in scopes:
+                    scopes[child] = scopes[parent]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [p.attr for t in targets for p in ast.walk(t) if isinstance(p, ast.Attribute)]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+                names = [arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant)]
+            else:
+                continue
+            if "up" in names:
+                writers.append(f"{path.name}:{scopes.get(node, '<module>')}")
+    assert sorted(writers) == ["topology.py:Link.__init__", "topology.py:Topology.set_link_state"]

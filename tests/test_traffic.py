@@ -485,6 +485,10 @@ class WalkWorld:
         elif op == "link":
             a, b, up = args
             self.topo.set_link_state(a, b, up)
+        elif op == "stop":
+            self.fluid.stop_flow(*args)
+        elif op == "start":
+            self.fluid.start_flow(*args)
         elif op == "wait":
             (steps,) = args
             self.sim.run_until(self.sim.now() + steps * to_us(0.05))
@@ -556,6 +560,7 @@ walk_steps = st.one_of(
     st.tuples(st.just("sweep"), st.sampled_from(WMRS)),
     link_steps,
     link_steps,
+    st.tuples(st.sampled_from(["stop", "start"]), st.sampled_from([f[0] for f in WALK_FLOWS])),
 )
 
 
@@ -572,13 +577,13 @@ def test_reused_walks_equal_walks_from_scratch(first, second, steps):
     run_both([first, second, *waited])
 
 
-def path_rule(priority=100, hard_timeout_us=0):
+def path_rule(priority=100, hard_timeout_us=0, idle_timeout_us=0, dst="192.168.4.0/24"):
     return {
         "priority": priority,
-        "dst_prefix": IPv4Network("192.168.4.0/24"),
+        "dst_prefix": IPv4Network(dst),
         "src_prefix": None,
         "origin": "controller:10.0.255.1",
-        "idle_timeout_us": 0,
+        "idle_timeout_us": idle_timeout_us,
         "hard_timeout_us": hard_timeout_us,
     }
 
@@ -639,3 +644,64 @@ def test_link_down_on_path_ends_reuse_and_link_up_restores_it():
     assert not [r for r in world.records if r[1] == "packet-in" and r[2]["flow"] == "f1"]
     samples = [(t, d["bps"]) for t, kind, d in world.records if kind == "ThroughputSample" and d["flow"] == "f1"]
     assert samples[-2:] == [(to_us(0.3), 0.0), (to_us(0.4), 0.0)]  # the ramp starts over
+
+
+def test_change_in_a_table_no_walk_visits_checks_the_kept_walk_once():
+    # Only f1 reaches h2 (f2 misses at w2, and f3's stray address matches no
+    # rule).  An install at w2 ends the clean samples once: the next sample
+    # checks f1's walk, finds it still valid and keeps it.
+    steps = [("path", ["w1", "w3", "w4"], path_rule(dst="192.168.4.10/32")), ("wait", 5)]
+    world = run_both(steps, sweep_interval_s=10.0)
+    checks = []
+    still_valid = world.fluid._still_valid
+
+    def counted(*args):
+        checks.append(world.sim.now())
+        return still_valid(*args)
+
+    world.fluid._still_valid = counted
+    walk = world.fluid._flows["f1"].walk
+    world.install("w2", action=DropAction(), **path_rule(dst="192.168.9.0/24"))
+    world.apply(("wait", 6))
+    assert checks == [to_us(0.3)]
+    assert world.fluid._flows["f1"].walk is walk
+    path = world.path("h1", "w1", "w3", "w4", "h2")
+    assert flow_walks(world, "f1") == [(to_us(0.1) * i, path) for i in range(6)]
+
+
+def test_flow_restarted_after_its_rules_idle_out_walks_afresh():
+    # f1 alone touches its /32 rules, which idle out 0.4 s after the last
+    # sample that used them.  Sweeps come only every 10 s, so no table
+    # changes while f1 is stopped: the sample after its restart is clean,
+    # and only a fresh walk finds the rules expired and raises a packet-in.
+    path_args = path_rule(dst="192.168.4.10/32", idle_timeout_us=to_us(0.4))
+    steps = [
+        ("path", ["w1", "w3", "w4"], path_args),
+        ("wait", 3),
+        ("stop", "f1"),
+        ("wait", 12),
+        ("start", "f1"),
+        ("wait", 2),
+    ]
+    world = run_both(steps, sweep_interval_s=10.0)
+    path = world.path("h1", "w1", "w3", "w4", "h2")
+    assert flow_walks(world, "f1") == [(0, path), (to_us(0.1), path), (to_us(0.8), None)]
+    packet_ins = [(t, r["node"]) for t, kind, r in world.records if kind == "packet-in" and r["flow"] == "f1"]
+    assert packet_ins == [(to_us(0.8), "w1")]
+
+
+def test_idle_timeout_within_a_sample_interval_ends_reuse():
+    # w3's rule idles out 0.08 s after each sample touches it, before the
+    # next sample: no sample after the first may trust the kept walk, so each
+    # one finds the rule expired and raises a packet-in at w3.
+    steps = [
+        install_step("w1", ForwardTo("w3"), dst="192.168.4.10/32"),
+        install_step("w3", ForwardTo("w4"), dst="192.168.4.10/32", idle_timeout_us=to_us(0.08)),
+        install_step("w4", DeliverLocal(), dst="192.168.4.10/32"),
+        ("wait", 5),
+    ]
+    world = run_both(steps, sweep_interval_s=10.0)
+    path = world.path("h1", "w1", "w3", "w4", "h2")
+    assert flow_walks(world, "f1") == [(0, path), (to_us(0.1), None), (to_us(0.2), None)]
+    packet_ins = [(t, r["node"]) for t, kind, r in world.records if kind == "packet-in" and r["flow"] == "f1"]
+    assert packet_ins == [(to_us(0.1), "w3"), (to_us(0.2), "w3")]
