@@ -98,6 +98,15 @@ class MasterSelector:
         self._keepalive_waits: dict[int, object] = {}
         self._keepalive_timer: object | None = None
         self._emergency_rules = False
+        # The drop-all floor of the emergency rule set, built once: its
+        # match, action and origin never change, and each re-application
+        # flushes it before installing it again, text and dump key cached.
+        self._drop_all = FlowRule(
+            priority=EMERGENCY_DROP_PRIORITY,
+            dst_prefix=ALL_DESTINATIONS,
+            action=DropAction(),
+            origin=ORIGIN_EFTM,
+        )
         # The last discovery: the daemon's hna_version it read, the origins
         # whose announcements it found controllers in, and its answer.
         self._discovered: tuple[int, tuple[str, ...], list[IPv4Address]] | None = None
@@ -324,6 +333,8 @@ class MasterSelector:
         """Forward rules for the routes the policy keeps, then a drop-all floor
         unless the policy is allow-all."""
         policy = self.cfg.emergency_policy
+        if policy == "control-only":
+            return [self._drop_all]
         table = self.olsr.routing_table
         if policy == "allow-all":
             routes = [
@@ -331,10 +342,8 @@ class MasterSelector:
                 for prefix, entry in sorted(table.routes.values(), key=lambda kv: str(kv[0]))
                 if not prefix.subnet_of(self.switch.control_subnet)
             ]
-        elif policy == "selective":
-            routes = [(p, table.lookup(p.network_address)) for p in self.cfg.selective_prefixes]
         else:
-            routes = []
+            routes = [(p, table.lookup(p.network_address)) for p in self.cfg.selective_prefixes]
         rules = [
             FlowRule(
                 priority=EMERGENCY_FORWARD_PRIORITY,
@@ -345,15 +354,8 @@ class MasterSelector:
             for prefix, entry in routes
             if entry is not None
         ]
-        if policy != "allow-all":
-            rules.append(
-                FlowRule(
-                    priority=EMERGENCY_DROP_PRIORITY,
-                    dst_prefix=ALL_DESTINATIONS,
-                    action=DropAction(),
-                    origin=ORIGIN_EFTM,
-                )
-            )
+        if policy == "selective":
+            rules.append(self._drop_all)
         return rules
 
     # -- bookkeeping --------------------------------------------------------

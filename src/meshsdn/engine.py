@@ -47,6 +47,8 @@ class Event:
     """A scheduled callback; also acts as its own cancellation handle.
 
     Its instant and sequence number live in the queue entry beside it.
+    :meth:`Simulator.schedule` builds each handle without calling
+    ``__init__``, storing the same two slots itself.
     """
 
     __slots__ = ("callback", "cancelled")
@@ -58,6 +60,11 @@ class Event:
     def cancel(self) -> None:
         self.cancelled = True
         self.callback = None
+
+
+# Builds an Event without running its __init__, which costs a Python call
+# per scheduled event.
+_new_event = object.__new__
 
 
 class Simulator:
@@ -111,7 +118,9 @@ class Simulator:
         fire_at = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = Event(callback)
+        event = _new_event(Event)
+        event.callback = callback
+        event.cancelled = False
         if delay == self.lane_delay:
             self._lane.append((fire_at, seq, event))
         else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .engine import Period, SimTime, Simulator, to_us
 from .routing import PrefixRoutes, RoutingTable
@@ -87,7 +87,10 @@ class OlsrDaemon:
     The daemon is transport-agnostic: ``links`` yields the node's routing
     links as ``(neighbor_id, link)`` pairs and ``broadcast(links, msg)`` hands
     the transport one message for the listed links, which delivers it over
-    each link that is physically Up.
+    each link that is physically Up.  The links must not change once the
+    daemon has started: a Hello tick sends over the links read at start, and
+    a flood is relayed over links kept per change of the symmetric
+    neighbours.
     """
 
     def __init__(
@@ -98,7 +101,7 @@ class OlsrDaemon:
         cfg: OlsrConfig,
         sim: Simulator,
         links: Callable[[], list[tuple[str, object]]],
-        broadcast: Callable[[list[object], object], None],
+        broadcast: Callable[[Sequence[object], object], None],
         log: Callable[[str, dict], None],
     ) -> None:
         self.node_id = node_id
@@ -135,6 +138,13 @@ class OlsrDaemon:
         # advertise; a node without one has no key.
         self._sym_set: set[str] = set()
         self._adj: dict[str, set[str]] = {node_id: self._sym_set}
+        # Rebuilt wherever ``_sym_set`` changes: the links to the symmetric
+        # neighbours in ``_links()`` order, over which an originated flood
+        # goes, and per such link the same links without it, over which a
+        # flood that arrived on it is relayed.
+        self._sym_links: tuple[object, ...] = ()
+        self._relay_links: dict[object, tuple[object, ...]] = {}
+        self._hello_links: tuple[object, ...] = ()  # every link, read at start
         self._routes = PrefixRoutes(self._adj, node_id, self.originated_hna)
         self.routing_table: RoutingTable = self._routes.table
         self.routes_version = 0
@@ -150,6 +160,7 @@ class OlsrDaemon:
         if self.cfg.randomize_phase:
             hello_phase = round(self._rng.random() * self._hello_interval_us)
             tc_phase = round(self._rng.random() * self._tc_interval_us)
+        self._hello_links = tuple(link for _, link in self._links())
         self.sim.schedule(hello_phase, self._hello_tick, kind="hello")
         self.sim.schedule(tc_phase, self._tc_tick, kind="tc")
         self._recompute()
@@ -162,7 +173,7 @@ class OlsrDaemon:
         return round(interval_us * factor)
 
     def _hello_tick(self) -> None:
-        self._broadcast([link for _, link in self._links()], self._hello)
+        self._broadcast(self._hello_links, self._hello)
         self.sim.schedule(self._jittered(self._hello_interval_us), self._hello_tick, kind="hello")
 
     def _tc_tick(self) -> None:
@@ -189,6 +200,7 @@ class OlsrDaemon:
         self.sim.schedule(self._neighbor_hold_us, rec.expiry_check, kind="neighbor-expiry")
         if origin not in self._sym_set and rec.consecutive_hellos >= self.cfg.hellos_to_up:
             self._sym_set.add(origin)
+            self._rebuild_relay_links()
             self._routes.rebuild(self._addr_of)
             self._on_new_adjacency(origin)
 
@@ -202,6 +214,7 @@ class OlsrDaemon:
                 self._routes.offer(origin, ())
             if origin in self._sym_set:
                 self._sym_set.remove(origin)
+                self._rebuild_relay_links()
                 self._routes.rebuild(self._addr_of)
                 self._originate_flood()
                 self._recompute()
@@ -322,12 +335,19 @@ class OlsrDaemon:
             routes.add_edge(origin, other)
 
     def _relay(self, msg: FloodMsg, exclude_link: object | None) -> None:
-        sym = self._sym_set
-        links = [
-            link for nbr, link in self._links() if nbr in sym and link is not exclude_link
-        ]
+        # An originated flood, or one that came over a link to a neighbour
+        # that is not symmetric, goes over every symmetric link.
+        links = self._relay_links.get(exclude_link, self._sym_links)
         if links:
             self._broadcast(links, msg)
+
+    def _rebuild_relay_links(self) -> None:
+        sym = self._sym_set
+        links = tuple(link for nbr, link in self._links() if nbr in sym)
+        self._sym_links = links
+        self._relay_links = {
+            link: tuple(other for other in links if other is not link) for link in links
+        }
 
     # -- the graph and the routes over it -----------------------------------
 

@@ -475,16 +475,29 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
                 _fail(doc, f"wmr {w.id}: access addr {net.addr} outside {net.subnet}")
             claim(net.addr, f"wmr {w.id}")
 
+    mesh_links = {frozenset((link.a, link.b)) for link in s.links}
     for c in s.controllers:
         if c.addr not in s.eftm.controller_range:
             _fail(doc, f"controller {c.id}: addr {c.addr} outside controller range")
         claim(c.addr, f"controller {c.id}")
         if c.attach not in wmr_ids:
             _fail(doc, f"controller {c.id}: attach target {c.attach!r} is not a wmr")
+        # The controller installs an override as given, one rule per router
+        # forwarding to the next: it must be a walk over mesh links that
+        # visits each router once.
         for prefix, hops in c.path_overrides.items():
+            where = f"controller {c.id}: override {prefix}"
             unknown = [h for h in hops if h not in wmr_ids]
             if unknown:
-                _fail(doc, f"controller {c.id}: override {prefix} names non-wmr {unknown}")
+                _fail(doc, f"{where} names non-wmr {unknown}")
+            if not hops:
+                _fail(doc, f"{where} has an empty path")
+            for i, hop in enumerate(hops):
+                if hop in hops[:i]:
+                    _fail(doc, f"{where} names {hop} twice")
+            for a, b in zip(hops, hops[1:]):
+                if frozenset((a, b)) not in mesh_links:
+                    _fail(doc, f"{where} has no mesh link from {a} to {b}")
 
     hosts_by_id = {}
     for h in s.hosts:

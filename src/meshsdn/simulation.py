@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import control_plane as cp
 from .controller import Controller
@@ -96,7 +96,7 @@ class NodeRuntime:
         if handler is not None:
             handler(packet.payload, packet.src)
 
-    def _olsr_broadcast(self, links: list[Link], msg: object) -> None:
+    def _olsr_broadcast(self, links: Sequence[Link], msg: object) -> None:
         """Send one OLSR frame carrying ``msg`` over each of ``links``."""
         me, transmit = self.node_id, self.sim.transmit
         frame = Packet(self.address, BROADCAST, "olsr", msg)
@@ -149,6 +149,11 @@ class WmrRuntime(NodeRuntime):
             cp.FlowModMsg: lambda msg, src: self.switch.install_rule(msg.rule),
             cp.FlushMsg: lambda msg, src: self.switch.flush_rules(msg.origin_filter),
         }
+        # What each arrival is handed to, bound once.  Anything that wraps
+        # these methods (bench/tracing.py) is in place before a build.
+        self._handle_hello = self.daemon.handle_hello
+        self._handle_flood = self.daemon.handle_flood
+        self._forward = self.switch.forward
 
     def start(self) -> None:
         self.daemon.start()
@@ -162,11 +167,11 @@ class WmrRuntime(NodeRuntime):
         if packet.kind == "olsr":
             msg = packet.payload
             if type(msg) is HelloMsg:
-                self.daemon.handle_hello(msg)
+                self._handle_hello(msg)
             else:
-                self.daemon.handle_flood(msg, link)
+                self._handle_flood(msg, link)
         else:
-            self.switch.forward(packet)
+            self._forward(packet)
 
     # -- switch host --------------------------------------------------------
 

@@ -343,12 +343,11 @@ class FlowSwitch:
             return
         packet.hops_left -= 1
         dst = packet.dst_int
-        if dst & self._control_mask == self._control_net:
-            self._forward_basic(packet, dst)
-        else:
+        if dst & self._control_mask != self._control_net:
             self._forward_sdn(packet, dst)
-
-    def _forward_basic(self, packet: Packet, dst: int) -> None:
+            return
+        # Basic class, routed inline: it is most transit hops, and a helper
+        # would cost one more call on each.
         if dst in self._local:
             self.host.deliver_local(packet)
             return

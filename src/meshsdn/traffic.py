@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from ipaddress import IPv4Address
 from itertools import count
+from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple
 
 from . import control_plane as cp
@@ -258,7 +259,7 @@ class FluidTraffic:
 
     def _tick(self) -> None:
         now = self.sim.now()
-        marks = sum(table.changes for table in self._tables) + self.topo.link_events
+        marks = sum(map(attrgetter("changes"), self._tables)) + self.topo.link_events
         self._clean = marks == self._marks and now < self._horizon
         self._marks = marks
         horizon = math.inf

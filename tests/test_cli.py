@@ -4,6 +4,8 @@ import yaml
 
 from meshsdn.cli import main
 
+from support import builtin_doc
+
 TINY = {
     "name": "tiny",
     "duration_s": 12.0,
@@ -78,6 +80,33 @@ def test_validate_errors_tell_apart_files_with_one_name(tmp_path, capsys):
         a: f"error: {a}.pings[0].interval_s: must be positive, got 0\n",
         b: f"error: {b}: ping ping1: src 'wmr1' is not a host\n",
     }
+
+
+@pytest.mark.parametrize(
+    "hops, message",
+    [
+        ([], "has an empty path"),
+        (["wmr4", "wmr5", "wmr4", "wmr3", "wmr2", "wmr1"], "names wmr4 twice"),
+        (["wmr4", "wmr1"], "has no mesh link from wmr4 to wmr1"),
+        (["wmr4", "wmr3", "wmr2", "wmr1"], None),
+    ],
+    ids=["empty", "repeated-router", "no-mesh-link", "installable"],
+)
+def test_validate_refuses_a_path_override_it_could_not_install(tmp_path, capsys, hops, message):
+    doc = builtin_doc("merge")
+    doc["controllers"][0]["path_overrides"] = [{"dst": "192.168.1.0/24", "path": hops}]
+    path = tmp_path / "merge.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    if message is None:
+        assert main(["validate", str(path)]) == 0
+        return
+    for command in (["validate", str(path)], ["run", str(path), "--seed", "0"]):
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: controller ctrl1: override 192.168.1.0/24 {message}\n"
+        )
 
 
 def test_unknown_scenario_lists_builtins(capsys):

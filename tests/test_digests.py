@@ -9,10 +9,11 @@ link.  A change that only makes the simulator faster or smaller must leave
 the digests untouched, and also the number of events each run schedules
 and of records it logs; one that alters the logs on purpose regenerates
 ``bench/golden.json`` and says so.  The flows-mesh run also pins the data
-plane's work (kept-walk checks and rule-expiry tests); a change that moves
-it updates the counts and says why.  A 6 x 6 grid-partition run, whose
-mesh is deeper (diameter 10 against 8) than any benchmark run, is pinned
-here as well, outside the benchmark's goldens.
+plane's work (kept-walk checks and rule-expiry tests), and the
+grid-partition run the message path's (flow rules built and relay links
+rebuilt); a change that moves either updates the counts and says why.  A
+6 x 6 grid-partition run, whose mesh is deeper (diameter 10 against 8) than
+any benchmark run, is pinned here as well, outside the benchmark's goldens.
 """
 import hashlib
 import json
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from meshsdn.olsr import OlsrDaemon
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
 from meshsdn.switch import FlowRule
@@ -67,6 +69,12 @@ WORK = {
 # fluid model checks a kept walk hop by hop (``FluidTraffic._still_valid``),
 # and how often any rule is asked whether it has expired (``FlowRule.expired``).
 DATA_PLANE_WORK = {"flows-mesh/0": (858, 14_648)}
+# Message-path work of the grid-partition run: how many flow rules are built
+# (``FlowRule.__init__``; each router builds its emergency drop rule once),
+# and how often a daemon rebuilds the links it relays floods over
+# (``OlsrDaemon._rebuild_relay_links``, once per change of its symmetric
+# neighbours).
+MESSAGE_PATH_WORK = {"grid-partition/0": (71, 104)}
 
 
 def run(name: str, seed: int):
@@ -91,24 +99,31 @@ def run(name: str, seed: int):
 )
 def test_log_and_summary_digests(name, seed, monkeypatch):
     label = f"{name}/{seed}"
-    calls = {"_still_valid": 0, "expired": 0}
+    calls = dict.fromkeys(("_still_valid", "expired", "__init__", "_rebuild_relay_links"), 0)
 
     def counted(fn):
-        def call(*args):
+        def call(*args, **kwargs):
             calls[fn.__name__] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return call
 
     if label in DATA_PLANE_WORK:
         monkeypatch.setattr(FluidTraffic, "_still_valid", staticmethod(counted(FluidTraffic._still_valid)))
         monkeypatch.setattr(FlowRule, "expired", counted(FlowRule.expired))
+    if label in MESSAGE_PATH_WORK:
+        monkeypatch.setattr(FlowRule, "__init__", counted(FlowRule.__init__))
+        monkeypatch.setattr(
+            OlsrDaemon, "_rebuild_relay_links", counted(OlsrDaemon._rebuild_relay_links)
+        )
     sim, result = run(name, seed)
     assert sha256(result.log.to_ndjson()) == GOLDEN[label]["log"]
     assert sha256(result.summary.as_csv_line()) == GOLDEN[label]["summary"]
     assert (sim.engine._seq, len(result.log.records)) == WORK[label]
     if label in DATA_PLANE_WORK:
         assert (calls["_still_valid"], calls["expired"]) == DATA_PLANE_WORK[label]
+    if label in MESSAGE_PATH_WORK:
+        assert (calls["__init__"], calls["_rebuild_relay_links"]) == MESSAGE_PATH_WORK[label]
 
 
 def test_logs_do_not_depend_on_the_string_hash_seed():

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshsdn.eftm import MasterSelector
 from meshsdn.engine import Event, Simulator, fmt_time, to_seconds, to_us
+from meshsdn.simulation import run_scenario
+
+from support import builtin_scenario
 
 
 def test_events_fire_in_time_order():
@@ -165,6 +169,61 @@ def test_event_handle_fields():
     assert sim.pending() == 0
     sim.run_until(100)
     assert fired == []
+
+
+def test_event_handle_contract():
+    # schedule builds its handle without Event.__init__; the handle must
+    # still be an Event whose two slots mean what __init__ would set.
+    sim = Simulator()
+    fired = []
+    callback = partial(fired.append, "early")
+    early = sim.schedule(10, callback)
+    late = sim.schedule(20, partial(fired.append, "late"))
+    assert type(early) is Event and type(late) is Event
+    assert early.callback is callback and early.cancelled is False
+    assert Event(callback).callback is callback
+    sim.run_until(10)
+    assert fired == ["early"]
+    early.cancel()  # after firing: nothing changes
+    late.cancel()  # before firing: it never fires
+    assert sim.pending() == 0
+    sim.run_until(30)
+    assert fired == ["early"]
+
+
+def test_pending_leaves_cancelled_events_out():
+    sim = Simulator(lane_delay=5)
+    handles = [sim.schedule(delay, lambda: None) for delay in (5, 5, 7, 9)]
+    handles[0].cancel()
+    handles[2].cancel()
+    assert sim.pending() == 2
+
+
+def test_a_class_level_cancel_sees_every_keepalive_reply(monkeypatch):
+    # The tracer counts cancels by replacing Event.cancel on the class, so
+    # the method must stay in the class's own dict and every handle the
+    # engine builds must reach it.
+    assert "cancel" in vars(Event)
+    cancelled, awaited = {}, []  # cancelled: every event, kept alive by id
+    cancel = Event.cancel
+
+    def counted_cancel(event):
+        cancelled[id(event)] = event
+        cancel(event)
+
+    reply = MasterSelector.on_keepalive_reply
+
+    def on_keepalive_reply(selector, msg):
+        handle = selector._keepalive_waits.get(msg.token)
+        if handle is not None:
+            awaited.append(handle)
+        reply(selector, msg)
+
+    monkeypatch.setattr(Event, "cancel", counted_cancel)
+    monkeypatch.setattr(MasterSelector, "on_keepalive_reply", on_keepalive_reply)
+    run_scenario(builtin_scenario("merge"), 0)
+    assert awaited
+    assert all(id(handle) in cancelled for handle in awaited)
 
 
 @given(st.integers(min_value=-(10**12), max_value=10**12))

@@ -8,7 +8,7 @@ import random
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meshsdn.engine import Simulator, to_us
@@ -505,7 +505,9 @@ def lone_daemon(hellos_to_up=1, route_maps=None):
             route_maps.append(routes)
 
     sim = Simulator(0)
-    links = [(nbr, Link(ME, nbr, capacity_bps=1, delay_us=0)) for nbr in HELLO_FROM]
+    # Not in id order, so that relay links kept in id order would show.
+    order = (*HELLO_FROM[1:], HELLO_FROM[0])
+    links = [(nbr, Link(ME, nbr, capacity_bps=1, delay_us=0)) for nbr in order]
     daemon = OlsrDaemon(
         ME,
         [IPv4Address("10.0.0.4")],
@@ -530,10 +532,35 @@ def assert_matches_full_rebuild(daemon):
     assert daemon._routes.tree.tree() == reference_tree(daemon)
     assert daemon.routing_table.forwarding_map() == reference_forwarding_map(daemon)
     assert daemon.sym_neighbors() == sorted(reference_graph(daemon)[ME])
+    assert_relay_links(daemon)
+
+
+def assert_relay_links(daemon):
+    """A flood the daemon originates goes over the links to its symmetric
+    neighbours, in the order ``links`` yields them; one that arrived over
+    such a link goes over the others."""
+    sym = reference_graph(daemon)[daemon.node_id]
+    kept = tuple(link for nbr, link in daemon._links() if nbr in sym)
+    assert daemon._sym_links == kept
+    assert daemon._relay_links == {
+        link: tuple(other for other in kept if other is not link) for link in kept
+    }
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from((1, 2)), daemon_steps)
+# n1 and n3 are lost at 15 s and leave every relay set; n2 stays.
+@example(
+    1,
+    [
+        *(("hello", nbr) for nbr in HELLO_FROM),
+        ("wait", 6.0),
+        ("hello", "n2"),
+        ("wait", 6.0),
+        ("hello", "n2"),
+        ("wait", 6.0),
+    ],
+)
 def test_kept_graph_and_routes_match_a_full_rebuild(hellos_to_up, steps):
     route_maps = []
     sim, daemon, link = lone_daemon(hellos_to_up, route_maps)

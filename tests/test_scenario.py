@@ -189,6 +189,15 @@ def _del(path):
     return mutate
 
 
+def _then(*mutations):
+    def mutate(doc):
+        for mutation in mutations:
+            doc = mutation(doc)
+        return doc
+
+    return mutate
+
+
 def _was(old_match, mutate, match):
     """A case whose message has changed, under the id its old ``match`` gave
     it, so that the case keeps its name."""
@@ -440,6 +449,28 @@ REJECTIONS = [
             [{"dst": "192.168.1.0/24", "path": ["wmr2", "h1"]}],
         ),
         r"^t: controller ctrl1: override 192\.168\.1\.0/24 names non-wmr \['h1'\]$",
+    ),
+    # Overrides the controller could not install: nothing to walk, a router
+    # given two rules, a step between routers no mesh link joins.
+    *(
+        (
+            _set(["controllers", 0, "path_overrides"], [{"dst": "192.168.1.0/24", "path": path}]),
+            rf"^t: controller ctrl1: override 192\.168\.1\.0/24 {match}$",
+        )
+        for path, match in (
+            ([], "has an empty path"),
+            (["wmr2", "wmr1", "wmr2", "wmr1"], "names wmr2 twice"),
+        )
+    ),
+    (
+        _then(
+            _append(["wmrs"], {"id": "wmr3", "mesh_addr": "10.0.0.3"}),
+            _set(
+                ["controllers", 0, "path_overrides"],
+                [{"dst": "192.168.1.0/24", "path": ["wmr3", "wmr2", "wmr1"]}],
+            ),
+        ),
+        r"^t: controller ctrl1: override 192\.168\.1\.0/24 has no mesh link from wmr3 to wmr2$",
     ),
     (
         _set(["events", 0], {"at_s": 10.0, "action": "link-up"}),
