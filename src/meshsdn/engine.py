@@ -47,23 +47,19 @@ class Event:
     """A scheduled callback; also acts as its own cancellation handle.
 
     Its instant and sequence number live in the queue entry beside it.
-    :meth:`Simulator.schedule` builds each handle without calling
-    ``__init__``, storing the same two slots itself.
+    Only :meth:`Simulator.schedule` builds one, and it sets both slots:
+    ``callback``, None once the event fired or was cancelled, and
+    ``cancelled``.
     """
 
     __slots__ = ("callback", "cancelled")
-
-    def __init__(self, callback: Callable[[], None] | None) -> None:
-        self.callback = callback
-        self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
         self.callback = None
 
 
-# Builds an Event without running its __init__, which costs a Python call
-# per scheduled event.
+# Builds an Event with its slots unset; ``Simulator.schedule`` sets them.
 _new_event = object.__new__
 
 

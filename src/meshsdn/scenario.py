@@ -484,7 +484,9 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
             _fail(doc, f"controller {c.id}: attach target {c.attach!r} is not a wmr")
         # The controller installs an override as given, one rule per router
         # forwarding to the next: it must be a walk over mesh links that
-        # visits each router once.
+        # visits each router once.  It takes one only for a path to the
+        # router announcing the prefix, as an access subnet or, at a gateway,
+        # as the default route (the only /0), so the walk must end there.
         for prefix, hops in c.path_overrides.items():
             where = f"controller {c.id}: override {prefix}"
             unknown = [h for h in hops if h not in wmr_ids]
@@ -498,6 +500,10 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
             for a, b in zip(hops, hops[1:]):
                 if frozenset((a, b)) not in mesh_links:
                     _fail(doc, f"{where} has no mesh link from {a} to {b}")
+            end = next(w for w in s.wmrs if w.id == hops[-1])
+            default = end.gateway and prefix.prefixlen == 0
+            if not default and all(net.subnet != prefix for net in end.access):
+                _fail(doc, f"{where} ends at {end.id}, which does not announce it")
 
     hosts_by_id = {}
     for h in s.hosts:

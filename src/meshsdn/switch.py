@@ -173,8 +173,7 @@ class FlowTable:
     ``rules`` is a read-only view: every change goes through install, remove,
     remove_expired or flush, which drops the index and counts one more change
     in ``changes``.  The next match rebuilds the index, so a match never
-    answers from a stale one; a reader that kept a match result can tell from
-    ``changes`` whether the rule set it came from still holds.
+    answers from a stale one.
 
     The table also keeps ``_due``, a lower bound on the first instant any of
     its rules could expire.  An install lowers it to the new rule's
@@ -331,9 +330,6 @@ class FlowSwitch:
 
     def start(self) -> None:
         self.sim.schedule(self._sweep_interval_us, self._sweep, kind="rule-sweep")
-
-    def classify(self, packet: Packet) -> Literal["basic", "sdn"]:
-        return "basic" if packet.dst_int & self._control_mask == self._control_net else "sdn"
 
     # -- forwarding ---------------------------------------------------------
 

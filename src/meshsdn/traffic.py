@@ -9,26 +9,23 @@ packet-in, so sampling is also what drives reactive rule installation.
 After any interruption a flow ramps back linearly over its loss-recovery
 delay, a stand-in for transport-layer recovery.
 
-A flow's last complete walk is reused, each of its rules touched as a match
-would touch it, while a fresh walk would take the same one: every link on it
-is up, no table it visited has changed, and no rule on it has expired.  A
-link on it going down, an install, removal, expiry sweep or flush in a
-visited table, or a rule on it timing out makes the next sample walk from
-scratch.  A walk that ends in a miss, a drop rule or a loop is never kept,
-so each sample that meets one raises its packet-in or drop as a fresh walk
-does.  Stopping a flow drops its walk, so a restarted flow walks afresh.
-
-Most samples follow no change at all, so a sample first decides whether it
-is *clean*: the sum of the switches' table change counts and the
-topology's link-event count are what they were at the previous sample, and
-the sample comes before the *kept-until horizon*.  That horizon is the
-earliest hard deadline among the rules of every kept walk, or the instant a
-walk was kept if one of its rules has an idle timeout no longer than the
-sample interval.  A longer idle timeout cannot lapse, since each sample
-touches the rules of every kept walk.  On a clean sample a kept walk is
-reused without checking it hop by hop.  A sample's own walks change no
-table and no link: a miss only buffers the packet and raises a packet-in,
-which reaches the controller as a message.
+A flow's last complete walk is kept, and one rule settles it: a *clean*
+sample reuses it, touching each of its rules as a match would, and any other
+sample drops it and walks afresh.  A sample is clean when the sum of the
+switches' table change counts and the topology's link-event count are what
+they were at the previous sample, and it comes before the *kept-until
+horizon*.  That horizon is the earliest hard deadline among the rules of
+every kept walk, or the instant a walk was kept if one of its rules has an
+idle timeout no longer than the sample interval.  A longer idle timeout
+cannot lapse, since each sample touches the rules of every kept walk.  So a
+clean sample would walk the same path afresh: no link or table changed, no
+kept rule expired, and a rule above a kept one in match order, expired when
+the walk matched, stays expired, since only an install restarts timers.  A
+walk that ends in a miss, a drop rule or a loop is never kept, so each
+sample that meets one raises its packet-in or drop as a fresh walk does.
+Stopping a flow drops its walk, so a restarted flow walks afresh.  A
+sample's own walks change no table and no link: a miss only buffers the
+packet and raises a packet-in, which reaches the controller as a message.
 """
 from __future__ import annotations
 
@@ -40,7 +37,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from . import control_plane as cp
 from .engine import Mbps, Period, Seconds, SimTime, Simulator, to_us
-from .switch import DeliverLocal, FlowRule, FlowSwitch, FlowTable, ForwardTo, Packet
+from .switch import DeliverLocal, FlowRule, FlowSwitch, ForwardTo, Packet
 from .topology import Link, Topology
 
 
@@ -177,12 +174,9 @@ class _FlowState:
         self.recovery_us = recovery_us
         self.active = False
         self.path_ok_since: SimTime | None = None
-        # The last complete walk: its links; per hop the table, that table's
-        # change count when the walk matched, and the rule it matched; and
-        # the instant from which one of those rules may have expired.
-        self.walk: (
-            tuple[list[Link], list[tuple[FlowTable, int, FlowRule]], float] | None
-        ) = None
+        # The last complete walk: its links, the rule it matched at each
+        # hop, and the instant from which one of those rules may have expired.
+        self.walk: tuple[list[Link], list[FlowRule], float] | None = None
 
 
 class FluidTraffic:
@@ -305,9 +299,9 @@ class FluidTraffic:
         currently cannot reach its destination."""
         walk = state.walk
         if walk is not None:
-            links, hops, _ = walk
-            if self._clean or self._still_valid(links, hops, now):
-                for _, _, rule in hops:
+            if self._clean:
+                links, rules, _ = walk
+                for rule in rules:
                     rule.last_hit = now  # as the match it stands for would
                 return links
             state.walk = None
@@ -315,13 +309,12 @@ class FluidTraffic:
         if not access.up:
             return None
         links = [access]
-        hops: list[tuple[FlowTable, int, FlowRule]] = []
+        rules: list[FlowRule] = []
         packet = state.packet
         current = state.router
         for _ in range(len(self.topo.nodes) + 1):
             flow_switch = self._switches[current]
-            table = flow_switch.table
-            rule = table.match(packet, now)
+            rule = flow_switch.table.match(packet, now)
             if rule is None:
                 # Behave like the first real packet of the burst: let the
                 # switch buffer it and raise a packet-in if it can.
@@ -329,13 +322,13 @@ class FluidTraffic:
                     Packet(packet.src, packet.dst, "data", flow_id=packet.flow_id)
                 )
                 return None
-            hops.append((table, table.changes, rule))
+            rules.append(rule)
             action = rule.action
             if isinstance(action, ForwardTo):
                 nxt = action.next_hop
             elif isinstance(action, DeliverLocal) and state.owner is not None:
                 if state.owner == current:
-                    state.walk = (links, hops, self._kept_until(hops, now))
+                    state.walk = (links, rules, self._kept_until(rules, now))
                     return links
                 nxt = state.owner  # the last hop, to the owner of the destination
             else:
@@ -348,37 +341,20 @@ class FluidTraffic:
                 return None
             links.append(hop)
             if isinstance(action, DeliverLocal):
-                state.walk = (links, hops, self._kept_until(hops, now))
+                state.walk = (links, rules, self._kept_until(rules, now))
                 return links
             current = nxt
         return None  # rule loop
 
-    def _kept_until(self, hops: list[tuple[FlowTable, int, FlowRule]], now: SimTime) -> float:
+    def _kept_until(self, rules: list[FlowRule], now: SimTime) -> float:
         """The instant from which a rule of a walk kept at ``now`` may have
         expired, with each sample after ``now`` touching them all: the
         earliest hard deadline, or ``now`` if an idle timeout lapses between
         two samples."""
         until = math.inf
-        for _, _, rule in hops:
+        for rule in rules:
             if 0 < rule.idle_timeout_us <= self._sample_interval_us:
                 return now
             if rule.hard_timeout_us:
                 until = min(until, rule.installed_at + rule.hard_timeout_us)
         return until
-
-    @staticmethod
-    def _still_valid(
-        links: list[Link], hops: list[tuple[FlowTable, int, FlowRule]], now: SimTime
-    ) -> bool:
-        """Whether a fresh walk at ``now`` would match the same rules and
-        cross the same links.  With its table unchanged, each rule above a
-        kept one in match order was expired when the walk matched, and stays
-        expired: only an install, which changes the table, restarts timers,
-        and a match touches only the unexpired rule it returns."""
-        for link in links:
-            if not link.up:
-                return False
-        for table, changes, rule in hops:
-            if table.changes != changes or rule.expired(now):
-                return False
-        return True

@@ -88,9 +88,10 @@ def test_validate_errors_tell_apart_files_with_one_name(tmp_path, capsys):
         ([], "has an empty path"),
         (["wmr4", "wmr5", "wmr4", "wmr3", "wmr2", "wmr1"], "names wmr4 twice"),
         (["wmr4", "wmr1"], "has no mesh link from wmr4 to wmr1"),
+        (["wmr1", "wmr2"], "ends at wmr2, which does not announce it"),
         (["wmr4", "wmr3", "wmr2", "wmr1"], None),
     ],
-    ids=["empty", "repeated-router", "no-mesh-link", "installable"],
+    ids=["empty", "repeated-router", "no-mesh-link", "not-announced", "installable"],
 )
 def test_validate_refuses_a_path_override_it_could_not_install(tmp_path, capsys, hops, message):
     doc = builtin_doc("merge")

@@ -9,7 +9,7 @@ link.  A change that only makes the simulator faster or smaller must leave
 the digests untouched, and also the number of events each run schedules
 and of records it logs; one that alters the logs on purpose regenerates
 ``bench/golden.json`` and says so.  The flows-mesh run also pins the data
-plane's work (kept-walk checks and rule-expiry tests), and the
+plane's work (fresh walks completed and rule-expiry tests), and the
 grid-partition run the message path's (flow rules built and relay links
 rebuilt); a change that moves either updates the counts and says why.  A
 6 x 6 grid-partition run, whose mesh is deeper (diameter 10 against 8) than
@@ -65,10 +65,11 @@ WORK = {
     "grid-partition-6x6/0": (157_632, 5_218),
     "flows-mesh/0": (69_322, 20_202),
 }
-# Data-plane work of the flows-mesh run, counted the same way: how often the
-# fluid model checks a kept walk hop by hop (``FluidTraffic._still_valid``),
-# and how often any rule is asked whether it has expired (``FlowRule.expired``).
-DATA_PLANE_WORK = {"flows-mesh/0": (858, 14_648)}
+# Data-plane work of the flows-mesh run, counted the same way: how many
+# walks the fluid model completes afresh and keeps (``FluidTraffic._kept_until``,
+# once per kept walk), and how often any rule is asked whether it has expired
+# (``FlowRule.expired``).
+DATA_PLANE_WORK = {"flows-mesh/0": (897, 14_073)}
 # Message-path work of the grid-partition run: how many flow rules are built
 # (``FlowRule.__init__``; each router builds its emergency drop rule once),
 # and how often a daemon rebuilds the links it relays floods over
@@ -99,7 +100,7 @@ def run(name: str, seed: int):
 )
 def test_log_and_summary_digests(name, seed, monkeypatch):
     label = f"{name}/{seed}"
-    calls = dict.fromkeys(("_still_valid", "expired", "__init__", "_rebuild_relay_links"), 0)
+    calls = dict.fromkeys(("_kept_until", "expired", "__init__", "_rebuild_relay_links"), 0)
 
     def counted(fn):
         def call(*args, **kwargs):
@@ -109,7 +110,7 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
         return call
 
     if label in DATA_PLANE_WORK:
-        monkeypatch.setattr(FluidTraffic, "_still_valid", staticmethod(counted(FluidTraffic._still_valid)))
+        monkeypatch.setattr(FluidTraffic, "_kept_until", counted(FluidTraffic._kept_until))
         monkeypatch.setattr(FlowRule, "expired", counted(FlowRule.expired))
     if label in MESSAGE_PATH_WORK:
         monkeypatch.setattr(FlowRule, "__init__", counted(FlowRule.__init__))
@@ -121,7 +122,7 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
     assert sha256(result.summary.as_csv_line()) == GOLDEN[label]["summary"]
     assert (sim.engine._seq, len(result.log.records)) == WORK[label]
     if label in DATA_PLANE_WORK:
-        assert (calls["_still_valid"], calls["expired"]) == DATA_PLANE_WORK[label]
+        assert (calls["_kept_until"], calls["expired"]) == DATA_PLANE_WORK[label]
     if label in MESSAGE_PATH_WORK:
         assert (calls["__init__"], calls["_rebuild_relay_links"]) == MESSAGE_PATH_WORK[label]
 

@@ -3,6 +3,7 @@ import copy
 import json
 from ipaddress import IPv4Address, IPv4Network
 import os
+import re
 import subprocess
 import sys
 import types
@@ -472,6 +473,21 @@ REJECTIONS = [
         ),
         r"^t: controller ctrl1: override 192\.168\.1\.0/24 has no mesh link from wmr3 to wmr2$",
     ),
+    # Overrides the controller would never use: it takes one only for a path
+    # to the router announcing the prefix, as an access subnet or, at a
+    # gateway, as the default route.
+    *(
+        (
+            _set(["controllers", 0, "path_overrides"], [{"dst": dst, "path": path}]),
+            rf"^t: controller ctrl1: override {re.escape(dst)} ends at {path[-1]},"
+            r" which does not announce it$",
+        )
+        for dst, path in (
+            ("192.168.1.0/24", ["wmr1", "wmr2"]),
+            ("192.168.7.0/24", ["wmr2", "wmr1"]),
+            ("0.0.0.0/0", ["wmr2", "wmr1"]),
+        )
+    ),
     (
         _set(["events", 0], {"at_s": 10.0, "action": "link-up"}),
         r"^t: events\[0\]: link-up needs a link$",
@@ -483,6 +499,14 @@ REJECTIONS = [
 def test_rejects_bad_documents(mutate, match):
     with pytest.raises(ScenarioError, match=match):
         scenario_from_mapping(mutate(valid_doc()), source="t")
+
+
+def test_a_default_route_override_may_end_at_a_gateway():
+    doc = valid_doc()
+    doc["wmrs"][0]["gateway"] = True
+    doc["controllers"][0]["path_overrides"] = [{"dst": "0.0.0.0/0", "path": ["wmr2", "wmr1"]}]
+    s = scenario_from_mapping(doc, source="t")
+    assert s.controllers[0].path_overrides == {IPv4Network("0.0.0.0/0"): ["wmr2", "wmr1"]}
 
 
 def _unit_keys(cls, keys=()):

@@ -41,13 +41,13 @@ def data_packet(dst="192.168.2.10", src="192.168.1.10"):
 class Harness:
     """A switch whose host is the harness itself, with inspectable stubs."""
 
-    def __init__(self, connected=False):
+    def __init__(self, connected=False, local=("10.0.0.1",)):
         self.sim = Simulator()
         self.records = []
         self.sent = []
         self.delivered = []
         self.packet_ins = []
-        self.local = {int(IPv4Address("10.0.0.1"))}
+        self.local = {int(IPv4Address(addr)) for addr in local}
         self.access_networks = [IPv4Network("192.168.1.0/24")]
         self.master = IPv4Address("10.0.255.1") if connected else None
         self.switch = FlowSwitch(
@@ -78,12 +78,30 @@ class Harness:
         return [d["reason"] for k, d in self.records if k == "PacketDrop"]
 
 
-@given(st.integers(min_value=0, max_value=(1 << 32) - 1))
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        st.integers(int(CONTROL.network_address), int(CONTROL.broadcast_address)),
+        st.integers(0, 31).map(lambda bit: int(CONTROL.network_address) ^ (1 << bit)),
+    )
+)
 def test_classification_splits_on_control_subnet(raw):
-    h = Harness()
+    # Basic class, anything into the control subnet, follows the routing
+    # table; everything else is SDN class and meets the flow table.  The
+    # addresses one bit away from the subnet's own test each bit of its
+    # mask.  The router owns no address here, so no Basic packet is
+    # delivered up.
+    h = Harness(local=())
+    routed, matched = [], []
+    route, match = h.route, h.switch.table.match
+    h.route = lambda dst: routed.append(dst) or route(dst)
+    h.switch.table.match = lambda packet, now: matched.append(packet.dst_int) or match(packet, now)
     packet = Packet(IPv4Address("10.0.0.1"), IPv4Address(raw), "data")
-    expected = "basic" if packet.dst in CONTROL else "sdn"
-    assert h.switch.classify(packet) == expected
+    h.switch.forward(packet)
+    if packet.dst in CONTROL:
+        assert (routed, matched) == ([raw], [])
+    else:
+        assert (routed, matched) == ([], [raw])
 
 
 def test_match_prefers_priority_then_prefix_length_then_src():

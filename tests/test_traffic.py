@@ -646,27 +646,30 @@ def test_link_down_on_path_ends_reuse_and_link_up_restores_it():
     assert samples[-2:] == [(to_us(0.3), 0.0), (to_us(0.4), 0.0)]  # the ramp starts over
 
 
-def test_change_in_a_table_no_walk_visits_checks_the_kept_walk_once():
+def test_change_in_a_table_no_walk_visits_walks_afresh_once():
     # Only f1 reaches h2 (f2 misses at w2, and f3's stray address matches no
     # rule).  An install at w2 ends the clean samples once: the next sample
-    # checks f1's walk, finds it still valid and keeps it.
+    # drops f1's kept walk and walks afresh, which finds the same path and
+    # raises no packet-in; the samples after it are clean again.
     steps = [("path", ["w1", "w3", "w4"], path_rule(dst="192.168.4.10/32")), ("wait", 5)]
     world = run_both(steps, sweep_interval_s=10.0)
-    checks = []
-    still_valid = world.fluid._still_valid
+    fresh = []
+    kept_until = world.fluid._kept_until
 
-    def counted(*args):
-        checks.append(world.sim.now())
-        return still_valid(*args)
+    def counted(rules, now):
+        fresh.append(now)
+        return kept_until(rules, now)
 
-    world.fluid._still_valid = counted
-    walk = world.fluid._flows["f1"].walk
+    world.fluid._kept_until = counted
+    links, rules, _ = walk = world.fluid._flows["f1"].walk
     world.install("w2", action=DropAction(), **path_rule(dst="192.168.9.0/24"))
     world.apply(("wait", 6))
-    assert checks == [to_us(0.3)]
-    assert world.fluid._flows["f1"].walk is walk
+    assert fresh == [to_us(0.3)]
+    rewalked = world.fluid._flows["f1"].walk
+    assert rewalked is not walk and rewalked[:2] == (links, rules)
     path = world.path("h1", "w1", "w3", "w4", "h2")
     assert flow_walks(world, "f1") == [(to_us(0.1) * i, path) for i in range(6)]
+    assert not [r for r in world.records if r[1] == "packet-in" and r[2]["flow"] == "f1"]
 
 
 def test_flow_restarted_after_its_rules_idle_out_walks_afresh():
