@@ -5,6 +5,10 @@ Every observable event of a run lands in one strictly-ordered
 (connectivity time, master selection delay, throughput recovery) has a pure
 function here that derives it from the records alone, so results can be
 recomputed offline from a saved log file and compared byte for byte.
+
+A record's ``data`` is read-only: a writer may log one dict in many records
+(the fluid model logs a flow's sample data again while its rate holds), so
+no code may change a dict once it is logged.
 """
 from __future__ import annotations
 
@@ -30,7 +34,8 @@ _KIND_SET = frozenset(KINDS)
 
 class MetricRecord(NamedTuple):
     """One log record.  A named tuple: immutable, and cheap to build for
-    every record of a run."""
+    every record of a run.  ``data`` may be shared with other records, so it
+    is read-only too."""
 
     time: SimTime
     seq: int

@@ -439,7 +439,15 @@ def apply_overrides(doc: Any, overrides: dict[str, Any]) -> Any:
 def validate_scenario(s: Scenario, source: str | None = None) -> None:
     """Check the cross-references and the rules between fields, which
     reading each value as its declared type cannot; errors start with
-    ``source``, or with the scenario's name when there is none."""
+    ``source``, or with the scenario's name when there is none.
+
+    A path override must end at a router that announces its prefix, but not
+    at the one the controller resolves it to now.  Where two gateways both
+    announce ``0.0.0.0/0``, the controller takes the first live announcer
+    its attach router lists, so an override ending at the other gateway is
+    used once the first one's entry has expired there, as when that gateway
+    is cut off.  Such an override is a fallback route, and it is accepted.
+    """
     doc = source or s.name
 
     def unique(what: str, names: Iterable[str]) -> set[str]:

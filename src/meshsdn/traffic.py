@@ -26,6 +26,14 @@ sample that meets one raises its packet-in or drop as a fresh walk does.
 Stopping a flow drops its walk, so a restarted flow walks afresh.  A
 sample's own walks change no table and no link: a miss only buffers the
 packet and raises a packet-in, which reaches the controller as a message.
+
+The log pays per change too.  Each flow builds its sample data once per
+rate and logs that dict again while the rate holds.  A sample is *steady*
+when every active flow kept its walk and finished its ramp.  A clean sample
+after a steady one, with no flow started or stopped and no demand changed
+since, re-logs it: it reuses every kept walk, so the allocation would have
+the same inputs and give the same shares, and each rate is the one it was.
+It still touches the rules of each kept walk, in flow id order.
 """
 from __future__ import annotations
 
@@ -177,6 +185,29 @@ class _FlowState:
         # The last complete walk: its links, the rule it matched at each
         # hop, and the instant from which one of those rules may have expired.
         self.walk: tuple[list[Link], list[FlowRule], float] | None = None
+        # The data of the flow's last ThroughputSample, logged again while
+        # its rate holds.
+        self.data: dict | None = None
+
+    def data_at(self, bps: float) -> dict:
+        """The data of a sample at ``bps``: the last sample's while ``bps``
+        renders as its rate does (equal, and of one sign at zero), else new."""
+        data = self.data
+        if data is not None:
+            last = data["bps"]
+            if last == bps and (bps or math.copysign(1.0, last) == math.copysign(1.0, bps)):
+                return data
+        self.data = data = _sample_data(self.packet.flow_id, bps)
+        return data
+
+
+def _sample_data(flow_id: str, bps: float) -> dict:
+    """A ThroughputSample's data, built once per rate of a flow and shared by
+    every record at that rate."""
+    return {"flow": flow_id, "bps": bps}
+
+
+_DEMAND = attrgetter("demand_bps")
 
 
 class FluidTraffic:
@@ -212,6 +243,11 @@ class FluidTraffic:
         self._marks = -1
         self._horizon: float = 0
         self._clean = False
+        # The active flows in id order and their demands, as the last sample
+        # found them when it was steady: each flow had a kept walk and a
+        # finished ramp.  None after any other sample, and once a flow starts
+        # or stops.
+        self._steady: tuple[list[_FlowState], list[float]] | None = None
 
     def add_flow(self, spec: FlowSpec) -> None:
         # The topology is complete and fixed by now, so what a flow starts
@@ -241,6 +277,7 @@ class FluidTraffic:
 
     def start_flow(self, flow_id: str) -> None:
         self._flows[flow_id].active = True
+        self._steady = None
         if not self._ticking:
             self._ticking = True
             self._tick()
@@ -250,27 +287,48 @@ class FluidTraffic:
         state.active = False
         state.path_ok_since = None
         state.walk = None
+        self._steady = None
 
     def _tick(self) -> None:
         now = self.sim.now()
         marks = sum(map(attrgetter("changes"), self._tables)) + self.topo.link_events
         self._clean = marks == self._marks and now < self._horizon
         self._marks = marks
+        steady = self._steady
+        if self._clean and steady is not None and list(map(_DEMAND, steady[0])) == steady[1]:
+            self._relog(now)
+        else:
+            self._sample(now)
+        self.sim.schedule(self._sample_interval_us, self._tick, kind="sample")
+
+    def _relog(self, now: SimTime) -> None:
+        """Log the last steady sample's records again, touching each kept
+        walk's rules as the walk's reuse does."""
+        assert self._steady is not None
+        for state in self._steady[0]:
+            self._trace(state, now)
+            self._log("ThroughputSample", state.data)
+
+    def _sample(self, now: SimTime) -> None:
+        """Walk every active flow, share the links and log the rates."""
         horizon = math.inf
         paths: dict[str, list[Link]] = {}
         demands: dict[str, float] = {}
         flows = self._flows
+        steady = True  # every active flow has a kept walk and a finished ramp
         for flow_id in self._flow_ids:
             state = flows[flow_id]
             if not state.active:
                 continue
             links = self._trace(state, now)
             walk = state.walk
-            if walk is not None and walk[2] < horizon:
+            if walk is None:
+                steady = False
+            elif walk[2] < horizon:
                 horizon = walk[2]
             if links is None:
                 state.path_ok_since = None
-                self._log("ThroughputSample", {"flow": flow_id, "bps": 0.0})
+                self._log("ThroughputSample", state.data_at(0.0))
             else:
                 if state.path_ok_since is None:
                     state.path_ok_since = now
@@ -288,11 +346,11 @@ class FluidTraffic:
                 elapsed = now - state.path_ok_since
                 recovery = state.recovery_us
                 ramp = 1.0 if recovery == 0 else min(1.0, elapsed / recovery)
-                self._log(
-                    "ThroughputSample",
-                    {"flow": flow_id, "bps": shares[flow_id] * ramp},
-                )
-        self.sim.schedule(self._sample_interval_us, self._tick, kind="sample")
+                if ramp != 1.0:
+                    steady = False
+                self._log("ThroughputSample", state.data_at(shares[flow_id] * ramp))
+        # When steady, every active flow has a path, so ``paths`` lists them all.
+        self._steady = ([flows[f] for f in paths], list(demands.values())) if steady else None
 
     def _trace(self, state: _FlowState, now: SimTime) -> list[Link] | None:
         """Walk the flow through access links and flow tables; None if it

@@ -15,6 +15,7 @@ from meshsdn.controller import Controller, ControllerConfig
 from meshsdn.engine import Simulator, to_us
 from meshsdn.olsr import TopologySnapshot
 from meshsdn.routing import first_hop_tree
+from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
 from meshsdn.switch import DeliverLocal, DropAction, ForwardTo
 
@@ -299,6 +300,70 @@ def test_path_override_detours_install():
         "10.0.0.2",
         "10.0.0.1",
     ]
+
+
+def two_gateway_doc(cut_first_gateway):
+    """wmr2 and wmr4 are both gateways, joined to the controller's router
+    wmr1 directly, and wmr4 also through wmr3; h1 sends to the Internet from
+    40 s.  wmr1 lists wmr2's default route first, until the entry expires."""
+    return {
+        "name": "two-gateways",
+        "duration_s": 45.0,
+        "wmrs": [
+            {"id": "wmr1", "mesh_addr": "10.0.0.1", "access": [{"subnet": "192.168.1.0/24", "addr": "192.168.1.1"}]},
+            {"id": "wmr2", "mesh_addr": "10.0.0.2", "gateway": True},
+            {"id": "wmr3", "mesh_addr": "10.0.0.3"},
+            {"id": "wmr4", "mesh_addr": "10.0.0.4", "gateway": True},
+        ],
+        "controllers": [
+            {
+                "id": "ctrl1",
+                "addr": "10.0.255.1",
+                "attach": "wmr1",
+                "path_overrides": [{"dst": "0.0.0.0/0", "path": ["wmr1", "wmr3", "wmr4"]}],
+            }
+        ],
+        "hosts": [{"id": "h1", "addr": "192.168.1.10", "attach": "wmr1"}],
+        "links": [
+            {"a": "wmr1", "b": "wmr2"},
+            {"a": "wmr1", "b": "wmr4"},
+            {"a": "wmr1", "b": "wmr3"},
+            {"a": "wmr3", "b": "wmr4"},
+        ],
+        "flows": [{"id": "flow1", "src": "h1", "dst": "8.8.8.8", "start_s": 40.0}],
+        "events": (
+            [{"at_s": 5.0, "action": "link-down", "link": ["wmr1", "wmr2"]}] if cut_first_gateway else []
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "cut_first_gateway, installed",
+    [
+        # The controller resolves 0.0.0.0/0 to wmr2, so it ignores the
+        # override, which ends at wmr4, and takes the shortest path.
+        (False, [("wmr2", "DeliverLocal()"), ("wmr1", "ForwardTo(next_hop='wmr2')")]),
+        # Cut off, wmr2's entry expires at wmr1 before 40 s: wmr4 is then the
+        # first live announcer, and the override's detour is installed.
+        (
+            True,
+            [
+                ("wmr4", "DeliverLocal()"),
+                ("wmr3", "ForwardTo(next_hop='wmr4')"),
+                ("wmr1", "ForwardTo(next_hop='wmr3')"),
+            ],
+        ),
+    ],
+)
+def test_override_to_a_second_gateway_is_used_once_the_first_is_gone(cut_first_gateway, installed):
+    scenario = scenario_from_mapping(two_gateway_doc(cut_first_gateway), source="two-gateways")
+    result = Simulation(scenario, seed=0).run()
+    installs = [
+        (r.data["wmr"], r.data["rule"])
+        for r in result.log.records
+        if r.kind == "ControllerAction" and r.data["action"] == "install"
+    ]
+    assert installs == [(wmr, f"0.0.0.0/0->{action}") for wmr, action in installed]
 
 
 def test_unreachable_origin_falls_back_to_drop():

@@ -9,9 +9,10 @@ link.  A change that only makes the simulator faster or smaller must leave
 the digests untouched, and also the number of events each run schedules
 and of records it logs; one that alters the logs on purpose regenerates
 ``bench/golden.json`` and says so.  The flows-mesh run also pins the data
-plane's work (fresh walks completed and rule-expiry tests), and the
+plane's work (fresh walks completed and rule-expiry tests) and its
+sampling work (steady samples re-logged and sample data built), and the
 grid-partition run the message path's (flow rules built and relay links
-rebuilt); a change that moves either updates the counts and says why.  A
+rebuilt); a change that moves any of these updates the counts and says why.  A
 6 x 6 grid-partition run, whose mesh is deeper (diameter 10 against 8) than
 any benchmark run, is pinned here as well, outside the benchmark's goldens.
 """
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from meshsdn import traffic
 from meshsdn.olsr import OlsrDaemon
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
@@ -70,6 +72,10 @@ WORK = {
 # once per kept walk), and how often any rule is asked whether it has expired
 # (``FlowRule.expired``).
 DATA_PLANE_WORK = {"flows-mesh/0": (897, 14_073)}
+# Sample work of the flows-mesh run: how many samples re-log the last steady
+# one (``FluidTraffic._relog``), and how many sample data dicts are built
+# (``traffic._sample_data``, once per change of a flow's rate).
+SAMPLE_WORK = {"flows-mesh/0": (670, 982)}
 # Message-path work of the grid-partition run: how many flow rules are built
 # (``FlowRule.__init__``; each router builds its emergency drop rule once),
 # and how often a daemon rebuilds the links it relays floods over
@@ -100,7 +106,9 @@ def run(name: str, seed: int):
 )
 def test_log_and_summary_digests(name, seed, monkeypatch):
     label = f"{name}/{seed}"
-    calls = dict.fromkeys(("_kept_until", "expired", "__init__", "_rebuild_relay_links"), 0)
+    calls = dict.fromkeys(
+        ("_kept_until", "expired", "__init__", "_rebuild_relay_links", "_relog", "_sample_data"), 0
+    )
 
     def counted(fn):
         def call(*args, **kwargs):
@@ -112,6 +120,9 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
     if label in DATA_PLANE_WORK:
         monkeypatch.setattr(FluidTraffic, "_kept_until", counted(FluidTraffic._kept_until))
         monkeypatch.setattr(FlowRule, "expired", counted(FlowRule.expired))
+    if label in SAMPLE_WORK:
+        monkeypatch.setattr(FluidTraffic, "_relog", counted(FluidTraffic._relog))
+        monkeypatch.setattr(traffic, "_sample_data", counted(traffic._sample_data))
     if label in MESSAGE_PATH_WORK:
         monkeypatch.setattr(FlowRule, "__init__", counted(FlowRule.__init__))
         monkeypatch.setattr(
@@ -123,6 +134,8 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
     assert (sim.engine._seq, len(result.log.records)) == WORK[label]
     if label in DATA_PLANE_WORK:
         assert (calls["_kept_until"], calls["expired"]) == DATA_PLANE_WORK[label]
+    if label in SAMPLE_WORK:
+        assert (calls["_relog"], calls["_sample_data"]) == SAMPLE_WORK[label]
     if label in MESSAGE_PATH_WORK:
         assert (calls["__init__"], calls["_rebuild_relay_links"]) == MESSAGE_PATH_WORK[label]
 

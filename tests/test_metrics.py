@@ -3,10 +3,13 @@
 Expected values below were worked out by hand from the record definitions:
 each stream is small enough to evaluate without running anything.
 """
+import ast
 from ipaddress import IPv4Address
+from pathlib import Path
 
 import pytest
 
+import meshsdn
 from meshsdn.engine import Simulator, to_us
 from meshsdn.metrics import (
     SUMMARY_COLUMNS,
@@ -224,3 +227,68 @@ def test_ping_addresses_resolve():
     scenario = builtin_scenario("merge")
     assert scenario.pings[0].id == "ping1"
     assert scenario.pings[0].dst == IPv4Address("10.0.255.1")
+
+
+DATA_MUTATORS = {"update", "pop", "setdefault", "clear"}
+
+
+def writes_through_data(source):
+    """The line of each statement that changes a dict reached as ``.data``:
+    item assignment or deletion, or a call of a mutating dict method."""
+    def through_data(node):
+        return isinstance(node, ast.Attribute) and node.attr == "data"
+
+    def unpacked(targets):
+        for target in targets:
+            if isinstance(target, (ast.Tuple, ast.List)):
+                yield from unpacked(target.elts)
+            elif isinstance(target, ast.Starred):
+                yield from unpacked([target.value])
+            else:
+                yield target
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            hit = any(
+                isinstance(target, ast.Subscript) and through_data(target.value)
+                for target in unpacked(targets)
+            )
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            hit = node.func.attr in DATA_MUTATORS and through_data(node.func.value)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_code_writes_through_record_data():
+    # Sample data is logged again while a flow's rate holds, so one dict can
+    # be the data of many records: a write through one would change them all.
+    writes = [
+        'r.data["bps"] = 0.0',
+        'r.data["n"] += 1',
+        'del r.data["bps"]',
+        "a, r.data['x'] = 1, 2",
+        "r.data.update(x=1)",
+        'r.data.pop("bps")',
+        'self.data.setdefault("x", 1)',
+        "r.data.clear()",
+    ]
+    reads = [
+        'x = r.data["bps"]',
+        'r.data.get("bps")',
+        "self.data = data = {}",
+        'data["x"] = 1',
+        'seen[r.data["flow"]] = 1',
+    ]
+    assert [bool(writes_through_data(line)) for line in writes] == [True] * len(writes)
+    assert [bool(writes_through_data(line)) for line in reads] == [False] * len(reads)
+    found = {
+        path.name: lines
+        for path in sorted(Path(meshsdn.__file__).parent.rglob("*.py"))
+        if (lines := writes_through_data(path.read_text()))
+    }
+    assert found == {}

@@ -5,7 +5,7 @@ from ipaddress import IPv4Address, IPv4Network
 from itertools import pairwise
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meshsdn import control_plane as cp
@@ -449,6 +449,14 @@ class WalkWorld:
             return links
 
         self.fluid._trace = recording_trace
+        self.relogs = 0  # samples that re-logged the last steady one
+        relog = self.fluid._relog
+
+        def counted_relog(now):
+            self.relogs += 1
+            relog(now)
+
+        self.fluid._relog = counted_relog
         for flow_id, src, dst, demand in WALK_FLOWS:
             spec = FlowSpec(flow_id, src, dst, demand_mbps=demand, loss_recovery_s=0.3)
             self.fluid.add_flow(spec)
@@ -507,13 +515,15 @@ class WalkWorld:
 
 def run_both(steps, **world_args):
     """Apply each step to a reusing world and to one that walks from
-    scratch, and require the same observations after every step."""
+    scratch, and require the same observations after every step.  The world
+    from scratch keeps no walk, so it never re-logs a steady sample."""
     reused = WalkWorld(FluidTraffic, **world_args)
     scratch = WalkWorld(WalkFromScratch, **world_args)
     for step in steps:
         reused.apply(step)
         scratch.apply(step)
         assert reused.observed() == scratch.observed(), step
+        assert scratch.relogs == 0, step
     return reused
 
 
@@ -564,19 +574,6 @@ walk_steps = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    path_steps,
-    path_steps,
-    st.lists(st.tuples(walk_steps, st.integers(0, 4)), min_size=5, max_size=40),
-)
-def test_reused_walks_equal_walks_from_scratch(first, second, steps):
-    # Two paths up front, so that most samples find one to reuse, and up to
-    # four half-sample waits after each step, so that samples see each change.
-    waited = [s for step, n in steps for s in (step, ("wait", n)) if s != ("wait", 0)]
-    run_both([first, second, *waited])
-
-
 def path_rule(priority=100, hard_timeout_us=0, idle_timeout_us=0, dst="192.168.4.0/24"):
     return {
         "priority": priority,
@@ -586,6 +583,58 @@ def path_rule(priority=100, hard_timeout_us=0, idle_timeout_us=0, dst="192.168.4
         "idle_timeout_us": idle_timeout_us,
         "hard_timeout_us": hard_timeout_us,
     }
+
+
+# Fixed examples in which samples turn steady: f1 over w1-w2-w4 and f2 over
+# w2-w4 reach h2 from the first sample, whose 0.05 s wait lets f3 start
+# before it is stopped (its stray address is dropped at w4, so it never
+# keeps a walk).  Sweeps find nothing to expire and change no table.
+STEADY_PATHS = (
+    ("path", ["w1", "w2", "w4"], path_rule()),
+    ("path", ["w2", "w4"], path_rule()),
+)
+SHORT_PATH_EXAMPLES = {
+    # Every sample from 0.1 s is clean, but the ramps run until 0.3 s, so
+    # only the samples after that one may re-log it.
+    "ramp finishes under clean samples": [
+        (("sweep", "w1"), 1),
+        (("stop", "f3"), 4),
+        (("sweep", "w2"), 4),
+        (("sweep", "w3"), 4),
+    ],
+    # f2 stops and starts again while f1 stays steady.
+    "flow stops and starts amid steady ones": [
+        (("sweep", "w1"), 1),
+        (("stop", "f3"), 4),
+        (("sweep", "w2"), 4),
+        (("stop", "f2"), 3),
+        (("sweep", "w3"), 4),
+        (("start", "f2"), 4),
+        (("sweep", "w4"), 4),
+        (("sweep", "w1"), 4),
+    ],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path_steps,
+    path_steps,
+    st.lists(st.tuples(walk_steps, st.integers(0, 4)), min_size=5, max_size=40),
+)
+@example(*STEADY_PATHS, SHORT_PATH_EXAMPLES["ramp finishes under clean samples"])
+@example(*STEADY_PATHS, SHORT_PATH_EXAMPLES["flow stops and starts amid steady ones"])
+def test_reused_walks_equal_walks_from_scratch(first, second, steps):
+    # Two paths up front, so that most samples find one to reuse, and up to
+    # four half-sample waits after each step, so that samples see each change.
+    waited = [s for step, n in steps for s in (step, ("wait", n)) if s != ("wait", 0)]
+    run_both([first, second, *waited])
+
+
+@pytest.mark.parametrize("steps", SHORT_PATH_EXAMPLES.values(), ids=SHORT_PATH_EXAMPLES.keys())
+def test_fixed_examples_re_log_steady_samples(steps):
+    waited = [s for step, n in steps for s in (step, ("wait", n)) if s != ("wait", 0)]
+    assert run_both([*STEADY_PATHS, *waited]).relogs > 0
 
 
 def install_step(node, action, **rule_args):
