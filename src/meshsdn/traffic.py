@@ -29,9 +29,9 @@ packet and raises a packet-in, which reaches the controller as a message.
 
 The log pays per change too.  Each flow builds its sample data once per
 rate and logs that dict again while the rate holds.  A sample is *steady*
-when every active flow kept its walk and finished its ramp.  A clean sample
-after a steady one, with no flow started or stopped and no demand changed
-since, re-logs it: it reuses every kept walk, so the allocation would have
+when some flow is active and every active flow kept its walk and finished
+its ramp.  A clean sample after a steady one, with no flow started or
+stopped and no demand changed since, re-logs it: it reuses every kept walk, so the allocation would have
 the same inputs and give the same shares, and each rate is the one it was.
 It still touches the rules of each kept walk, in flow id order.
 """
@@ -349,8 +349,10 @@ class FluidTraffic:
                 if ramp != 1.0:
                     steady = False
                 self._log("ThroughputSample", state.data_at(shares[flow_id] * ramp))
-        # When steady, every active flow has a path, so ``paths`` lists them all.
-        self._steady = ([flows[f] for f in paths], list(demands.values())) if steady else None
+        # When steady, every active flow has a path, so ``paths`` lists them
+        # all.  A sample with no active flow has nothing to re-log, so it is
+        # not steady.
+        self._steady = ([flows[f] for f in paths], list(demands.values())) if steady and paths else None
 
     def _trace(self, state: _FlowState, now: SimTime) -> list[Link] | None:
         """Walk the flow through access links and flow tables; None if it

@@ -73,9 +73,10 @@ WORK = {
 # (``FlowRule.expired``).
 DATA_PLANE_WORK = {"flows-mesh/0": (897, 14_073)}
 # Sample work of the flows-mesh run: how many samples re-log the last steady
-# one (``FluidTraffic._relog``), and how many sample data dicts are built
-# (``traffic._sample_data``, once per change of a flow's rate).
-SAMPLE_WORK = {"flows-mesh/0": (670, 982)}
+# one (``FluidTraffic._relog``; a sample with no active flow is never steady),
+# and how many sample data dicts are built (``traffic._sample_data``, once per
+# change of a flow's rate).
+SAMPLE_WORK = {"flows-mesh/0": (372, 982)}
 # Message-path work of the grid-partition run: how many flow rules are built
 # (``FlowRule.__init__``; each router builds its emergency drop rule once),
 # and how often a daemon rebuilds the links it relays floods over
