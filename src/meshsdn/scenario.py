@@ -548,6 +548,10 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
     for i, f in enumerate(s.flows):
         if f.src not in hosts_by_id:
             _fail(doc, f"flow {f.id}: src {f.src!r} is not a host")
+        # A flow to its own source would cross the attach link twice and
+        # take capacity from the flows that really use it.
+        if f.dst == hosts_by_id[f.src].addr:
+            _fail(doc, f"flow {f.id}: dst {f.dst} is the address of its src {f.src!r}")
         # The fluid model follows flow-table rules only, and traffic to the
         # control subnet is routed, never given one: such a flow would carry
         # nothing for its whole life.

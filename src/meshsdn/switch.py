@@ -147,11 +147,8 @@ class FlowRule:
             due = min(due, self.last_hit + self.idle_timeout_us)
         return due
 
-    def summary(self) -> str:
-        return self._summary
-
     @cached_property
-    def _summary(self) -> str:
+    def summary(self) -> str:
         action = self.action
         if isinstance(action, ForwardTo):
             act = f"fwd:{action.next_hop}"
@@ -202,7 +199,7 @@ class FlowTable:
 
     def remove(self, rule: FlowRule) -> None:
         if self._rules.get(rule.key) is not rule:
-            raise KeyError(f"rule not installed: {rule.summary()}")
+            raise KeyError(f"rule not installed: {rule.summary}")
         self._discard([rule])
 
     def match(self, packet: Packet, now: SimTime, touch: bool = True) -> FlowRule | None:
@@ -268,7 +265,7 @@ class FlowTable:
 
     def dump(self) -> list[str]:
         ordered = sorted(self._rules.values(), key=lambda r: r._dump_key)
-        return [r._summary for r in ordered]
+        return [r.summary for r in ordered]
 
 
 class SwitchConfig(NamedTuple):
@@ -417,7 +414,7 @@ class FlowSwitch:
         rule.installed_at = now
         rule.last_hit = now
         self.table.install(rule)
-        self._log_table("install", extra={"rule": rule.summary()})
+        self._log_table("install", extra={"rule": rule.summary})
         self._release_buffered(rule)
 
     def flush_rules(self, origin_filter: str) -> int:
@@ -429,7 +426,7 @@ class FlowSwitch:
     def _sweep(self) -> None:
         gone = self.table.remove_expired(self.sim.now())
         if gone:
-            self._log_table("expire", extra={"removed": [r.summary() for r in gone]})
+            self._log_table("expire", extra={"removed": [r.summary for r in gone]})
         self.sim.schedule(self._sweep_interval_us, self._sweep, kind="rule-sweep")
 
     # -- logging ------------------------------------------------------------

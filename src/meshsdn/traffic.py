@@ -27,13 +27,10 @@ Stopping a flow drops its walk, so a restarted flow walks afresh.  A
 sample's own walks change no table and no link: a miss only buffers the
 packet and raises a packet-in, which reaches the controller as a message.
 
-The log pays per change too.  Each flow builds its sample data once per
-rate and logs that dict again while the rate holds.  A sample is *steady*
-when some flow is active and every active flow kept its walk and finished
-its ramp.  A clean sample after a steady one, with no flow started or
-stopped and no demand changed since, re-logs it: it reuses every kept walk, so the allocation would have
-the same inputs and give the same shares, and each rate is the one it was.
-It still touches the rules of each kept walk, in flow id order.
+Each flow builds its sample data once per rate and logs that dict again
+while the rate holds.  The allocation is kept too: a sample whose flows
+found the same paths as the last one reuses its shares, since a flow's
+demand is fixed when it is added.
 """
 from __future__ import annotations
 
@@ -207,9 +204,6 @@ def _sample_data(flow_id: str, bps: float) -> dict:
     return {"flow": flow_id, "bps": bps}
 
 
-_DEMAND = attrgetter("demand_bps")
-
-
 class FluidTraffic:
     """Samples every active flow on a fixed grid and logs ThroughputSample."""
 
@@ -229,10 +223,10 @@ class FluidTraffic:
         self._flows: dict[str, _FlowState] = {}
         self._flow_ids: list[str] = []  # sorted, the order samples are logged in
         self._ticking = False
-        # The last allocation and its inputs.  Link capacities never change
-        # and a Down link never reaches a path, so equal inputs give equal
-        # shares.
-        self._allocated: tuple[dict[str, float], dict[str, list[Link]]] | None = None
+        # The paths of the last allocation.  Demands and link capacities
+        # never change and a Down link never reaches a path, so equal paths
+        # give equal shares.
+        self._allocated: dict[str, list[Link]] = {}
         self._shares: dict[str, float] = {}
         self._sample_interval_us = to_us(self.SAMPLE_INTERVAL_S)
         self._tables = [switch.table for switch in switches.values()]
@@ -243,11 +237,6 @@ class FluidTraffic:
         self._marks = -1
         self._horizon: float = 0
         self._clean = False
-        # The active flows in id order and their demands, as the last sample
-        # found them when it was steady: each flow had a kept walk and a
-        # finished ramp.  None after any other sample, and once a flow starts
-        # or stops.
-        self._steady: tuple[list[_FlowState], list[float]] | None = None
 
     def add_flow(self, spec: FlowSpec) -> None:
         # The topology is complete and fixed by now, so what a flow starts
@@ -277,7 +266,6 @@ class FluidTraffic:
 
     def start_flow(self, flow_id: str) -> None:
         self._flows[flow_id].active = True
-        self._steady = None
         if not self._ticking:
             self._ticking = True
             self._tick()
@@ -287,44 +275,27 @@ class FluidTraffic:
         state.active = False
         state.path_ok_since = None
         state.walk = None
-        self._steady = None
 
     def _tick(self) -> None:
         now = self.sim.now()
         marks = sum(map(attrgetter("changes"), self._tables)) + self.topo.link_events
         self._clean = marks == self._marks and now < self._horizon
         self._marks = marks
-        steady = self._steady
-        if self._clean and steady is not None and list(map(_DEMAND, steady[0])) == steady[1]:
-            self._relog(now)
-        else:
-            self._sample(now)
+        self._sample(now)
         self.sim.schedule(self._sample_interval_us, self._tick, kind="sample")
-
-    def _relog(self, now: SimTime) -> None:
-        """Log the last steady sample's records again, touching each kept
-        walk's rules as the walk's reuse does."""
-        assert self._steady is not None
-        for state in self._steady[0]:
-            self._trace(state, now)
-            self._log("ThroughputSample", state.data)
 
     def _sample(self, now: SimTime) -> None:
         """Walk every active flow, share the links and log the rates."""
         horizon = math.inf
         paths: dict[str, list[Link]] = {}
-        demands: dict[str, float] = {}
         flows = self._flows
-        steady = True  # every active flow has a kept walk and a finished ramp
         for flow_id in self._flow_ids:
             state = flows[flow_id]
             if not state.active:
                 continue
             links = self._trace(state, now)
             walk = state.walk
-            if walk is None:
-                steady = False
-            elif walk[2] < horizon:
+            if walk is not None and walk[2] < horizon:
                 horizon = walk[2]
             if links is None:
                 state.path_ok_since = None
@@ -333,26 +304,21 @@ class FluidTraffic:
                 if state.path_ok_since is None:
                     state.path_ok_since = now
                 paths[flow_id] = links
-                demands[flow_id] = state.demand_bps
         self._horizon = horizon
         if paths:
-            if self._allocated != (demands, paths):
+            if self._allocated != paths:
+                demands = {f: flows[f].demand_bps for f in paths}
                 self._shares = max_min_allocate(demands, paths)
-                self._allocated = (demands, paths)
+                self._allocated = paths
             shares = self._shares
             for flow_id in paths:  # inserted in sorted order
                 state = flows[flow_id]
                 assert state.path_ok_since is not None
+                share = shares[flow_id]
                 elapsed = now - state.path_ok_since
                 recovery = state.recovery_us
-                ramp = 1.0 if recovery == 0 else min(1.0, elapsed / recovery)
-                if ramp != 1.0:
-                    steady = False
-                self._log("ThroughputSample", state.data_at(shares[flow_id] * ramp))
-        # When steady, every active flow has a path, so ``paths`` lists them
-        # all.  A sample with no active flow has nothing to re-log, so it is
-        # not steady.
-        self._steady = ([flows[f] for f in paths], list(demands.values())) if steady and paths else None
+                bps = share if elapsed >= recovery else share * (elapsed / recovery)
+                self._log("ThroughputSample", state.data_at(bps))
 
     def _trace(self, state: _FlowState, now: SimTime) -> list[Link] | None:
         """Walk the flow through access links and flow tables; None if it

@@ -348,6 +348,21 @@ def test_report_refuses_malformed_results(tmp_path, capsys, text, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_flow_to_its_own_source_is_refused(tmp_path, capsys, command):
+    doc = builtin_doc("merge")
+    doc["flows"] = [
+        {"id": "loop", "src": "h1", "dst": "h1"},
+        {"id": "real", "src": "h2", "dst": "h1"},
+    ]
+    path = tmp_path / "merge.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: flow loop: dst 192.168.1.10 is the address of its src 'h1'\n"
+
+
 HEADER = "seed,scenario,connectivity_time_s,selection_delay_s,throughput_gap_s\n"
 
 

@@ -10,7 +10,7 @@ the digests untouched, and also the number of events each run schedules
 and of records it logs; one that alters the logs on purpose regenerates
 ``bench/golden.json`` and says so.  The flows-mesh run also pins the data
 plane's work (fresh walks completed and rule-expiry tests) and its
-sampling work (steady samples re-logged and sample data built), and the
+sampling work (allocations computed and sample data built), and the
 grid-partition run the message path's (flow rules built and relay links
 rebuilt); a change that moves any of these updates the counts and says why.  A
 6 x 6 grid-partition run, whose mesh is deeper (diameter 10 against 8) than
@@ -72,11 +72,11 @@ WORK = {
 # once per kept walk), and how often any rule is asked whether it has expired
 # (``FlowRule.expired``).
 DATA_PLANE_WORK = {"flows-mesh/0": (897, 14_073)}
-# Sample work of the flows-mesh run: how many samples re-log the last steady
-# one (``FluidTraffic._relog``; a sample with no active flow is never steady),
+# Sample work of the flows-mesh run: how many allocations are computed
+# (``traffic.max_min_allocate``, once per change of the active flows' paths),
 # and how many sample data dicts are built (``traffic._sample_data``, once per
 # change of a flow's rate).
-SAMPLE_WORK = {"flows-mesh/0": (372, 982)}
+SAMPLE_WORK = {"flows-mesh/0": (82, 982)}
 # Message-path work of the grid-partition run: how many flow rules are built
 # (``FlowRule.__init__``; each router builds its emergency drop rule once),
 # and how often a daemon rebuilds the links it relays floods over
@@ -108,7 +108,7 @@ def run(name: str, seed: int):
 def test_log_and_summary_digests(name, seed, monkeypatch):
     label = f"{name}/{seed}"
     calls = dict.fromkeys(
-        ("_kept_until", "expired", "__init__", "_rebuild_relay_links", "_relog", "_sample_data"), 0
+        ("_kept_until", "expired", "__init__", "_rebuild_relay_links", "max_min_allocate", "_sample_data"), 0
     )
 
     def counted(fn):
@@ -122,7 +122,7 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
         monkeypatch.setattr(FluidTraffic, "_kept_until", counted(FluidTraffic._kept_until))
         monkeypatch.setattr(FlowRule, "expired", counted(FlowRule.expired))
     if label in SAMPLE_WORK:
-        monkeypatch.setattr(FluidTraffic, "_relog", counted(FluidTraffic._relog))
+        monkeypatch.setattr(traffic, "max_min_allocate", counted(traffic.max_min_allocate))
         monkeypatch.setattr(traffic, "_sample_data", counted(traffic._sample_data))
     if label in MESSAGE_PATH_WORK:
         monkeypatch.setattr(FlowRule, "__init__", counted(FlowRule.__init__))
@@ -136,7 +136,7 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
     if label in DATA_PLANE_WORK:
         assert (calls["_kept_until"], calls["expired"]) == DATA_PLANE_WORK[label]
     if label in SAMPLE_WORK:
-        assert (calls["_relog"], calls["_sample_data"]) == SAMPLE_WORK[label]
+        assert (calls["max_min_allocate"], calls["_sample_data"]) == SAMPLE_WORK[label]
     if label in MESSAGE_PATH_WORK:
         assert (calls["__init__"], calls["_rebuild_relay_links"]) == MESSAGE_PATH_WORK[label]
 

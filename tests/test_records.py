@@ -96,7 +96,7 @@ def test_actions_without_fields_keep_distinct_types():
 
 def test_rule_summary_names_each_action():
     def summary(action, src=None):
-        return FlowRule(10, NET, action, "eftm", src_prefix=src).summary()
+        return FlowRule(10, NET, action, "eftm", src_prefix=src).summary
 
     assert summary(ForwardTo("wmr2")) == "p=10 dst=10.0.0.0/24 src=* -> fwd:wmr2 [eftm]"
     assert summary(DeliverLocal(), NET) == "p=10 dst=10.0.0.0/24 src=10.0.0.0/24 -> local [eftm]"

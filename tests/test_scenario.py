@@ -80,7 +80,7 @@ def test_keys_written_otherwise_than_their_fields():
     doc["defaults"] = {"mesh_link": {"delay_ms": 5.0}, "attach_link": {"capacity_mbps": 50.0}}
     doc["links"][0]["initial"] = "down"
     doc["controllers"][0]["path_overrides"] = [{"dst": "192.168.1.0/24", "path": ["wmr2", "wmr1"]}]
-    doc["flows"][0]["dst"] = "h1"
+    doc["flows"][0].update(src="h2", dst="h1")
     s = scenario_from_mapping(doc, source="t")
     # Omitted link fields come from the defaults that apply to the link.
     assert (s.links[0].capacity_mbps, s.links[0].delay_ms) == (10.0, 5.0)
@@ -434,6 +434,16 @@ REJECTIONS = [
             rf"^t: flow flow1: dst {addr} lies inside control_subnet 10\.0\.0\.0/16$",
         )
         for dst, addr in (("10.0.0.2", r"10\.0\.0\.2"), ("ctrl1", r"10\.0\.255\.1"))
+    ),
+    # A flow to its own source would cross its attach link twice, whether
+    # its dst is written as an address or as the host.
+    *(
+        pytest.param(
+            _set(["flows", 0, "dst"], dst),
+            r"^t: flow flow1: dst 192\.168\.1\.10 is the address of its src 'h1'$",
+            id=f"mutate-flow-to-its-own-src-{dst}",
+        )
+        for dst in ("h1", "192.168.1.10")
     ),
     *(
         (_set(["olsr"], {key: 0}), r"^t\.olsr: hello thresholds must be >= 1$")

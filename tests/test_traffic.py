@@ -316,31 +316,34 @@ def test_allocation_is_reused_until_a_demand_or_path_changes(monkeypatch):
         sim.run_until(to_us(t))
         return {flow: bps for at, flow, bps in samples if at == to_us(t)}
 
-    def direct(demand, path):
-        demands = {"capped": demand, "greedy": math.inf}
-        return max_min_allocate(demands, {"capped": path, "greedy": path})
+    def direct(path, *flow_ids):
+        demands = {"capped": 2e6, "greedy": math.inf}
+        return max_min_allocate({f: demands[f] for f in flow_ids}, {f: path for f in flow_ids})
 
     long_path, short_path = [access1, w12, w23, access3], [access1, w13, access3]
     # The first tick sees only the flow started first; both run from 0.1 s.
     tick_at(0.0)
-    assert tick_at(0.1) == direct(2e6, long_path) == {"capped": 2e6, "greedy": 8e6}
+    assert tick_at(0.1) == direct(long_path, "capped", "greedy") == {"capped": 2e6, "greedy": 8e6}
     assert len(calls) == 2
-    assert tick_at(0.2) == direct(2e6, long_path)
+    assert tick_at(0.2) == direct(long_path, "capped", "greedy")
     assert len(calls) == 2  # unchanged inputs: the last shares are reused
 
-    fluid._flows["capped"].demand_bps = 4e6
-    assert tick_at(0.3) == direct(4e6, long_path) == {"capped": 4e6, "greedy": 6e6}
+    # Stopping a flow takes its demand out, and restarting it puts it back.
+    fluid.stop_flow("capped")
+    assert tick_at(0.3) == direct(long_path, "greedy") == {"greedy": 10e6}
     assert len(calls) == 3
-    assert tick_at(0.4) == direct(4e6, long_path) and len(calls) == 3
+    fluid.start_flow("capped")
+    assert tick_at(0.4) == direct(long_path, "capped", "greedy") and len(calls) == 4
+    assert tick_at(0.5) == direct(long_path, "capped", "greedy") and len(calls) == 4
 
     install("w1", ForwardTo("w3"), priority=200)
-    assert tick_at(0.5) == direct(4e6, short_path) == {"capped": 4e6, "greedy": 16e6}
-    assert len(calls) == 4
+    assert tick_at(0.6) == direct(short_path, "capped", "greedy") == {"capped": 2e6, "greedy": 18e6}
+    assert len(calls) == 5
     assert calls[-1] == (
-        {"capped": 4e6, "greedy": math.inf},
+        {"capped": 2e6, "greedy": math.inf},
         {"capped": short_path, "greedy": short_path},
     )
-    assert tick_at(0.6) == direct(4e6, short_path) and len(calls) == 4
+    assert tick_at(0.7) == direct(short_path, "capped", "greedy") and len(calls) == 5
 
 
 # -- reused walks against walks from scratch ----------------------------------
@@ -449,14 +452,6 @@ class WalkWorld:
             return links
 
         self.fluid._trace = recording_trace
-        self.relogs = 0  # samples that re-logged the last steady one
-        relog = self.fluid._relog
-
-        def counted_relog(now):
-            self.relogs += 1
-            relog(now)
-
-        self.fluid._relog = counted_relog
         for flow_id, src, dst, demand in WALK_FLOWS:
             spec = FlowSpec(flow_id, src, dst, demand_mbps=demand, loss_recovery_s=0.3)
             self.fluid.add_flow(spec)
@@ -515,15 +510,13 @@ class WalkWorld:
 
 def run_both(steps, **world_args):
     """Apply each step to a reusing world and to one that walks from
-    scratch, and require the same observations after every step.  The world
-    from scratch keeps no walk, so it never re-logs a steady sample."""
+    scratch, and require the same observations after every step."""
     reused = WalkWorld(FluidTraffic, **world_args)
     scratch = WalkWorld(WalkFromScratch, **world_args)
     for step in steps:
         reused.apply(step)
         scratch.apply(step)
         assert reused.observed() == scratch.observed(), step
-        assert scratch.relogs == 0, step
     return reused
 
 
@@ -585,8 +578,8 @@ def path_rule(priority=100, hard_timeout_us=0, idle_timeout_us=0, dst="192.168.4
     }
 
 
-# Fixed examples in which samples turn steady: f1 over w1-w2-w4 and f2 over
-# w2-w4 reach h2 from the first sample, whose 0.05 s wait lets f3 start
+# Fixed examples with long runs of clean samples: f1 over w1-w2-w4 and f2
+# over w2-w4 reach h2 from the first sample, whose 0.05 s wait lets f3 start
 # before it is stopped (its stray address is dropped at w4, so it never
 # keeps a walk).  Sweeps find nothing to expire and change no table.
 STEADY_PATHS = (
@@ -594,15 +587,14 @@ STEADY_PATHS = (
     ("path", ["w2", "w4"], path_rule()),
 )
 SHORT_PATH_EXAMPLES = {
-    # Every sample from 0.1 s is clean, but the ramps run until 0.3 s, so
-    # only the samples after that one may re-log it.
+    # Every sample from 0.1 s is clean, and the ramps finish at 0.3 s.
     "ramp finishes under clean samples": [
         (("sweep", "w1"), 1),
         (("stop", "f3"), 4),
         (("sweep", "w2"), 4),
         (("sweep", "w3"), 4),
     ],
-    # f2 stops and starts again while f1 stays steady.
+    # f2 stops and starts again while f1 keeps its walk.
     "flow stops and starts amid steady ones": [
         (("sweep", "w1"), 1),
         (("stop", "f3"), 4),
@@ -629,12 +621,6 @@ def test_reused_walks_equal_walks_from_scratch(first, second, steps):
     # four half-sample waits after each step, so that samples see each change.
     waited = [s for step, n in steps for s in (step, ("wait", n)) if s != ("wait", 0)]
     run_both([first, second, *waited])
-
-
-@pytest.mark.parametrize("steps", SHORT_PATH_EXAMPLES.values(), ids=SHORT_PATH_EXAMPLES.keys())
-def test_fixed_examples_re_log_steady_samples(steps):
-    waited = [s for step, n in steps for s in (step, ("wait", n)) if s != ("wait", 0)]
-    assert run_both([*STEADY_PATHS, *waited]).relogs > 0
 
 
 def install_step(node, action, **rule_args):
