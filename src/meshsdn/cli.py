@@ -143,19 +143,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{source}: expected a mapping")
     seeds = _parse_seeds(args)
-    axes: list[tuple[str, list[Any]]] = []
+    axes: dict[str, list[Any]] = {}
     for pair in args.param:
         key, sep, raw = pair.partition("=")
         # The values are one YAML flow sequence, so a value may be a list.
         values = parse_yaml(f"[{raw}]", f"--param {key}") if sep and key else None
         if not isinstance(values, list) or not values:
             raise ScenarioError(f"--param {pair!r}: expected KEY=V1,V2,...")
-        axes.append((key, values))
+        # A value's text names its runs and their logs, so a repeated key or
+        # value would run one combination twice under one name.
+        if key in axes:
+            raise ScenarioError(f"--param {key}: given twice")
+        texts = [str(v) for v in values]
+        for text in texts:
+            if texts.count(text) > 1:
+                raise ScenarioError(f"--param {key}: {text} listed twice")
+        axes[key] = values
     out_dir = _out_dir(args.out)
     base_name = str(doc.get("name", "scenario"))
     results: list[RunResult] = []
-    for combo in itertools.product(*(values for _, values in axes)):
-        overrides: dict[str, Any] = dict(zip((k for k, _ in axes), combo))
+    for combo in itertools.product(*axes.values()):
+        overrides: dict[str, Any] = dict(zip(axes, combo))
         label = ",".join(f"{k}={v}" for k, v in overrides.items())
         overrides["name"] = f"{base_name}[{label}]"
         # Each combination gets a pristine copy of the document.

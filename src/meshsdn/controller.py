@@ -59,7 +59,6 @@ class Controller:
         self._unknown_dst_hard_timeout_us = to_us(cfg.unknown_dst_hard_timeout_s)
 
         self.topo_view: TopologySnapshot | None = None
-        self.view_stale = False
         # Each connected switch's address and when it was last heard from.
         self._switches: dict[str, tuple[IPv4Address, SimTime]] = {}
 
@@ -73,9 +72,7 @@ class Controller:
     def refresh_topology(self) -> None:
         if self._attachment_up():
             self.topo_view = self._pull()
-            self.view_stale = False
         else:
-            self.view_stale = True
             age = (
                 self.sim.now() - self.topo_view.captured_at
                 if self.topo_view is not None

@@ -208,11 +208,12 @@ def _one_of(choices: tuple, raw: Any, path: str) -> Any:
     return raw
 
 
-def _unit(scale: int, positive: bool, whole_us: bool = False) -> Reader:
+def _unit(scale: int, positive: bool, whole: str = "") -> Reader:
     """The reader of a number in a unit of ``scale`` base units (us or
     bit/s): positive, or else >= 0; finite once converted; and, if
-    ``whole_us``, at least 1 us once rounded, so that a timer with this
-    period does not fire at one instant forever."""
+    ``whole`` names the base unit, at least one of it once rounded, so that
+    a timer does not fire at one instant forever and a link does not build
+    with no capacity."""
 
     def read_unit(raw: Any, path: str) -> float:
         value = _number(raw, path)
@@ -220,8 +221,8 @@ def _unit(scale: int, positive: bool, whole_us: bool = False) -> Reader:
             _fail(path, f"must be {'positive' if positive else '>= 0'}, got {raw!r}")
         if math.isinf(value * scale):
             _fail(path, f"too large, got {raw!r}")
-        if whole_us and round(value * scale) < 1:
-            _fail(path, f"must be at least 1 us, got {raw!r}")
+        if whole and round(value * scale) < 1:
+            _fail(path, f"must be at least 1 {whole}, got {raw!r}")
         return value
 
     return read_unit
@@ -230,9 +231,9 @@ def _unit(scale: int, positive: bool, whole_us: bool = False) -> Reader:
 _SCALARS: dict[Any, Reader] = {
     float: _number,
     Seconds: _unit(US_PER_S, positive=False),
-    Period: _unit(US_PER_S, positive=True, whole_us=True),
+    Period: _unit(US_PER_S, positive=True, whole="us"),
     Millis: _unit(1000, positive=False),
-    Mbps: _unit(1_000_000, positive=True),
+    Mbps: _unit(1_000_000, positive=True, whole="bit/s"),
     int: _integer,
     bool: _flag,
     str: _name,
@@ -436,10 +437,10 @@ def apply_overrides(doc: Any, overrides: dict[str, Any]) -> Any:
 # -- validation --------------------------------------------------------------
 
 
-def validate_scenario(s: Scenario, source: str | None = None) -> None:
+def validate_scenario(s: Scenario, source: str) -> None:
     """Check the cross-references and the rules between fields, which
     reading each value as its declared type cannot; errors start with
-    ``source``, or with the scenario's name when there is none.
+    ``source``.
 
     A path override must end at a router that announces its prefix, but not
     at the one the controller resolves it to now.  Where two gateways both
@@ -448,48 +449,47 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
     used once the first one's entry has expired there, as when that gateway
     is cut off.  Such an override is a fallback route, and it is accepted.
     """
-    doc = source or s.name
 
     def unique(what: str, names: Iterable[str]) -> set[str]:
         seen: set[str] = set()
         for name in names:
             if name in seen:
-                _fail(doc, f"duplicate {what} id {name!r}")
+                _fail(source, f"duplicate {what} id {name!r}")
             seen.add(name)
         return seen
 
     ids = unique("node", (n.id for n in (*s.wmrs, *s.controllers, *s.hosts)))
     wmr_ids = {w.id for w in s.wmrs}
     if not s.eftm.controller_range.subnet_of(s.control_subnet):
-        _fail(doc, "eftm.controller_range must lie inside control_subnet")
+        _fail(source, "eftm.controller_range must lie inside control_subnet")
 
     addresses: set[IPv4Address] = set()
 
     def claim(addr: IPv4Address, owner: str) -> None:
         if addr in addresses:
-            _fail(doc, f"{owner}: address {addr} is already assigned")
+            _fail(source, f"{owner}: address {addr} is already assigned")
         addresses.add(addr)
 
     for w in s.wmrs:
         if w.mesh_addr not in s.control_subnet:
-            _fail(doc, f"wmr {w.id}: mesh_addr {w.mesh_addr} outside control subnet")
+            _fail(source, f"wmr {w.id}: mesh_addr {w.mesh_addr} outside control subnet")
         if w.mesh_addr in s.eftm.controller_range:
-            _fail(doc, f"wmr {w.id}: mesh_addr {w.mesh_addr} inside controller range")
+            _fail(source, f"wmr {w.id}: mesh_addr {w.mesh_addr} inside controller range")
         claim(w.mesh_addr, f"wmr {w.id}")
         for net in w.access:
             if net.subnet.overlaps(s.control_subnet):
-                _fail(doc, f"wmr {w.id}: access subnet {net.subnet} overlaps control subnet")
+                _fail(source, f"wmr {w.id}: access subnet {net.subnet} overlaps control subnet")
             if net.addr not in net.subnet:
-                _fail(doc, f"wmr {w.id}: access addr {net.addr} outside {net.subnet}")
+                _fail(source, f"wmr {w.id}: access addr {net.addr} outside {net.subnet}")
             claim(net.addr, f"wmr {w.id}")
 
     mesh_links = {frozenset((link.a, link.b)) for link in s.links}
     for c in s.controllers:
         if c.addr not in s.eftm.controller_range:
-            _fail(doc, f"controller {c.id}: addr {c.addr} outside controller range")
+            _fail(source, f"controller {c.id}: addr {c.addr} outside controller range")
         claim(c.addr, f"controller {c.id}")
         if c.attach not in wmr_ids:
-            _fail(doc, f"controller {c.id}: attach target {c.attach!r} is not a wmr")
+            _fail(source, f"controller {c.id}: attach target {c.attach!r} is not a wmr")
         # The controller installs an override as given, one rule per router
         # forwarding to the next: it must be a walk over mesh links that
         # visits each router once.  It takes one only for a path to the
@@ -499,28 +499,28 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
             where = f"controller {c.id}: override {prefix}"
             unknown = [h for h in hops if h not in wmr_ids]
             if unknown:
-                _fail(doc, f"{where} names non-wmr {unknown}")
+                _fail(source, f"{where} names non-wmr {unknown}")
             if not hops:
-                _fail(doc, f"{where} has an empty path")
+                _fail(source, f"{where} has an empty path")
             for i, hop in enumerate(hops):
                 if hop in hops[:i]:
-                    _fail(doc, f"{where} names {hop} twice")
+                    _fail(source, f"{where} names {hop} twice")
             for a, b in zip(hops, hops[1:]):
                 if frozenset((a, b)) not in mesh_links:
-                    _fail(doc, f"{where} has no mesh link from {a} to {b}")
+                    _fail(source, f"{where} has no mesh link from {a} to {b}")
             end = next(w for w in s.wmrs if w.id == hops[-1])
             default = end.gateway and prefix.prefixlen == 0
             if not default and all(net.subnet != prefix for net in end.access):
-                _fail(doc, f"{where} ends at {end.id}, which does not announce it")
+                _fail(source, f"{where} ends at {end.id}, which does not announce it")
 
     hosts_by_id = {}
     for h in s.hosts:
         if h.attach not in wmr_ids:
-            _fail(doc, f"host {h.id}: attach target {h.attach!r} is not a wmr")
+            _fail(source, f"host {h.id}: attach target {h.attach!r} is not a wmr")
         wmr = next(w for w in s.wmrs if w.id == h.attach)
         if not any(h.addr in net.subnet for net in wmr.access):
             _fail(
-                doc,
+                source,
                 f"host {h.id}: addr {h.addr} not in any access subnet of {h.attach}",
             )
         claim(h.addr, f"host {h.id}")
@@ -530,61 +530,61 @@ def validate_scenario(s: Scenario, source: str | None = None) -> None:
     for i, link in enumerate(s.links):
         where = f"links[{i}]"
         if link.a not in wmr_ids or link.b not in wmr_ids:
-            _fail(doc, f"{where}: mesh links must join two wmrs ({link.a}, {link.b})")
+            _fail(source, f"{where}: mesh links must join two wmrs ({link.a}, {link.b})")
         if link.a == link.b:
-            _fail(doc, f"{where}: self-link on {link.a}")
+            _fail(source, f"{where}: self-link on {link.a}")
         key = tuple(sorted((link.a, link.b)))
         if key in seen_links:
-            _fail(doc, f"{where}: duplicate link {key}")
+            _fail(source, f"{where}: duplicate link {key}")
         seen_links.add(key)
 
     ping_ids = unique("ping", (p.id for p in s.pings))
     flow_ids = unique("flow", (f.id for f in s.flows))
     for p in s.pings:
         if p.src not in ids:
-            _fail(doc, f"ping {p.id}: unknown src {p.src!r}")
+            _fail(source, f"ping {p.id}: unknown src {p.src!r}")
         if p.src not in hosts_by_id:
-            _fail(doc, f"ping {p.id}: src {p.src!r} is not a host")
+            _fail(source, f"ping {p.id}: src {p.src!r} is not a host")
     for i, f in enumerate(s.flows):
         if f.src not in hosts_by_id:
-            _fail(doc, f"flow {f.id}: src {f.src!r} is not a host")
+            _fail(source, f"flow {f.id}: src {f.src!r} is not a host")
         # A flow to its own source would cross the attach link twice and
         # take capacity from the flows that really use it.
         if f.dst == hosts_by_id[f.src].addr:
-            _fail(doc, f"flow {f.id}: dst {f.dst} is the address of its src {f.src!r}")
+            _fail(source, f"flow {f.id}: dst {f.dst} is the address of its src {f.src!r}")
         # The fluid model follows flow-table rules only, and traffic to the
         # control subnet is routed, never given one: such a flow would carry
         # nothing for its whole life.
         if f.dst in s.control_subnet:
-            _fail(doc, f"flow {f.id}: dst {f.dst} lies inside control_subnet {s.control_subnet}")
+            _fail(source, f"flow {f.id}: dst {f.dst} lies inside control_subnet {s.control_subnet}")
         if f.stop_s is not None and f.stop_s <= f.start_s:
-            _fail(doc, f"flows[{i}]: stop_s must be after start_s")
+            _fail(source, f"flows[{i}]: stop_s must be after start_s")
 
     last_at = 0.0
     for i, ev in enumerate(s.events):
         where = f"events[{i}]"
         if ev.at_s > s.duration_s:
-            _fail(doc, f"{where}: at_s {ev.at_s} outside [0, {s.duration_s}]")
+            _fail(source, f"{where}: at_s {ev.at_s} outside [0, {s.duration_s}]")
         if ev.at_s < last_at:
-            _fail(doc, f"{where}: events must be time-ordered")
+            _fail(source, f"{where}: events must be time-ordered")
         last_at = ev.at_s
         if ev.action in ("link-up", "link-down"):
             if ev.link is None:
-                _fail(doc, f"{where}: {ev.action} needs a link")
+                _fail(source, f"{where}: {ev.action} needs a link")
             key = tuple(sorted(ev.link))
             if key not in seen_links:
-                _fail(doc, f"{where}: unknown link {ev.link}")
+                _fail(source, f"{where}: unknown link {ev.link}")
         elif ev.flow not in flow_ids:  # start-flow or stop-flow
-            _fail(doc, f"{where}: unknown flow {ev.flow!r}")
+            _fail(source, f"{where}: unknown flow {ev.flow!r}")
 
     if s.measure is not None:
         m = s.measure
         if m.event_at_s > s.duration_s:
-            _fail(doc, f"measure: event_at_s {m.event_at_s} outside [0, {s.duration_s}]")
+            _fail(source, f"measure: event_at_s {m.event_at_s} outside [0, {s.duration_s}]")
         for w in m.wmrs:
             if w not in wmr_ids:
-                _fail(doc, f"measure: unknown wmr {w!r}")
+                _fail(source, f"measure: unknown wmr {w!r}")
         if m.probe is not None and m.probe not in ping_ids:
-            _fail(doc, f"measure: unknown probe {m.probe!r}")
+            _fail(source, f"measure: unknown probe {m.probe!r}")
         if m.flow is not None and m.flow not in flow_ids:
-            _fail(doc, f"measure: unknown flow {m.flow!r}")
+            _fail(source, f"measure: unknown flow {m.flow!r}")

@@ -91,12 +91,12 @@ class Packet:
 
 
 class FlowRule:
-    """One match-action entry.
+    """One match-action entry, matching on destination only.
 
-    Its match fields, action, origin and timeouts are fixed once it is
-    built, so its text and dump order are worked out on first use and kept.
-    The switch stamps ``installed_at`` and ``last_hit`` on install, a match
-    moves ``last_hit`` later, and the table numbers ``install_order``.
+    Its priority, destination prefix, action, origin and timeouts are fixed
+    once it is built, so its text and dump order are worked out on first use
+    and kept.  The switch stamps ``installed_at`` and ``last_hit`` on
+    install, and a match moves ``last_hit`` later.
     """
 
     def __init__(
@@ -105,7 +105,6 @@ class FlowRule:
         dst_prefix: IPv4Network,
         action: Action,
         origin: str,
-        src_prefix: IPv4Network | None = None,
         idle_timeout_us: SimTime = 0,  # 0 disables the timeout
         hard_timeout_us: SimTime = 0,
     ) -> None:
@@ -113,21 +112,17 @@ class FlowRule:
         self.dst_prefix = dst_prefix
         self.action = action
         self.origin = origin
-        self.src_prefix = src_prefix
         self.idle_timeout_us = idle_timeout_us
         self.hard_timeout_us = hard_timeout_us
         self.installed_at: SimTime = 0
         self.last_hit: SimTime = 0
-        self.install_order = 0
 
     @property
-    def key(self) -> tuple[int, IPv4Network, IPv4Network | None]:
-        return (self.priority, self.dst_prefix, self.src_prefix)
+    def key(self) -> tuple[int, IPv4Network]:
+        return (self.priority, self.dst_prefix)
 
     def matches(self, packet: Packet) -> bool:
-        if packet.dst not in self.dst_prefix:
-            return False
-        return self.src_prefix is None or packet.src in self.src_prefix
+        return packet.dst in self.dst_prefix
 
     def expired(self, now: SimTime) -> bool:
         if self.hard_timeout_us and now - self.installed_at >= self.hard_timeout_us:
@@ -156,21 +151,20 @@ class FlowRule:
             act = "local"
         else:
             act = "drop"
-        src = self.src_prefix or "*"
-        return f"p={self.priority} dst={self.dst_prefix} src={src} -> {act} [{self.origin}]"
+        return f"p={self.priority} dst={self.dst_prefix} src=* -> {act} [{self.origin}]"
 
     @cached_property
-    def _dump_key(self) -> tuple[int, str, str, str]:
-        return (-self.priority, str(self.dst_prefix), str(self.src_prefix), self.origin)
+    def _dump_key(self) -> tuple[int, str]:
+        return (-self.priority, str(self.dst_prefix))
 
 
 class FlowTable:
-    """Rules keyed by match space, indexed for best-first lookup.
+    """One rule per (priority, dst prefix), indexed for best-first lookup.
 
-    ``rules`` is a read-only view: every change goes through install, remove,
-    remove_expired or flush, which drops the index and counts one more change
-    in ``changes``.  The next match rebuilds the index, so a match never
-    answers from a stale one.
+    ``rules`` is a read-only view: every change goes through install (which
+    replaces the rule under the same key), remove_expired or flush, which
+    drop the index and count one more change in ``changes``.  The next match
+    rebuilds the index, so a match never answers from a stale one.
 
     The table also keeps ``_due``, a lower bound on the first instant any of
     its rules could expire.  An install lowers it to the new rule's
@@ -183,24 +177,16 @@ class FlowTable:
     def __init__(self) -> None:
         self._rules: dict[tuple, FlowRule] = {}
         self.rules: Mapping[tuple, FlowRule] = MappingProxyType(self._rules)
-        self._install_counter = 0
-        self._index: list[tuple[int, dict[int, list[FlowRule]]]] | None = None
+        self._index: list[tuple[int, dict[int, FlowRule]]] | None = None
         self.changes = 0
         self._due = math.inf
 
     def install(self, rule: FlowRule) -> FlowRule:
-        self._install_counter += 1
-        rule.install_order = self._install_counter
         self._rules[rule.key] = rule
         self._index = None
         self.changes += 1
         self._due = min(self._due, rule.earliest_expiry())
         return rule
-
-    def remove(self, rule: FlowRule) -> None:
-        if self._rules.get(rule.key) is not rule:
-            raise KeyError(f"rule not installed: {rule.summary}")
-        self._discard([rule])
 
     def match(self, packet: Packet, now: SimTime, touch: bool = True) -> FlowRule | None:
         """The unexpired matching rule of highest rank; only it is touched."""
@@ -208,29 +194,23 @@ class FlowTable:
             self._index = self._build_index()
         dst = packet.dst_int
         for mask, by_network in self._index:
-            for rule in by_network.get(dst & mask, ()):
-                src = rule.src_prefix
-                if (src is None or packet.src in src) and not rule.expired(now):
-                    if touch:
-                        rule.last_hit = now
-                    return rule
+            rule = by_network.get(dst & mask)
+            if rule is not None and not rule.expired(now):
+                if touch:
+                    rule.last_hit = now
+                return rule
         return None
 
-    @staticmethod
-    def _rank(rule: FlowRule) -> tuple[int, int, int, int]:
-        src_len = rule.src_prefix.prefixlen if rule.src_prefix is not None else -1
-        # Later install wins only as a final, never-ambiguous tie-break.
-        return (rule.priority, rule.dst_prefix.prefixlen, src_len, rule.install_order)
-
-    def _build_index(self) -> list[tuple[int, dict[int, list[FlowRule]]]]:
-        """One bucket per (priority, dst prefix length), keyed by dst network;
-        buckets and each network's rules come best first."""
-        buckets: dict[tuple[int, int], dict[int, list[FlowRule]]] = {}
-        for rule in sorted(self._rules.values(), key=self._rank, reverse=True):
+    def _build_index(self) -> list[tuple[int, dict[int, FlowRule]]]:
+        """One bucket per (priority, dst prefix length), best first, each
+        mapping a dst network to its one rule."""
+        buckets: dict[tuple[int, int], dict[int, FlowRule]] = {}
+        for rule in self._rules.values():
             dst = rule.dst_prefix
-            bucket = buckets.setdefault((rule.priority, dst.prefixlen), {})
-            bucket.setdefault(int(dst.network_address), []).append(rule)
-        return [(0xFFFFFFFF ^ (0xFFFFFFFF >> n), b) for (_, n), b in buckets.items()]
+            buckets.setdefault((rule.priority, dst.prefixlen), {})[int(dst.network_address)] = rule
+        return [
+            (0xFFFFFFFF ^ (0xFFFFFFFF >> n), buckets[p, n]) for p, n in sorted(buckets, reverse=True)
+        ]
 
     def _discard(self, gone: list[FlowRule]) -> list[FlowRule]:
         for rule in gone:
@@ -255,9 +235,7 @@ class FlowTable:
         return self._discard(gone)
 
     def flush(self, origin_filter: str) -> list[FlowRule]:
-        if origin_filter == "*":
-            gone = list(self.rules.values())
-        elif origin_filter == "controller:*":
+        if origin_filter == "controller:*":
             gone = [r for r in self.rules.values() if r.origin.startswith("controller:")]
         else:
             gone = [r for r in self.rules.values() if r.origin == origin_filter]
@@ -396,8 +374,10 @@ class FlowSwitch:
                 return
 
     def _release_buffered(self, rule: FlowRule) -> None:
-        released = [(p, h) for p, h in self._buffered if rule.matches(p)]
-        self._buffered = [(p, h) for p, h in self._buffered if not rule.matches(p)]
+        released, kept = [], []
+        for item in self._buffered:
+            (released if rule.matches(item[0]) else kept).append(item)
+        self._buffered = kept
         for packet, handle in released:
             handle.cancel()
             packet.hops_left += 1  # retry does not burn a hop

@@ -214,6 +214,55 @@ def test_sub_microsecond_interval_fails_before_the_run(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["validate", "{path}"],
+            "{path}.links[0].capacity_mbps: must be at least 1 bit/s, got 1e-07",
+        ),
+        (
+            ["run", "merge", "--param", "defaults.attach_link.capacity_mbps=1.0e-9"],
+            "builtin:merge.defaults.attach_link.capacity_mbps: must be at least 1 bit/s, got 1e-09",
+        ),
+    ],
+    ids=["validate-mesh-link", "run-attach-default"],
+)
+def test_sub_bit_capacity_fails_before_the_run(tmp_path, capsys, args, message):
+    # It used to round to 0 bit/s: validate said ok, and the run died in
+    # Link with a traceback.
+    doc = builtin_doc("merge")
+    doc["links"][0]["capacity_mbps"] = 1.0e-7
+    path = tmp_path / "merge.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main([arg.format(path=path) for arg in args]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (
+            ["eftm.poll_period_s=2.0,3.0", "eftm.poll_period_s=4.0"],
+            "--param eftm.poll_period_s: given twice",
+        ),
+        (["eftm.poll_period_s=2.0,3.0,2.0"], "--param eftm.poll_period_s: 2.0 listed twice"),
+    ],
+    ids=["key-twice", "value-twice"],
+)
+def test_sweep_refuses_a_repeated_key_or_value_before_any_run(tmp_path, capsys, params, message):
+    # Either used to run one combination twice under one name, writing two
+    # equal results.csv rows and one log twice; a repeated key also dropped
+    # the values given first.
+    out_dir = tmp_path / "out"
+    args = [arg for param in params for arg in ("--param", param)]
+    assert main(["sweep", "merge", *args, "--seed", "0", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_sweep_takes_a_list_as_one_value(capsys):
     # Each --param is one YAML flow sequence: the commas inside [...] do not
     # split the axis.

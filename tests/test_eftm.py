@@ -342,13 +342,13 @@ def test_emergency_rules_follow_route_changes():
     bench.selector.start()
     bench.sim.run_until(0)
     assert bench.switch.table.rules[
-        (EMERGENCY_FORWARD_PRIORITY, IPv4Network("192.168.2.0/24"), None)
+        (EMERGENCY_FORWARD_PRIORITY, IPv4Network("192.168.2.0/24"))
     ].action == ForwardTo("wmr2")
     bench.daemon.set_routes([("192.168.2.0/24", "wmr3", 2)])
     for callback in bench.daemon.on_routes_changed:
         callback()
     assert bench.switch.table.rules[
-        (EMERGENCY_FORWARD_PRIORITY, IPv4Network("192.168.2.0/24"), None)
+        (EMERGENCY_FORWARD_PRIORITY, IPv4Network("192.168.2.0/24"))
     ].action == ForwardTo("wmr3")
 
 

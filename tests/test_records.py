@@ -61,7 +61,7 @@ def test_equal_fields_give_equal_records_of_one_type(record):
 
 def test_defaults_and_methods_survive():
     rule = FlowRule(10, NET, ForwardTo("wmr2"), "eftm")
-    assert (rule.src_prefix, rule.idle_timeout_us, rule.hard_timeout_us) == (None, 0, 0)
+    assert (rule.idle_timeout_us, rule.hard_timeout_us) == (0, 0)
     assert RecoveryAnalysis(1e7, 5, 7, 2).recovery_after_event == 5
     assert RecoveryAnalysis(1e7, 5, None, 2).recovery_after_event is None
     assert SummaryRow(4, "a,b", 1_500_000, None, 2).as_csv_line() == '4,"a,b",1.500000,,0.000002'
@@ -95,9 +95,9 @@ def test_actions_without_fields_keep_distinct_types():
 
 
 def test_rule_summary_names_each_action():
-    def summary(action, src=None):
-        return FlowRule(10, NET, action, "eftm", src_prefix=src).summary
+    def summary(action):
+        return FlowRule(10, NET, action, "eftm").summary
 
     assert summary(ForwardTo("wmr2")) == "p=10 dst=10.0.0.0/24 src=* -> fwd:wmr2 [eftm]"
-    assert summary(DeliverLocal(), NET) == "p=10 dst=10.0.0.0/24 src=10.0.0.0/24 -> local [eftm]"
+    assert summary(DeliverLocal()) == "p=10 dst=10.0.0.0/24 src=* -> local [eftm]"
     assert summary(DropAction()) == "p=10 dst=10.0.0.0/24 src=* -> drop [eftm]"

@@ -370,6 +370,16 @@ REJECTIONS = [
         _set(["defaults"], {"attach_link": {"capacity_mbps": 0}}),
         r"^t\.defaults\.attach_link\.capacity_mbps: must be positive, got 0$",
     ),
+    # A positive capacity below 0.5 bit/s rounds to 0 bit/s, and the run
+    # used to die building the link.
+    (
+        _set(["links", 0, "capacity_mbps"], 1e-7),
+        r"^t\.links\[0\]\.capacity_mbps: must be at least 1 bit/s, got 1e-07$",
+    ),
+    (
+        _set(["defaults"], {"attach_link": {"capacity_mbps": 1e-9}}),
+        r"^t\.defaults\.attach_link\.capacity_mbps: must be at least 1 bit/s, got 1e-09$",
+    ),
     (
         _set(["olsr"], {"hello_interval_s": float("nan")}),
         r"^t\.olsr\.hello_interval_s: expected a finite number, got nan$",
@@ -564,10 +574,11 @@ def test_the_unit_walk_reaches_every_section():
 @pytest.mark.parametrize("keys,unit", UNIT_KEYS, ids=[_dotted(k)[1:] for k, _ in UNIT_KEYS])
 def test_every_unit_field_refuses_a_value_it_cannot_run(keys, unit):
     # A number whose whole us or bit/s overflow used to pass the reader and
-    # end the run in an OverflowError; a negative one, or a zero or
-    # sub-microsecond period, would run as nonsense or hang.
+    # end the run in an OverflowError; a negative one, a zero or
+    # sub-microsecond period, or a zero or sub-bit rate, would run as
+    # nonsense, hang or fail at build time.
     path = "t" + _dotted(keys)
-    for value in (1.0e308, -1, *((0, 1e-7) if unit is Period else ())):
+    for value in (1.0e308, -1, *((0, 1e-7) if unit in (Period, Mbps) else ())):
         doc = valid_doc()
         cursor = doc
         for part in keys[:-1]:

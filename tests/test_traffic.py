@@ -474,11 +474,6 @@ class WalkWorld:
             for here, nxt in pairwise(nodes):
                 self.install(here, action=ForwardTo(nxt), **rule_args)
             self.install(nodes[-1], action=DeliverLocal(), **rule_args)
-        elif op == "remove":
-            node, k = args
-            table = self.switches[node].table
-            if table.rules:
-                table.remove(list(table.rules.values())[k % len(table.rules)])
         elif op == "flush":
             node, origin_filter = args
             self.switches[node].flush_rules(origin_filter)
@@ -526,7 +521,6 @@ walk_rule_args = st.fixed_dictionaries(
         "dst_prefix": st.sampled_from(
             [IPv4Network(p) for p in ("192.168.4.10/32", "192.168.4.0/24", "192.168.0.0/16")]
         ),
-        "src_prefix": st.none() | st.sampled_from([IPv4Network("192.168.1.0/24"), IPv4Network("192.168.2.0/24")]),
         "origin": st.sampled_from(["controller:10.0.255.1", ORIGIN_EFTM]),
         "idle_timeout_us": st.sampled_from([0, to_us(0.15), to_us(0.4)]),
         "hard_timeout_us": st.sampled_from([0, to_us(0.25), to_us(0.7)]),
@@ -537,7 +531,6 @@ path_rule_args = st.fixed_dictionaries(
     {
         "priority": st.just(100),
         "dst_prefix": st.sampled_from([IPv4Network("192.168.4.0/24"), IPv4Network("192.168.0.0/16")]),
-        "src_prefix": st.none(),
         "origin": st.sampled_from(["controller:10.0.255.1", ORIGIN_EFTM]),
         # Samples come every 0.1 s, so only an idle timeout shorter than that
         # can expire a rule that a walk keeps using.
@@ -558,8 +551,7 @@ walk_steps = st.one_of(
         st.sampled_from(WMRS),
         st.builds(lambda args, action: {**args, "action": action}, walk_rule_args, walk_actions),
     ),
-    st.tuples(st.just("remove"), st.sampled_from(WMRS), st.integers(0, 20)),
-    st.tuples(st.just("flush"), st.sampled_from(WMRS), st.sampled_from(["*", "controller:*", ORIGIN_EFTM])),
+    st.tuples(st.just("flush"), st.sampled_from(WMRS), st.sampled_from(["controller:*", ORIGIN_EFTM])),
     st.tuples(st.just("sweep"), st.sampled_from(WMRS)),
     link_steps,
     link_steps,
@@ -571,7 +563,6 @@ def path_rule(priority=100, hard_timeout_us=0, idle_timeout_us=0, dst="192.168.4
     return {
         "priority": priority,
         "dst_prefix": IPv4Network(dst),
-        "src_prefix": None,
         "origin": "controller:10.0.255.1",
         "idle_timeout_us": idle_timeout_us,
         "hard_timeout_us": hard_timeout_us,
