@@ -87,10 +87,14 @@ class OlsrDaemon:
     The daemon is transport-agnostic: ``links`` yields the node's routing
     links as ``(neighbor_id, link)`` pairs and ``broadcast(links, msg)`` hands
     the transport one message for the listed links, which delivers it over
-    each link that is physically Up.  The links must not change once the
-    daemon has started: a Hello tick sends over the links read at start, and
-    a flood is relayed over links kept per change of the symmetric
-    neighbours.
+    each link that is physically Up.  Hellos, originated floods and the
+    database sync after a new adjacency go through ``broadcast``.  A flood
+    that arrived here is relayed through ``relay(links, msg)``, which may
+    also leave out each link whose far end would drop the copy on arrival:
+    the far end's ``seen_seq`` already reaches the flood's sequence number.
+    The links must not change once the daemon has started: a Hello tick
+    sends over the links read at start, and a flood goes out over links kept
+    per change of the symmetric neighbours.
     """
 
     def __init__(
@@ -102,6 +106,7 @@ class OlsrDaemon:
         sim: Simulator,
         links: Callable[[], list[tuple[str, object]]],
         broadcast: Callable[[Sequence[object], object], None],
+        relay: Callable[[Sequence[object], FloodMsg], None],
         log: Callable[[str, dict], None],
     ) -> None:
         self.node_id = node_id
@@ -111,6 +116,7 @@ class OlsrDaemon:
         self.sim = sim
         self._links = links
         self._broadcast = broadcast
+        self._relay = relay
         self._log = log
         self._hello = HelloMsg(node_id, self.addresses[0])
         self._hello_interval_us = to_us(cfg.hello_interval_s)
@@ -149,8 +155,11 @@ class OlsrDaemon:
         self.routing_table: RoutingTable = self._routes.table
         self.routes_version = 0
         self.on_routes_changed: list[Callable[[], None]] = []
-        self._seen_seq: dict[str, int] = {}
-        self._own_seq = 0
+        # The highest sequence number accepted from each origin, and this
+        # node's own last one: a flood is accepted only with a higher one.
+        # It only grows while the node is up, so a relay may skip a copy
+        # whose far end's map already reaches its number.
+        self.seen_seq: dict[str, int] = {node_id: 0}
         self._rng = sim.node_rng(node_id)
 
     # -- timers -------------------------------------------------------------
@@ -233,24 +242,24 @@ class OlsrDaemon:
     # -- flooding -----------------------------------------------------------
 
     def _originate_flood(self) -> None:
-        self._own_seq += 1
+        seq = self.seen_seq[self.node_id] + 1
+        self.seen_seq[self.node_id] = seq
         msg = FloodMsg(
             origin=self.node_id,
-            seq=self._own_seq,
+            seq=seq,
             addresses=self.addresses,
             neighbors=tuple(sorted(self._sym_set)),
             hna=self.originated_hna,
             validity_us=self._flood_validity_us,
         )
-        self._relay(msg, exclude_link=None)
+        if self._sym_links:
+            self._broadcast(self._sym_links, msg)
 
     def handle_flood(self, msg: FloodMsg, arrival_link: object) -> None:
         origin = msg.origin
-        if origin == self.node_id:
-            return
-        if msg.seq <= self._seen_seq.get(origin, 0):
-            return
-        self._seen_seq[origin] = msg.seq
+        if msg.seq <= self.seen_seq.get(origin, 0):
+            return  # a copy already seen, or this node's own flood
+        self.seen_seq[origin] = msg.seq
         now = self.sim.now()
         old = self.link_state.get(origin)
         if old is not None and old.addresses == msg.addresses and old.hna == msg.hna:
@@ -272,7 +281,11 @@ class OlsrDaemon:
         if expiry_check is None:
             expiry_check = self._entry_expiry[origin] = partial(self._entry_expiry_check, origin)
         self.sim.schedule(validity, expiry_check, kind="ls-expiry")
-        self._relay(msg, exclude_link=arrival_link)
+        # A flood that came over a link to a neighbour that is not
+        # symmetric goes over every symmetric link.
+        links = self._relay_links.get(arrival_link, self._sym_links)
+        if links:
+            self._relay(links, msg)
         if changed:
             self._recompute()
 
@@ -333,13 +346,6 @@ class OlsrDaemon:
             adj.setdefault(origin, set()).add(other)
             adj.setdefault(other, set()).add(origin)
             routes.add_edge(origin, other)
-
-    def _relay(self, msg: FloodMsg, exclude_link: object | None) -> None:
-        # An originated flood, or one that came over a link to a neighbour
-        # that is not symmetric, goes over every symmetric link.
-        links = self._relay_links.get(exclude_link, self._sym_links)
-        if links:
-            self._broadcast(links, msg)
 
     def _rebuild_relay_links(self) -> None:
         sym = self._sym_set

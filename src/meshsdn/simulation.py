@@ -2,9 +2,9 @@
 
 One :class:`Simulation` owns the event engine, the physical topology, one
 runtime object per node (router, controller, host), the traffic sources, and
-the metric log.  The transport here is the only place that consults physical
-link state: a message sent over a Down link, or in flight when the link goes
-down, silently disappears.
+the metric log.  The transport here and the runtimes it delivers to are the
+only places that consult physical link state: a message sent over a Down
+link, or in flight when the link goes down, silently disappears.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .metrics import (
     network_connectivity_time,
     throughput_recovery,
 )
-from .olsr import HelloMsg, OlsrDaemon
+from .olsr import FloodMsg, HelloMsg, OlsrDaemon
 from .scenario import Scenario
 from .switch import FlowSwitch, Packet
 from .topology import Link, Node, Topology
@@ -44,7 +44,9 @@ class NodeRuntime:
     routing daemon over its router and controller links.
 
     The topology is complete before any runtime exists and its links never
-    change, so all of these are fixed at construction.
+    change, so all of these are fixed at construction.  Each kind of node
+    receives through its own ``on_packet(packet, link)``, which drops a
+    packet whose link went down while it was in flight.
     """
 
     def __init__(self, sim: "Simulation", node: Node, hna: list[IPv4Network] | None = None) -> None:
@@ -79,8 +81,10 @@ class NodeRuntime:
                 sim.engine,
                 links=lambda: olsr_links,
                 broadcast=self._olsr_broadcast,
+                relay=self._olsr_relay,
                 log=sim.log.append,
             )
+            self._olsr_links = olsr_links
 
     def originate(self, dst: IPv4Address, kind: str, payload: object) -> None:
         """Send from a controller or host over its only link, the attach link."""
@@ -103,10 +107,30 @@ class NodeRuntime:
         for link in links:
             transmit(link, me, frame)
 
-    def arrive(self, packet: Packet, link: Link) -> None:
-        """The end of a transmission to this node over ``link``."""
-        if link.up:  # a link that went down while in flight drops it
-            self.on_packet(packet, link)
+    def bind_olsr_ends(self, daemons: dict[str, OlsrDaemon]) -> None:
+        """Keep, per OLSR link, the ``get`` of its far end's ``seen_seq``
+        from ``daemons``, which runs one daemon per router and controller."""
+        self._seen_by = {link: daemons[peer].seen_seq.get for peer, link in self._olsr_links}
+
+    def _olsr_relay(self, links: Sequence[Link], msg: FloodMsg) -> None:
+        """Relay ``msg``, a flood that arrived here, over each of ``links``
+        whose far end would accept it.
+
+        A copy whose receiver's ``seen_seq`` already reaches its sequence
+        number (the receiver saw it, or is its origin) is dead on send: the
+        receiver's duplicate check would drop it on arrival, and
+        ``seen_seq`` only grows.  Sending it would change no state, log
+        nothing and draw no random number, so it is not sent.  The frame is
+        built only if some copy goes out.
+        """
+        origin, seq = msg.origin, msg.seq
+        seen_by, me, transmit = self._seen_by, self.node_id, self.sim.transmit
+        frame = None
+        for link in links:
+            if seen_by[link](origin, 0) < seq:
+                if frame is None:
+                    frame = Packet(self.address, BROADCAST, "olsr", msg)
+                transmit(link, me, frame)
 
 
 class WmrRuntime(NodeRuntime):
@@ -164,6 +188,8 @@ class WmrRuntime(NodeRuntime):
         self.switch.forward(Packet(self.address, dst, kind, payload))  # type: ignore[arg-type]
 
     def on_packet(self, packet: Packet, link: Link) -> None:
+        if not link.up:  # it went down while the packet was in flight
+            return
         if packet.kind == "olsr":
             msg = packet.payload
             if type(msg) is HelloMsg:
@@ -232,6 +258,8 @@ class ControllerRuntime(NodeRuntime):
         self.controller.start()
 
     def on_packet(self, packet: Packet, link: Link) -> None:
+        if not link.up:
+            return
         if packet.kind == "olsr":
             msg = packet.payload
             if type(msg) is HelloMsg:
@@ -248,7 +276,7 @@ class HostRuntime(NodeRuntime):
     def on_packet(self, packet: Packet, link: Link) -> None:
         # Bulk data arriving here is accounted by the fluid model, not counted
         # per packet.
-        if packet.dst_int in self.local:
+        if link.up and packet.dst_int in self.local:
             self._dispatch(packet)
 
 
@@ -320,9 +348,13 @@ class Simulation:
             )
         for h in s.hosts:
             self.hosts[h.id] = HostRuntime(self, self.topo.nodes[h.id])
-        # Each node's delivery method, bound once for every transmission.
-        self._arrive: dict[str, Callable[[Packet, Link], None]] = {
-            node_id: runtime.arrive
+        routing = [*self.wmrs.values(), *self.controllers.values()]
+        daemons = {runtime.node_id: runtime.daemon for runtime in routing}
+        for runtime in routing:
+            runtime.bind_olsr_ends(daemons)
+        # Each node's receiving method, bound once for every transmission.
+        self._on_packet: dict[str, Callable[[Packet, Link], None]] = {
+            node_id: runtime.on_packet
             for runtimes in (self.wmrs, self.controllers, self.hosts)
             for node_id, runtime in runtimes.items()
         }
@@ -376,7 +408,7 @@ class Simulation:
             return
         receiver = link.b if link.a == sender else link.a
         self.engine.schedule(
-            link.delay_us, partial(self._arrive[receiver], packet, link), kind="deliver"
+            link.delay_us, partial(self._on_packet[receiver], packet, link), kind="deliver"
         )
 
     # -- run & measure ------------------------------------------------------

@@ -1,19 +1,23 @@
 """Shared helpers for the test suite.
 
-Holds the builtin-scenario loader, a stub switch host, and the random mesh
-generator used by the exhaustive selection/routing checks.  Every generated
-scenario is connected at build time, flips a few mesh links mid-run, and
-then stays quiet long enough for neighbor expiry, flood revalidation, and
-re-selection to settle before the final state is examined.
+Holds the builtin-scenario loader, a stub switch host, an event budget for
+whole runs, and the random mesh generator used by the exhaustive
+selection/routing checks.  Every generated scenario is connected at build
+time, flips a few mesh links mid-run, and then stays quiet long enough for
+neighbor expiry, flood revalidation, and re-selection to settle before the
+final state is examined.
 """
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from importlib import resources
 from ipaddress import IPv4Address
+from typing import Iterator
 
 import yaml
 
+from meshsdn.engine import Simulator
 from meshsdn.scenario import Scenario, scenario_from_mapping
 
 # Link flips stop at QUIET_FROM; by DURATION every 15 s expiry horizon plus a
@@ -63,6 +67,35 @@ class StubHost:
 
     def raise_packet_in(self, packet):
         pass
+
+
+# The most events one run under ``event_budget`` may schedule: about five
+# times the most that any shipped-scenario seed or random mesh of the
+# acceptance batches schedules (18,354, on a random mesh).
+EVENT_BUDGET = 100_000
+
+
+class EventBudgetExceeded(RuntimeError):
+    pass
+
+
+@contextmanager
+def event_budget(limit: int = EVENT_BUDGET) -> Iterator[None]:
+    """Make any simulator that schedules more than ``limit`` events raise
+    :class:`EventBudgetExceeded`, so a run that loops fails at once instead
+    of growing until something kills it."""
+    schedule = Simulator.schedule
+
+    def budgeted(sim, delay, callback, *, kind=""):
+        if sim._seq >= limit:
+            raise EventBudgetExceeded(f"a run scheduled more than {limit} events")
+        return schedule(sim, delay, callback, kind=kind)
+
+    Simulator.schedule = budgeted
+    try:
+        yield
+    finally:
+        Simulator.schedule = schedule
 
 
 def builtin_doc(name: str) -> dict:

@@ -13,7 +13,7 @@ import pytest
 from meshsdn.engine import to_seconds, to_us
 from meshsdn.simulation import Simulation, run_scenario
 
-from support import builtin_scenario, expected_master, random_mesh_doc
+from support import builtin_scenario, event_budget, expected_master, random_mesh_doc
 from meshsdn.scenario import scenario_from_mapping
 
 SEEDS = range(20)
@@ -31,6 +31,15 @@ def verdict(capsys, ok, name, detail):
     with capsys.disabled():
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def bounded_runs():
+    """Every run in this module, the batches' included, raises once it has
+    scheduled more events than ``support.EVENT_BUDGET``: a run that loops
+    fails in seconds instead of growing until something kills it."""
+    with event_budget():
+        yield
 
 
 @pytest.fixture(scope="module")

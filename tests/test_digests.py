@@ -11,8 +11,9 @@ and of records it logs; one that alters the logs on purpose regenerates
 ``bench/golden.json`` and says so.  The flows-mesh run also pins the data
 plane's work (fresh walks completed and rule-expiry tests) and its
 sampling work (allocations computed and sample data built), and the
-grid-partition run the message path's (flow rules built and relay links
-rebuilt); a change that moves any of these updates the counts and says why.  A
+grid-partition run the message path's (flow rules built, relay links
+rebuilt and flood copies handled); a change that moves any of these
+updates the counts and says why.  A
 6 x 6 grid-partition run, whose mesh is deeper (diameter 10 against 8) than
 any benchmark run, is pinned here as well, outside the benchmark's goldens.
 """
@@ -59,13 +60,15 @@ def sha256(text: str) -> str:
 
 # Events scheduled and log records written by each run.  A speed-up keeps
 # both; a change that removes events on purpose updates its count here and
-# says why.
+# says why.  The grid and flows-mesh counts leave out the relayed flood
+# copies that are dead on send (``NodeRuntime._olsr_relay``); merge/0 and
+# partition/7 relay none.
 WORK = {
     "merge/0": (5_770, 243),
     "partition/7": (11_835, 1_030),
-    "grid-partition/0": (85_902, 3_036),
-    "grid-partition-6x6/0": (157_632, 5_218),
-    "flows-mesh/0": (69_322, 20_202),
+    "grid-partition/0": (77_954, 3_036),
+    "grid-partition-6x6/0": (139_987, 5_218),
+    "flows-mesh/0": (65_027, 20_202),
 }
 # Data-plane work of the flows-mesh run, counted the same way: how many
 # walks the fluid model completes afresh and keeps (``FluidTraffic._kept_until``,
@@ -79,10 +82,12 @@ DATA_PLANE_WORK = {"flows-mesh/0": (897, 14_073)}
 SAMPLE_WORK = {"flows-mesh/0": (82, 982)}
 # Message-path work of the grid-partition run: how many flow rules are built
 # (``FlowRule.__init__``; each router builds its emergency drop rule once),
-# and how often a daemon rebuilds the links it relays floods over
+# how often a daemon rebuilds the links it relays floods over
 # (``OlsrDaemon._rebuild_relay_links``, once per change of its symmetric
-# neighbours).
-MESSAGE_PATH_WORK = {"grid-partition/0": (71, 104)}
+# neighbours), and how many flood copies reach a daemon
+# (``OlsrDaemon.handle_flood``; a relayed copy its receiver would drop is
+# not sent).
+MESSAGE_PATH_WORK = {"grid-partition/0": (71, 104, 22_282)}
 
 
 def run(name: str, seed: int):
@@ -108,7 +113,16 @@ def run(name: str, seed: int):
 def test_log_and_summary_digests(name, seed, monkeypatch):
     label = f"{name}/{seed}"
     calls = dict.fromkeys(
-        ("_kept_until", "expired", "__init__", "_rebuild_relay_links", "max_min_allocate", "_sample_data"), 0
+        (
+            "_kept_until",
+            "expired",
+            "__init__",
+            "_rebuild_relay_links",
+            "handle_flood",
+            "max_min_allocate",
+            "_sample_data",
+        ),
+        0,
     )
 
     def counted(fn):
@@ -129,6 +143,7 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
         monkeypatch.setattr(
             OlsrDaemon, "_rebuild_relay_links", counted(OlsrDaemon._rebuild_relay_links)
         )
+        monkeypatch.setattr(OlsrDaemon, "handle_flood", counted(OlsrDaemon.handle_flood))
     sim, result = run(name, seed)
     assert sha256(result.log.to_ndjson()) == GOLDEN[label]["log"]
     assert sha256(result.summary.as_csv_line()) == GOLDEN[label]["summary"]
@@ -138,7 +153,9 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
     if label in SAMPLE_WORK:
         assert (calls["max_min_allocate"], calls["_sample_data"]) == SAMPLE_WORK[label]
     if label in MESSAGE_PATH_WORK:
-        assert (calls["__init__"], calls["_rebuild_relay_links"]) == MESSAGE_PATH_WORK[label]
+        assert (
+            calls["__init__"], calls["_rebuild_relay_links"], calls["handle_flood"]
+        ) == MESSAGE_PATH_WORK[label]
 
 
 def test_logs_do_not_depend_on_the_string_hash_seed():

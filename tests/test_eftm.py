@@ -495,6 +495,7 @@ def selector_over_daemon():
         sim,
         links=lambda: [],
         broadcast=lambda links, msg: None,
+        relay=lambda links, msg: None,
         log=lambda kind, data: None,
     )
     switch = FlowSwitch(

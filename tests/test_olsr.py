@@ -39,6 +39,7 @@ class Wire:
             self.sim,
             links=lambda me=node_id: self.incident[me],
             broadcast=lambda links, msg, me=node_id: self._broadcast(me, links, msg),
+            relay=lambda links, msg, me=node_id: self._broadcast(me, links, msg),
             log=lambda kind, data: self.log.append((kind, data)),
         )
         self.daemons[node_id] = daemon
@@ -516,6 +517,7 @@ def lone_daemon(hellos_to_up=1, route_maps=None):
         sim,
         links=lambda: links,
         broadcast=lambda links, msg: None,
+        relay=lambda links, msg: None,
         log=log,
     )
     daemon.start()

@@ -1,14 +1,20 @@
 """Node runtimes, transport and scenario events."""
 import copy
 import inspect
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshsdn import control_plane as cp
+from meshsdn.engine import Simulator
 from meshsdn.scenario import scenario_from_mapping
 from meshsdn.olsr import HelloMsg
-from meshsdn.simulation import Simulation, run_scenario
+from meshsdn.simulation import NodeRuntime, Simulation, run_scenario
 from meshsdn.switch import Packet
 
-from support import TWO_ROUTERS
+from support import TWO_ROUTERS, EventBudgetExceeded, event_budget, random_mesh_doc
 
 PINGS = {cp.PingRequest, cp.PingReply}
 ADDRESSED_TO = {
@@ -49,8 +55,10 @@ def test_link_down_drops_what_is_in_flight_and_link_up_carries_again():
     link = sim.topo.link_between("wmr1", "wmr2")
     delay = link.delay_us
     received = []
-    # Record what reaches wmr2 over the link, in place of handling it.
-    wmr2.on_packet = lambda packet, via: received.append((packet.payload, via))
+    # Record what wmr2's on_packet hands on, in place of handling it.  The
+    # messages below travel over ``link`` alone, so that is the link of each.
+    wmr2._handle_hello = lambda msg: received.append((msg, link))
+    wmr2._forward = lambda packet: received.append((packet.payload, link))
     hello = HelloMsg("wmr1", wmr1.address)
     probe = cp.ProbeRequest("wmr1", 1)
     late_probe = cp.ProbeRequest("wmr1", 2)
@@ -74,6 +82,47 @@ def test_link_down_drops_what_is_in_flight_and_link_up_carries_again():
     assert [(ours[id(msg)], via) for msg, via in received if id(msg) in ours] == [
         ("late hello", link)
     ]
+
+
+@pytest.mark.parametrize("node, router", [("h1", "wmr1"), ("ctrl1", "wmr2")])
+def test_a_host_or_controller_drops_what_its_link_loses_in_flight(node, router):
+    sim = Simulation(scenario_from_mapping(TWO_ROUTERS, source="t"))
+    runtime = {**sim.hosts, **sim.controllers}[node]
+    link = sim.topo.link_between(router, node)
+    delay = link.delay_us
+    dispatched = []
+    runtime._dispatch = lambda packet: dispatched.append(packet.payload)
+    lost, carried = cp.PingReply("p", 1, 0), cp.PingReply("p", 2, 0)
+
+    def send(msg) -> None:
+        sim.transmit(link, router, Packet(sim.wmrs[router].address, runtime.address, "ping", msg))
+
+    send(lost)
+    engine = sim.engine
+    engine.schedule(delay // 2, lambda: sim.topo.set_link_state(router, node, False))
+    engine.schedule(delay + 10, lambda: sim.topo.set_link_state(router, node, True))
+    engine.schedule(delay + 20, lambda: send(carried))
+    engine.run_until(3 * delay)
+    assert [msg for msg in dispatched if msg in (lost, carried)] == [carried]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_relaying_skips_only_copies_the_receiver_would_drop(seed):
+    """A relay leaves out a copy whose receiver already holds its sequence
+    number or is its origin.  Sending every copy instead, as the reference
+    broadcast does, logs the same bytes, link flips included, and takes at
+    least as many events."""
+    doc = random_mesh_doc(random.Random(seed))
+    scenario = scenario_from_mapping(doc, source=f"mesh{seed}")
+    elided = Simulation(scenario, seed)
+    log = elided.run().log.to_ndjson()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NodeRuntime, "_olsr_relay", NodeRuntime._olsr_broadcast)
+        reference = Simulation(scenario, seed)
+        reference_log = reference.run().log.to_ndjson()
+    assert log == reference_log
+    assert elided.engine._seq <= reference.engine._seq
 
 
 def test_stop_flow_and_start_flow_events_pause_and_restart_a_flow():
@@ -103,3 +152,16 @@ def test_stop_flow_and_start_flow_events_pause_and_restart_a_flow():
         min(k, 10) * 1_000_000.0 for k in range(12)
     ]
     assert times[-1] == 35_000_000
+
+
+def test_event_budget_stops_a_run_that_schedules_too_many_events():
+    scenario = scenario_from_mapping(TWO_ROUTERS, source="t")
+    sim = Simulation(scenario)
+    sim.run()
+    events = sim.engine._seq
+    schedule = Simulator.schedule
+    with pytest.raises(EventBudgetExceeded), event_budget(events - 1):
+        run_scenario(scenario)
+    assert Simulator.schedule is schedule
+    with event_budget(events):
+        run_scenario(scenario)
