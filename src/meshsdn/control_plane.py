@@ -54,16 +54,13 @@ class PacketInMsg(NamedTuple):
     """Miss report: enough header data for the controller to pick a path."""
 
     wmr: str
-    src: IPv4Address
     dst: IPv4Address
-    flow_id: str
-    sent_at: SimTime
 
 
 class FlowModMsg(NamedTuple):
     """A rule for the receiving switch to install.  The switch stamps its
-    install time and order on the rule itself, so each message carries a
-    rule of its own."""
+    install and last-hit times on the rule itself, so each message carries
+    a rule of its own."""
 
     rule: FlowRule
 

@@ -287,11 +287,7 @@ class MasterSelector:
             kind="keepalive-timeout",
         )
         self._send(master, cp.KeepaliveRequest(self.node_id, token))
-        self._keepalive_timer = self.sim.schedule(
-            self._keepalive_interval_us,
-            self._keepalive_tick,
-            kind="keepalive",
-        )
+        self._start_keepalives()
 
     def on_keepalive_reply(self, msg: cp.KeepaliveReply) -> None:
         handle = self._keepalive_waits.pop(msg.token, None)

@@ -84,17 +84,19 @@ class TopologySnapshot(NamedTuple):
 class OlsrDaemon:
     """Routing process of one node.
 
-    The daemon is transport-agnostic: ``links`` yields the node's routing
-    links as ``(neighbor_id, link)`` pairs and ``broadcast(links, msg)`` hands
-    the transport one message for the listed links, which delivers it over
-    each link that is physically Up.  Hellos, originated floods and the
-    database sync after a new adjacency go through ``broadcast``.  A flood
-    that arrived here is relayed through ``relay(links, msg)``, which may
-    also leave out each link whose far end would drop the copy on arrival:
-    the far end's ``seen_seq`` already reaches the flood's sequence number.
-    The links must not change once the daemon has started: a Hello tick
-    sends over the links read at start, and a flood goes out over links kept
-    per change of the symmetric neighbours.
+    The daemon is transport-agnostic: ``links`` lists the node's routing
+    links as ``(neighbor_id, link)`` pairs, and two callbacks each hand the
+    transport one message for the listed links, which delivers it over
+    each link that is physically Up.  ``broadcast(links, msg)`` carries the
+    Hellos and the database sync after a new adjacency.  ``flood(links,
+    msg)`` carries every flood, originated here or relayed, over every
+    symmetric link, and applies the one flood rule (RFC 3626 §3.4.1): a
+    copy goes out only if the far end's ``seen_seq`` is below the flood's
+    sequence number, since the far end would drop it on arrival otherwise.
+    That rule alone leaves out the copy back over the link a relayed flood
+    arrived on, and it leaves out no copy of an originated flood, whose
+    number is fresh.  The daemon reads ``links`` from :meth:`start` on, so
+    they must not change once it has started.
     """
 
     def __init__(
@@ -104,9 +106,9 @@ class OlsrDaemon:
         originated_hna: list[IPv4Network],
         cfg: OlsrConfig,
         sim: Simulator,
-        links: Callable[[], list[tuple[str, object]]],
+        links: Sequence[tuple[str, object]],
         broadcast: Callable[[Sequence[object], object], None],
-        relay: Callable[[Sequence[object], FloodMsg], None],
+        flood: Callable[[Sequence[object], FloodMsg], None],
         log: Callable[[str, dict], None],
     ) -> None:
         self.node_id = node_id
@@ -116,7 +118,7 @@ class OlsrDaemon:
         self.sim = sim
         self._links = links
         self._broadcast = broadcast
-        self._relay = relay
+        self._flood = flood
         self._log = log
         self._hello = HelloMsg(node_id, self.addresses[0])
         self._hello_interval_us = to_us(cfg.hello_interval_s)
@@ -145,11 +147,8 @@ class OlsrDaemon:
         self._sym_set: set[str] = set()
         self._adj: dict[str, set[str]] = {node_id: self._sym_set}
         # Rebuilt wherever ``_sym_set`` changes: the links to the symmetric
-        # neighbours in ``_links()`` order, over which an originated flood
-        # goes, and per such link the same links without it, over which a
-        # flood that arrived on it is relayed.
+        # neighbours in ``links`` order, over which every flood goes.
         self._sym_links: tuple[object, ...] = ()
-        self._relay_links: dict[object, tuple[object, ...]] = {}
         self._hello_links: tuple[object, ...] = ()  # every link, read at start
         self._routes = PrefixRoutes(self._adj, node_id, self.originated_hna)
         self.routing_table: RoutingTable = self._routes.table
@@ -157,7 +156,7 @@ class OlsrDaemon:
         self.on_routes_changed: list[Callable[[], None]] = []
         # The highest sequence number accepted from each origin, and this
         # node's own last one: a flood is accepted only with a higher one.
-        # It only grows while the node is up, so a relay may skip a copy
+        # It only grows while the node is up, so ``flood`` may skip a copy
         # whose far end's map already reaches its number.
         self.seen_seq: dict[str, int] = {node_id: 0}
         self._rng = sim.node_rng(node_id)
@@ -169,7 +168,7 @@ class OlsrDaemon:
         if self.cfg.randomize_phase:
             hello_phase = round(self._rng.random() * self._hello_interval_us)
             tc_phase = round(self._rng.random() * self._tc_interval_us)
-        self._hello_links = tuple(link for _, link in self._links())
+        self._hello_links = tuple(link for _, link in self._links)
         self.sim.schedule(hello_phase, self._hello_tick, kind="hello")
         self.sim.schedule(tc_phase, self._tc_tick, kind="tc")
         self._recompute()
@@ -209,7 +208,7 @@ class OlsrDaemon:
         self.sim.schedule(self._neighbor_hold_us, rec.expiry_check, kind="neighbor-expiry")
         if origin not in self._sym_set and rec.consecutive_hellos >= self.cfg.hellos_to_up:
             self._sym_set.add(origin)
-            self._rebuild_relay_links()
+            self._rebuild_sym_links()
             self._routes.rebuild(self._addr_of)
             self._on_new_adjacency(origin)
 
@@ -223,7 +222,7 @@ class OlsrDaemon:
                 self._routes.offer(origin, ())
             if origin in self._sym_set:
                 self._sym_set.remove(origin)
-                self._rebuild_relay_links()
+                self._rebuild_sym_links()
                 self._routes.rebuild(self._addr_of)
                 self._originate_flood()
                 self._recompute()
@@ -232,7 +231,7 @@ class OlsrDaemon:
         # Sync the stored database over the new link so a healed partition
         # learns the far side immediately instead of waiting out a full
         # refresh period, then advertise the new adjacency everywhere.
-        link = next((link for nbr, link in self._links() if nbr == neighbor), None)
+        link = next((link for nbr, link in self._links if nbr == neighbor), None)
         if link is not None:
             for origin in sorted(self.link_state):
                 self._broadcast([link], self.link_state[origin])
@@ -252,10 +251,13 @@ class OlsrDaemon:
             hna=self.originated_hna,
             validity_us=self._flood_validity_us,
         )
-        if self._sym_links:
-            self._broadcast(self._sym_links, msg)
+        self._flood(self._sym_links, msg)
 
     def handle_flood(self, msg: FloodMsg, arrival_link: object) -> None:
+        """Accept ``msg`` if its number is new and relay it over every
+        symmetric link.  ``arrival_link`` is unused: the flood rule already
+        leaves out the copy back over it.  The parameter stays only because
+        ``bench/tracing.py`` wraps this method with a three-argument hook."""
         origin = msg.origin
         if msg.seq <= self.seen_seq.get(origin, 0):
             return  # a copy already seen, or this node's own flood
@@ -281,11 +283,7 @@ class OlsrDaemon:
         if expiry_check is None:
             expiry_check = self._entry_expiry[origin] = partial(self._entry_expiry_check, origin)
         self.sim.schedule(validity, expiry_check, kind="ls-expiry")
-        # A flood that came over a link to a neighbour that is not
-        # symmetric goes over every symmetric link.
-        links = self._relay_links.get(arrival_link, self._sym_links)
-        if links:
-            self._relay(links, msg)
+        self._flood(self._sym_links, msg)
         if changed:
             self._recompute()
 
@@ -347,13 +345,9 @@ class OlsrDaemon:
             adj.setdefault(other, set()).add(origin)
             routes.add_edge(origin, other)
 
-    def _rebuild_relay_links(self) -> None:
+    def _rebuild_sym_links(self) -> None:
         sym = self._sym_set
-        links = tuple(link for nbr, link in self._links() if nbr in sym)
-        self._sym_links = links
-        self._relay_links = {
-            link: tuple(other for other in links if other is not link) for link in links
-        }
+        self._sym_links = tuple(link for nbr, link in self._links if nbr in sym)
 
     # -- the graph and the routes over it -----------------------------------
 

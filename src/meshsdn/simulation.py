@@ -79,9 +79,9 @@ class NodeRuntime:
                 hna,
                 sim.scenario.olsr,
                 sim.engine,
-                links=lambda: olsr_links,
+                links=olsr_links,
                 broadcast=self._olsr_broadcast,
-                relay=self._olsr_relay,
+                flood=self._olsr_flood,
                 log=sim.log.append,
             )
             self._olsr_links = olsr_links
@@ -112,14 +112,14 @@ class NodeRuntime:
         from ``daemons``, which runs one daemon per router and controller."""
         self._seen_by = {link: daemons[peer].seen_seq.get for peer, link in self._olsr_links}
 
-    def _olsr_relay(self, links: Sequence[Link], msg: FloodMsg) -> None:
-        """Relay ``msg``, a flood that arrived here, over each of ``links``
-        whose far end would accept it.
+    def _olsr_flood(self, links: Sequence[Link], msg: FloodMsg) -> None:
+        """Send ``msg``, a flood originated or relayed here, over each of
+        ``links`` whose far end would accept it.
 
         A copy whose receiver's ``seen_seq`` already reaches its sequence
-        number (the receiver saw it, or is its origin) is dead on send: the
-        receiver's duplicate check would drop it on arrival, and
-        ``seen_seq`` only grows.  Sending it would change no state, log
+        number (the receiver saw it, is its origin, or sent it here) is dead
+        on send: the receiver's duplicate check would drop it on arrival,
+        and ``seen_seq`` only grows.  Sending it would change no state, log
         nothing and draw no random number, so it is not sent.  The frame is
         built only if some copy goes out.
         """
@@ -223,10 +223,7 @@ class WmrRuntime(NodeRuntime):
             self.sim.transmit(link, self.node_id, packet)
 
     def raise_packet_in(self, packet: Packet) -> None:
-        msg = cp.PacketInMsg(
-            self.node_id, packet.src, packet.dst, packet.flow_id, self.sim.engine.now()
-        )
-        self.send_control(self.selector.master, msg)
+        self.send_control(self.selector.master, cp.PacketInMsg(self.node_id, packet.dst))
 
 
 class ControllerRuntime(NodeRuntime):

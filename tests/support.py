@@ -73,6 +73,9 @@ class StubHost:
 # times the most that any shipped-scenario seed or random mesh of the
 # acceptance batches schedules (18,354, on a random mesh).
 EVENT_BUDGET = 100_000
+# The budget ``conftest.py`` puts every in-process run of the suite under:
+# above the largest, grid-partition-6x6/0 of ``test_digests.py`` (139,987).
+SUITE_EVENT_BUDGET = 250_000
 
 
 class EventBudgetExceeded(RuntimeError):
@@ -86,10 +89,10 @@ def event_budget(limit: int = EVENT_BUDGET) -> Iterator[None]:
     of growing until something kills it."""
     schedule = Simulator.schedule
 
-    def budgeted(sim, delay, callback, *, kind=""):
+    def budgeted(sim, delay, callback, *, target="", kind=""):
         if sim._seq >= limit:
             raise EventBudgetExceeded(f"a run scheduled more than {limit} events")
-        return schedule(sim, delay, callback, kind=kind)
+        return schedule(sim, delay, callback, target=target, kind=kind)
 
     Simulator.schedule = budgeted
     try:

@@ -107,13 +107,7 @@ def test_packet_in_installs_far_to_near():
     bench = Bench()
     bench.connect_all()
     bench.ctrl.on_packet_in(
-        cp.PacketInMsg(
-            "wmr1",
-            IPv4Address("192.168.1.10"),
-            IPv4Address("192.168.3.10"),
-            "flow1",
-            sent_at=0,
-        ),
+        cp.PacketInMsg("wmr1", IPv4Address("192.168.3.10")),
         IPv4Address("10.0.0.1"),
     )
     mods = bench.flow_mods()
@@ -131,11 +125,11 @@ def test_packet_in_installs_far_to_near():
 
 
 def test_every_flow_mod_carries_a_rule_of_its_own():
-    # The switch stamps its install time, last hit and install order on the
-    # rule a flow-mod carries, so no two flow-mods may share one.
+    # The switch stamps its install time and last hit on the rule a
+    # flow-mod carries, so no two flow-mods may share one.
     bench = Bench()
     bench.connect_all()
-    msg = cp.PacketInMsg("wmr1", IPv4Address("192.168.1.10"), None, "flow1", sent_at=0)
+    msg = cp.PacketInMsg("wmr1", None)
     for dst in ("192.168.3.10", "172.16.9.9") * 2:
         bench.ctrl.on_packet_in(msg._replace(dst=IPv4Address(dst)), IPv4Address("10.0.0.1"))
     rules = [rule for _, rule in bench.flow_mods()]
@@ -149,13 +143,7 @@ def test_unconnected_hops_are_skipped_with_warning():
     bench.connect("wmr3", IPv4Address("10.0.0.3"))
     bench.sent.clear()
     bench.ctrl.on_packet_in(
-        cp.PacketInMsg(
-            "wmr1",
-            IPv4Address("192.168.1.10"),
-            IPv4Address("192.168.3.10"),
-            "flow1",
-            sent_at=0,
-        ),
+        cp.PacketInMsg("wmr1", IPv4Address("192.168.3.10")),
         IPv4Address("10.0.0.1"),
     )
     assert [str(a) for a, _ in bench.flow_mods()] == ["10.0.0.3", "10.0.0.1"]
@@ -174,13 +162,7 @@ def test_unknown_destination_gets_host_drop():
     bench.connect("wmr1", IPv4Address("10.0.0.1"))
     bench.sent.clear()
     bench.ctrl.on_packet_in(
-        cp.PacketInMsg(
-            "wmr1",
-            IPv4Address("192.168.1.10"),
-            IPv4Address("172.16.9.9"),
-            "flow1",
-            sent_at=0,
-        ),
+        cp.PacketInMsg("wmr1", IPv4Address("172.16.9.9")),
         IPv4Address("10.0.0.1"),
     )
     [(addr, rule)] = bench.flow_mods()
@@ -193,13 +175,7 @@ def test_unknown_destination_gets_host_drop():
 def test_packet_in_from_unconnected_switch_is_ignored():
     bench = Bench()
     bench.ctrl.on_packet_in(
-        cp.PacketInMsg(
-            "wmr1",
-            IPv4Address("192.168.1.10"),
-            IPv4Address("192.168.3.10"),
-            "flow1",
-            sent_at=0,
-        ),
+        cp.PacketInMsg("wmr1", IPv4Address("192.168.3.10")),
         IPv4Address("10.0.0.1"),
     )
     assert bench.sent == []
@@ -252,13 +228,7 @@ def test_packet_in_refreshes_view_first():
     bench.connect_all()
     bench.sim.run_until(to_us(2.0))
     bench.ctrl.on_packet_in(
-        cp.PacketInMsg(
-            "wmr1",
-            IPv4Address("192.168.1.10"),
-            IPv4Address("192.168.3.10"),
-            "flow1",
-            sent_at=0,
-        ),
+        cp.PacketInMsg("wmr1", IPv4Address("192.168.3.10")),
         IPv4Address("10.0.0.1"),
     )
     assert bench.ctrl.topo_view.captured_at == to_us(2.0)
@@ -287,13 +257,7 @@ def test_path_override_detours_install():
     bench.ctrl.refresh_topology()
     bench.connect_all()
     bench.ctrl.on_packet_in(
-        cp.PacketInMsg(
-            "wmr1",
-            IPv4Address("192.168.1.10"),
-            IPv4Address("192.168.3.10"),
-            "flow1",
-            sent_at=0,
-        ),
+        cp.PacketInMsg("wmr1", IPv4Address("192.168.3.10")),
         IPv4Address("10.0.0.1"),
     )
     assert [str(a) for a, _ in bench.flow_mods()] == [
@@ -383,13 +347,7 @@ def test_unreachable_origin_falls_back_to_drop():
     bench.connect("wmr1", IPv4Address("10.0.0.1"))
     bench.sent.clear()
     bench.ctrl.on_packet_in(
-        cp.PacketInMsg(
-            "wmr1",
-            IPv4Address("192.168.1.10"),
-            IPv4Address("192.168.3.10"),
-            "flow1",
-            sent_at=0,
-        ),
+        cp.PacketInMsg("wmr1", IPv4Address("192.168.3.10")),
         IPv4Address("10.0.0.1"),
     )
     [(_, rule)] = bench.flow_mods()

@@ -11,7 +11,7 @@ and of records it logs; one that alters the logs on purpose regenerates
 ``bench/golden.json`` and says so.  The flows-mesh run also pins the data
 plane's work (fresh walks completed and rule-expiry tests) and its
 sampling work (allocations computed and sample data built), and the
-grid-partition run the message path's (flow rules built, relay links
+grid-partition run the message path's (flow rules built, flood links
 rebuilt and flood copies handled); a change that moves any of these
 updates the counts and says why.  A
 6 x 6 grid-partition run, whose mesh is deeper (diameter 10 against 8) than
@@ -60,9 +60,9 @@ def sha256(text: str) -> str:
 
 # Events scheduled and log records written by each run.  A speed-up keeps
 # both; a change that removes events on purpose updates its count here and
-# says why.  The grid and flows-mesh counts leave out the relayed flood
-# copies that are dead on send (``NodeRuntime._olsr_relay``); merge/0 and
-# partition/7 relay none.
+# says why.  The grid and flows-mesh counts leave out the flood copies
+# that are dead on send (``NodeRuntime._olsr_flood``); merge/0 and
+# partition/7 have none.
 WORK = {
     "merge/0": (5_770, 243),
     "partition/7": (11_835, 1_030),
@@ -82,11 +82,11 @@ DATA_PLANE_WORK = {"flows-mesh/0": (897, 14_073)}
 SAMPLE_WORK = {"flows-mesh/0": (82, 982)}
 # Message-path work of the grid-partition run: how many flow rules are built
 # (``FlowRule.__init__``; each router builds its emergency drop rule once),
-# how often a daemon rebuilds the links it relays floods over
-# (``OlsrDaemon._rebuild_relay_links``, once per change of its symmetric
+# how often a daemon rebuilds the links it floods over
+# (``OlsrDaemon._rebuild_sym_links``, once per change of its symmetric
 # neighbours), and how many flood copies reach a daemon
-# (``OlsrDaemon.handle_flood``; a relayed copy its receiver would drop is
-# not sent).
+# (``OlsrDaemon.handle_flood``; a copy its receiver would drop is not
+# sent).
 MESSAGE_PATH_WORK = {"grid-partition/0": (71, 104, 22_282)}
 
 
@@ -117,7 +117,7 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
             "_kept_until",
             "expired",
             "__init__",
-            "_rebuild_relay_links",
+            "_rebuild_sym_links",
             "handle_flood",
             "max_min_allocate",
             "_sample_data",
@@ -141,7 +141,7 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
     if label in MESSAGE_PATH_WORK:
         monkeypatch.setattr(FlowRule, "__init__", counted(FlowRule.__init__))
         monkeypatch.setattr(
-            OlsrDaemon, "_rebuild_relay_links", counted(OlsrDaemon._rebuild_relay_links)
+            OlsrDaemon, "_rebuild_sym_links", counted(OlsrDaemon._rebuild_sym_links)
         )
         monkeypatch.setattr(OlsrDaemon, "handle_flood", counted(OlsrDaemon.handle_flood))
     sim, result = run(name, seed)
@@ -154,7 +154,7 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
         assert (calls["max_min_allocate"], calls["_sample_data"]) == SAMPLE_WORK[label]
     if label in MESSAGE_PATH_WORK:
         assert (
-            calls["__init__"], calls["_rebuild_relay_links"], calls["handle_flood"]
+            calls["__init__"], calls["_rebuild_sym_links"], calls["handle_flood"]
         ) == MESSAGE_PATH_WORK[label]
 
 

@@ -493,9 +493,9 @@ def selector_over_daemon():
         [],
         OlsrConfig(jitter=0.0, randomize_phase=False),
         sim,
-        links=lambda: [],
+        links=[],
         broadcast=lambda links, msg: None,
-        relay=lambda links, msg: None,
+        flood=lambda links, msg: None,
         log=lambda kind, data: None,
     )
     switch = FlowSwitch(

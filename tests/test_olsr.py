@@ -31,19 +31,20 @@ class Wire:
         self.log: list[tuple[str, dict]] = []
 
     def add(self, node_id: str, addr: str, hna: tuple[str, ...] = ()) -> OlsrDaemon:
+        # ``connect`` fills the node's links in place before the daemon starts.
+        self.incident[node_id] = []
         daemon = OlsrDaemon(
             node_id,
             [IPv4Address(addr)],
             [IPv4Network(p) for p in hna],
             PINNED,
             self.sim,
-            links=lambda me=node_id: self.incident[me],
+            links=self.incident[node_id],
             broadcast=lambda links, msg, me=node_id: self._broadcast(me, links, msg),
-            relay=lambda links, msg, me=node_id: self._broadcast(me, links, msg),
+            flood=lambda links, msg, me=node_id: self._broadcast(me, links, msg),
             log=lambda kind, data: self.log.append((kind, data)),
         )
         self.daemons[node_id] = daemon
-        self.incident[node_id] = []
         return daemon
 
     def connect(self, a: str, b: str, delay_us: int = 1000) -> Link:
@@ -59,7 +60,6 @@ class Wire:
                 self.sim.schedule(
                     link.delay_us,
                     lambda link=link, receiver=receiver: self._deliver(receiver, link, msg),
-                    target=receiver,
                     kind="deliver",
                 )
 
@@ -506,7 +506,7 @@ def lone_daemon(hellos_to_up=1, route_maps=None):
             route_maps.append(routes)
 
     sim = Simulator(0)
-    # Not in id order, so that relay links kept in id order would show.
+    # Not in id order, so that flood links kept in id order would show.
     order = (*HELLO_FROM[1:], HELLO_FROM[0])
     links = [(nbr, Link(ME, nbr, capacity_bps=1, delay_us=0)) for nbr in order]
     daemon = OlsrDaemon(
@@ -515,9 +515,9 @@ def lone_daemon(hellos_to_up=1, route_maps=None):
         [IPv4Network("192.168.0.0/24")],
         OlsrConfig(jitter=0.0, randomize_phase=False, hellos_to_up=hellos_to_up),
         sim,
-        links=lambda: links,
+        links=links,
         broadcast=lambda links, msg: None,
-        relay=lambda links, msg: None,
+        flood=lambda links, msg: None,
         log=log,
     )
     daemon.start()
@@ -534,24 +534,19 @@ def assert_matches_full_rebuild(daemon):
     assert daemon._routes.tree.tree() == reference_tree(daemon)
     assert daemon.routing_table.forwarding_map() == reference_forwarding_map(daemon)
     assert daemon.sym_neighbors() == sorted(reference_graph(daemon)[ME])
-    assert_relay_links(daemon)
+    assert_sym_links(daemon)
 
 
-def assert_relay_links(daemon):
-    """A flood the daemon originates goes over the links to its symmetric
-    neighbours, in the order ``links`` yields them; one that arrived over
-    such a link goes over the others."""
+def assert_sym_links(daemon):
+    """Every flood goes over the links to the daemon's symmetric
+    neighbours, in the order ``links`` lists them."""
     sym = reference_graph(daemon)[daemon.node_id]
-    kept = tuple(link for nbr, link in daemon._links() if nbr in sym)
-    assert daemon._sym_links == kept
-    assert daemon._relay_links == {
-        link: tuple(other for other in kept if other is not link) for link in kept
-    }
+    assert daemon._sym_links == tuple(link for nbr, link in daemon._links if nbr in sym)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from((1, 2)), daemon_steps)
-# n1 and n3 are lost at 15 s and leave every relay set; n2 stays.
+# n1 and n3 are lost at 15 s and leave the flood links; n2 stays.
 @example(
     1,
     [

@@ -106,19 +106,86 @@ def test_a_host_or_controller_drops_what_its_link_loses_in_flight(node, router):
     assert [msg for msg in dispatched if msg in (lost, carried)] == [carried]
 
 
+# Four routers in a row with a controller at one end; the middle link is
+# cut and healed, so floods cross a new adjacency as well as a steady one.
+CHAIN = {
+    "name": "chain",
+    "duration_s": 60.0,
+    "wmrs": [{"id": f"wmr{i}", "mesh_addr": f"10.0.0.{i}"} for i in range(1, 5)],
+    "controllers": [{"id": "ctrl1", "addr": "10.0.255.1", "attach": "wmr1"}],
+    "links": [{"a": f"wmr{i}", "b": f"wmr{i + 1}"} for i in range(1, 4)],
+    "events": [
+        {"at_s": 20.0, "action": "link-down", "link": ["wmr2", "wmr3"]},
+        {"at_s": 35.0, "action": "link-up", "link": ["wmr2", "wmr3"]},
+    ],
+}
+
+
+def test_a_flood_copy_goes_only_to_a_neighbour_below_its_number():
+    """Each daemon hands every flood, originated or relayed, to the
+    transport for all its symmetric links, the one it arrived on included.
+    Exactly the copies whose receiver's ``seen_seq`` is below the flood's
+    number go out; the copy back to the sender never does."""
+    sim = Simulation(scenario_from_mapping(CHAIN, source="t"))
+    routing = {**sim.wmrs, **sim.controllers}
+    offered, sent = [], []  # (sender, link, msg) per copy
+    back, below = [], []  # per offered copy: over the arrival link?  would it be accepted?
+    arrived: dict[str, object] = {}  # node -> link of the flood it is handling
+    transmit = sim.transmit
+    flooding = []
+
+    def watched_transmit(link, sender, packet):
+        if flooding:
+            sent.append((sender, link, packet.payload))
+        transmit(link, sender, packet)
+
+    def watch(node, runtime):
+        daemon = runtime.daemon
+        flood, handle_flood = daemon._flood, daemon.handle_flood
+
+        def watched_flood(links, msg):
+            for link in links:
+                receiver = routing[link.other(node)].daemon
+                offered.append((node, link, msg))
+                back.append(link is arrived.get(node))
+                below.append(receiver.seen_seq.get(msg.origin, 0) < msg.seq)
+            flooding.append(node)
+            flood(links, msg)
+            flooding.pop()
+
+        def watched_handle_flood(msg, link):
+            arrived[node] = link
+            handle_flood(msg, link)
+            del arrived[node]
+
+        daemon._flood = watched_flood
+        if node in sim.wmrs:
+            runtime._handle_flood = watched_handle_flood
+        else:
+            daemon.handle_flood = watched_handle_flood
+
+    sim.transmit = watched_transmit
+    for node, runtime in routing.items():
+        watch(node, runtime)
+    sim.run()
+    assert sent == [copy for copy, accept in zip(offered, below) if accept]
+    assert any(back) and not any(accept for accept, is_back in zip(below, back) if is_back)
+    assert any(below) and not all(below)
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_relaying_skips_only_copies_the_receiver_would_drop(seed):
-    """A relay leaves out a copy whose receiver already holds its sequence
+    """A flood leaves out a copy whose receiver already holds its sequence
     number or is its origin.  Sending every copy instead, as the reference
-    broadcast does, logs the same bytes, link flips included, and takes at
-    least as many events."""
+    broadcast does (back to the sender too), logs the same bytes, link
+    flips included, and takes at least as many events."""
     doc = random_mesh_doc(random.Random(seed))
     scenario = scenario_from_mapping(doc, source=f"mesh{seed}")
     elided = Simulation(scenario, seed)
     log = elided.run().log.to_ndjson()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(NodeRuntime, "_olsr_relay", NodeRuntime._olsr_broadcast)
+        patch.setattr(NodeRuntime, "_olsr_flood", NodeRuntime._olsr_broadcast)
         reference = Simulation(scenario, seed)
         reference_log = reference.run().log.to_ndjson()
     assert log == reference_log
