@@ -23,6 +23,7 @@ from typing import Callable, Literal, NamedTuple
 from . import control_plane as cp
 from .engine import Period, Seconds, SimTime, Simulator, to_us
 from .olsr import OlsrDaemon
+from .routing import route_prefix
 from .switch import (
     ORIGIN_EFTM,
     DeliverLocal,
@@ -111,7 +112,7 @@ class MasterSelector:
         # whose announcements it found controllers in, and its answer.
         self._discovered: tuple[int, tuple[str, ...], list[IPv4Address]] | None = None
 
-        olsr.on_routes_changed.append(self._on_routes_changed)
+        olsr.on_routes_changed = self._on_routes_changed
 
     @property
     def master(self) -> IPv4Address | None:
@@ -335,7 +336,10 @@ class MasterSelector:
         if policy == "allow-all":
             routes = [
                 (prefix, entry)
-                for prefix, entry in sorted(table.routes.values(), key=lambda kv: str(kv[0]))
+                for prefix, entry in sorted(
+                    ((route_prefix(key), entry) for key, entry in table.routes.items()),
+                    key=lambda route: str(route[0]),
+                )
                 if not prefix.subnet_of(self.switch.control_subnet)
             ]
         else:

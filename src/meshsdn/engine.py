@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heappop, heappush
-from itertools import chain
 from typing import Callable, NewType
 
 US_PER_S = 1_000_000
@@ -30,10 +29,6 @@ Mbps = NewType("Mbps", float)  # a rate, > 0
 def to_us(seconds: float) -> SimTime:
     """Convert a duration in seconds to integer microseconds."""
     return round(seconds * US_PER_S)
-
-
-def to_seconds(t: SimTime) -> float:
-    return t / US_PER_S
 
 
 def fmt_time(t: SimTime) -> str:
@@ -154,6 +149,3 @@ class Simulator:
             rng = random.Random(f"{self.seed}/{node_id}")
             self._rngs[node_id] = rng
         return rng
-
-    def pending(self) -> int:
-        return sum(1 for _, _, e in chain(self._queue, self._lane) if not e.cancelled)

@@ -14,7 +14,8 @@ a neighbor becomes symmetric or is lost, or a symmetric neighbor's address,
 which ranks it as a first hop, changes; a repair for each remote edge an
 advertisement or its expiry adds or removes; and the prefixes each origin
 offers.  Route computation itself (§10) lives in :mod:`meshsdn.routing`;
-the daemon logs each change of the table and runs its callbacks.
+the daemon logs each change of the table and runs its route-change
+callback.
 """
 from __future__ import annotations
 
@@ -153,7 +154,8 @@ class OlsrDaemon:
         self._routes = PrefixRoutes(self._adj, node_id, self.originated_hna)
         self.routing_table: RoutingTable = self._routes.table
         self.routes_version = 0
-        self.on_routes_changed: list[Callable[[], None]] = []
+        # Run after each logged change of the table, if set.
+        self.on_routes_changed: Callable[[], None] | None = None
         # The highest sequence number accepted from each origin, and this
         # node's own last one: a flood is accepted only with a higher one.
         # It only grows while the node is up, so ``flood`` may skip a copy
@@ -189,9 +191,6 @@ class OlsrDaemon:
         self.sim.schedule(self._jittered(self._tc_interval_us), self._tc_tick, kind="tc")
 
     # -- neighbor sensing ---------------------------------------------------
-
-    def sym_neighbors(self) -> list[str]:
-        return sorted(self._sym_set)
 
     def handle_hello(self, msg: HelloMsg) -> None:
         origin = msg.origin
@@ -387,8 +386,8 @@ class OlsrDaemon:
             "OlsrRouteChange",
             {"node": self.node_id, "entries": entries, "version": self.routes_version},
         )
-        for callback in list(self.on_routes_changed):
-            callback()
+        if self.on_routes_changed is not None:
+            self.on_routes_changed()
 
     # -- controller-facing view --------------------------------------------
 

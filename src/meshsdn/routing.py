@@ -10,7 +10,9 @@ the same way, so the rules it installs agree with each hop's own routes.
 :class:`FirstHopTree` repairs a tree as single edges come and go, after
 Ramalingam and Reps (J. Algorithms 1996) and Narváez, Siu and Tzeng
 (IEEE/ACM ToN 2000) with every edge one hop.  :class:`PrefixRoutes` chooses
-each prefix's route over such a tree into a :class:`RoutingTable`.
+each prefix's route over such a tree into a :class:`RoutingTable`.  A
+prefix is its :func:`route_key` throughout; :func:`route_prefix` rebuilds
+the network only where a rule needs one.
 """
 from __future__ import annotations
 
@@ -230,12 +232,18 @@ class FirstHopTree:
 
 
 def route_key(prefix: IPv4Network) -> int:
-    """An int that identifies ``prefix``, cheaper to hash and compare."""
+    """The int that identifies ``prefix``: its network address over six
+    bits of prefix length.  The routing layer keeps no other form of it."""
     return int(prefix.network_address) << 6 | prefix.prefixlen
 
 
+def route_prefix(key: int) -> IPv4Network:
+    """The prefix whose :func:`route_key` is ``key``."""
+    return IPv4Network((key >> 6, key & 63))
+
+
 class RouteEntry(NamedTuple):
-    """The route to one prefix; the table stores it with its prefix."""
+    """The route to one prefix; the table stores it under the prefix's key."""
 
     next_hop: str | None  # None: deliver on a local interface
     hop_count: int
@@ -244,30 +252,27 @@ class RouteEntry(NamedTuple):
 class RoutingTable:
     """Routes by prefix, answering longest-prefix-match lookups.
 
-    ``routes`` holds each route as (prefix, entry) under the prefix's
-    :func:`route_key`, read-only.  The table changes only by :meth:`patch`,
-    which writes the lookup index as well, so no lookup reads a stale table.
+    ``routes`` maps each prefix's :func:`route_key` to its entry, read-only;
+    a rule that needs the prefix as a network rebuilds it with
+    :func:`route_prefix`.  The table changes only by :meth:`patch`, which
+    writes the lookup index as well, so no lookup reads a stale table.
     """
 
-    def __init__(self, entries: Mapping[IPv4Network, RouteEntry] | None = None) -> None:
-        self._routes: dict[int, tuple[IPv4Network, RouteEntry]] = {}
+    def __init__(self) -> None:
+        self._routes: dict[int, RouteEntry] = {}
         self._view = MappingProxyType(self._routes)
         # One dict per prefix length, keyed by network address, and the same
         # dicts listed longest first with their masks.
         self._by_length: dict[int, dict[int, RouteEntry]] = {}
         self._index: list[tuple[int, dict[int, RouteEntry]]] = []
-        if entries:
-            self.patch({route_key(p): (p, e) for p, e in entries.items()}, ())
 
     @property
-    def routes(self) -> Mapping[int, tuple[IPv4Network, RouteEntry]]:
+    def routes(self) -> Mapping[int, RouteEntry]:
         return self._view
 
-    def patch(
-        self, changed: Mapping[int, tuple[IPv4Network, RouteEntry]], removed: Iterable[int]
-    ) -> None:
+    def patch(self, changed: Mapping[int, RouteEntry], removed: Iterable[int]) -> None:
         """Drop the routes under the ``removed`` route keys, then write the
-        ``changed`` (prefix, entry) pairs under theirs."""
+        ``changed`` entries under theirs."""
         routes, by_length = self._routes, self._by_length
         relist = False
         for key in removed:
@@ -277,13 +282,13 @@ class RoutingTable:
             if not held:
                 del by_length[key & 63]
                 relist = True
-        for key, route in changed.items():
-            routes[key] = route
+        for key, entry in changed.items():
+            routes[key] = entry
             held = by_length.get(key & 63)
             if held is None:
                 held = by_length[key & 63] = {}
                 relist = True
-            held[key >> 6] = route[1]
+            held[key >> 6] = entry
         if relist:
             self._index = [
                 (0xFFFFFFFF ^ (0xFFFFFFFF >> length), by_length[length])
@@ -300,14 +305,12 @@ class RoutingTable:
                 return entry
         return None
 
-    def forwarding_map(self) -> dict[IPv4Network, tuple[str | None, int]]:
-        return {p: (e.next_hop, e.hop_count) for p, e in self._routes.values()}
-
 
 class PrefixRoutes:
     """The route to each prefix over a :class:`FirstHopTree`, kept in
     ``table``: the source's own route, if it originates the prefix, or else
-    the one via the node offering it with the lowest (hop count, id).
+    the one via the node offering it with the lowest (hop count, id).  A
+    prefix is its route key throughout: a host route costs one int.
 
     The caller says what changed: what a node offers (:meth:`offer`), an
     edge between two nodes other than the source (:meth:`add_edge`,
@@ -322,10 +325,10 @@ class PrefixRoutes:
         self.tree = FirstHopTree(adjacency, source)
         self.table = RoutingTable()
         # Per node, the route keys it offers; per route key, the nodes
-        # offering it, each with its prefix.
+        # offering it.
         self._offers: dict[str, tuple[int, ...]] = {}
-        self._offered_by: dict[int, dict[str, IPv4Network]] = {}
-        self._own_routes = {route_key(p): (p, RouteEntry(None, 0)) for p in own}
+        self._offered_by: dict[int, set[str]] = {}
+        self._own_routes = dict.fromkeys(map(route_key, own), RouteEntry(None, 0))
         self._dirty: set[int] = set(self._own_routes)  # the keys to choose again
 
     def offer(
@@ -337,17 +340,17 @@ class PrefixRoutes:
         for key in self._offers.pop(node, ()):
             held = index.get(key)
             if held:
-                held.pop(node, None)
+                held.discard(node)
                 if not held:
                     del index[key]
             dirty.add(key)
-        offered = [IPv4Network((int(addr), 32)) for addr in addresses]
-        offered.extend(prefixes)
-        if offered:
-            self._offers[node] = keys = tuple(map(route_key, offered))
-            for key, prefix in zip(keys, offered):
-                index.setdefault(key, {})[node] = prefix
-                dirty.add(key)
+        keys = [int(addr) << 6 | 32 for addr in addresses]  # each one's /32
+        keys.extend(map(route_key, prefixes))
+        if keys:
+            self._offers[node] = tuple(keys)
+            for key in keys:
+                index.setdefault(key, set()).add(node)
+            dirty.update(keys)
 
     def rebuild(self, addr_of: Callable[[str], IPv4Address | None]) -> None:
         """Search the tree afresh, ranking first hops by their ``addr_of``."""
@@ -374,25 +377,21 @@ class PrefixRoutes:
         self._dirty = set()
         own, index = self._own_routes, self._offered_by
         routes, place, hops = self.table.routes, self.tree.key, self.tree.hops
-        changed: dict[int, tuple[IPv4Network, RouteEntry]] = {}
+        changed: dict[int, RouteEntry] = {}
         gone: list[int] = []
         for key in sorted(dirty):
-            old = routes.get(key)
             new = own.get(key)
             if new is None:
                 reached = [(place[n] >> RANK_BITS, n) for n in index.get(key, ()) if n in place]
-                if not reached:
-                    if old is not None:
-                        gone.append(key)
-                    continue
-                hop_count, best = min(reached)
-                next_hop = hops[place[best] & RANK_MASK]
-                if old is not None and old[1] == (next_hop, hop_count):
-                    continue
-                new = (index[key][best], RouteEntry(next_hop, hop_count))
-            elif old is not None:
-                continue  # an own prefix's route never changes
-            changed[key] = new
+                if reached:
+                    hop_count, best = min(reached)
+                    new = RouteEntry(hops[place[best] & RANK_MASK], hop_count)
+            old = routes.get(key)
+            if new is None:
+                if old is not None:
+                    gone.append(key)
+            elif old != new:
+                changed[key] = new
         if not (changed or gone):
             return False
         self.table.patch(changed, gone)

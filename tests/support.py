@@ -1,23 +1,25 @@
 """Shared helpers for the test suite.
 
 Holds the builtin-scenario loader, a stub switch host, an event budget for
-whole runs, and the random mesh generator used by the exhaustive
-selection/routing checks.  Every generated scenario is connected at build
-time, flips a few mesh links mid-run, and then stays quiet long enough for
-neighbor expiry, flood revalidation, and re-selection to settle before the
-final state is examined.
+whole runs, readers of state that only tests look at, and the random mesh
+generator used by the exhaustive selection/routing checks.  Every generated
+scenario is connected at build time, flips a few mesh links mid-run, and
+then stays quiet long enough for neighbor expiry, flood revalidation, and
+re-selection to settle before the final state is examined.
 """
 from __future__ import annotations
 
 import random
 from contextlib import contextmanager
 from importlib import resources
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv4Network
+from itertools import chain
 from typing import Iterator
 
 import yaml
 
-from meshsdn.engine import Simulator
+from meshsdn.engine import US_PER_S, SimTime, Simulator
+from meshsdn.routing import RoutingTable, route_prefix
 from meshsdn.scenario import Scenario, scenario_from_mapping
 
 # Link flips stop at QUIET_FROM; by DURATION every 15 s expiry horizon plus a
@@ -99,6 +101,25 @@ def event_budget(limit: int = EVENT_BUDGET) -> Iterator[None]:
         yield
     finally:
         Simulator.schedule = schedule
+
+
+def to_seconds(t: SimTime) -> float:
+    return t / US_PER_S
+
+
+def pending(sim: Simulator) -> int:
+    """The events ``sim`` holds that are neither fired nor cancelled."""
+    return sum(1 for _, _, e in chain(sim._queue, sim._lane) if not e.cancelled)
+
+
+def sym_neighbors(daemon) -> list[str]:
+    """The symmetric neighbours of an ``OlsrDaemon``, in id order."""
+    return sorted(daemon._sym_set)
+
+
+def forwarding_map(table: RoutingTable) -> dict[IPv4Network, tuple[str | None, int]]:
+    """The table's routes as (next hop, hop count) by prefix."""
+    return {route_prefix(key): (e.next_hop, e.hop_count) for key, e in table.routes.items()}
 
 
 def builtin_doc(name: str) -> dict:

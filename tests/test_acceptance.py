@@ -10,10 +10,10 @@ import statistics
 
 import pytest
 
-from meshsdn.engine import to_seconds, to_us
+from meshsdn.engine import to_us
 from meshsdn.simulation import Simulation, run_scenario
 
-from support import builtin_scenario, event_budget, expected_master, random_mesh_doc
+from support import builtin_scenario, event_budget, expected_master, random_mesh_doc, to_seconds
 from meshsdn.scenario import scenario_from_mapping
 
 SEEDS = range(20)

@@ -12,9 +12,9 @@ and of records it logs; one that alters the logs on purpose regenerates
 plane's work (fresh walks completed and rule-expiry tests) and its
 sampling work (allocations computed and sample data built), and the
 grid-partition run the message path's (flow rules built, flood links
-rebuilt and flood copies handled); a change that moves any of these
-updates the counts and says why.  A
-6 x 6 grid-partition run, whose mesh is deeper (diameter 10 against 8) than
+rebuilt and flood copies handled); both pin the prefix objects a run
+builds.  A change that moves any of these updates the counts and says why.
+A 6 x 6 grid-partition run, whose mesh is deeper (diameter 10 against 8) than
 any benchmark run, is pinned here as well, outside the benchmark's goldens.
 """
 import hashlib
@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from ipaddress import IPv4Network
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,11 @@ SAMPLE_WORK = {"flows-mesh/0": (82, 982)}
 # (``OlsrDaemon.handle_flood``; a copy its receiver would drop is not
 # sent).
 MESSAGE_PATH_WORK = {"grid-partition/0": (71, 104, 22_282)}
+# How many prefix objects (``IPv4Network.__init__``) a run builds once its
+# scenario is built.  Routing names every prefix by its route key, so only a
+# rule that matches on a prefix builds one: on grid-partition/0 the
+# controller's three drop rules for unknown destinations.
+PREFIX_WORK = {"grid-partition/0": 3, "flows-mesh/0": 0}
 
 
 def run(name: str, seed: int):
@@ -144,6 +150,25 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
             OlsrDaemon, "_rebuild_sym_links", counted(OlsrDaemon._rebuild_sym_links)
         )
         monkeypatch.setattr(OlsrDaemon, "handle_flood", counted(OlsrDaemon.handle_flood))
+    running, prefixes = False, 0
+    if label in PREFIX_WORK:
+        init, sim_run = IPv4Network.__init__, Simulation.run
+
+        def counted_init(self, *args, **kwargs):
+            nonlocal prefixes
+            prefixes += running
+            init(self, *args, **kwargs)
+
+        def counted_run(self):
+            nonlocal running
+            running = True
+            try:
+                return sim_run(self)
+            finally:
+                running = False
+
+        monkeypatch.setattr(IPv4Network, "__init__", counted_init)
+        monkeypatch.setattr(Simulation, "run", counted_run)
     sim, result = run(name, seed)
     assert sha256(result.log.to_ndjson()) == GOLDEN[label]["log"]
     assert sha256(result.summary.as_csv_line()) == GOLDEN[label]["summary"]
@@ -156,6 +181,8 @@ def test_log_and_summary_digests(name, seed, monkeypatch):
         assert (
             calls["__init__"], calls["_rebuild_sym_links"], calls["handle_flood"]
         ) == MESSAGE_PATH_WORK[label]
+    if label in PREFIX_WORK:
+        assert prefixes == PREFIX_WORK[label]
 
 
 def test_logs_do_not_depend_on_the_string_hash_seed():
@@ -163,10 +190,12 @@ def test_logs_do_not_depend_on_the_string_hash_seed():
     # string hash seed of the process; no such order may reach a log, nor
     # the work the first-hop tree does.  Each process also prints how many
     # searches and repairs of the tree moved nodes, and how many they moved.
+    # Each runs under the suite's event budget, as the in-process runs do.
     code = textwrap.dedent(
         """
         import test_digests as t
         from meshsdn.routing import FirstHopTree
+        from support import SUITE_EVENT_BUDGET, event_budget
 
         moved = [0, 0]
 
@@ -181,23 +210,24 @@ def test_logs_do_not_depend_on_the_string_hash_seed():
 
         for attr in ("rebuild", "add_edge", "remove_edge"):
             setattr(FirstHopTree, attr, counted(getattr(FirstHopTree, attr)))
-        for name in ("merge", "grid-partition"):
-            print(t.sha256(t.run(name, 0)[1].log.to_ndjson()))
+        with event_budget(SUITE_EVENT_BUDGET):
+            for name in ("merge", "grid-partition"):
+                print(t.sha256(t.run(name, 0)[1].log.to_ndjson()))
         print(*moved)
         """
     )
     tests = str(Path(__file__).resolve().parent)
     path = os.pathsep.join([tests, *sys.path])
-    outputs = [
-        subprocess.run(
+    outputs = []
+    for hash_seed in ("0", "1"):
+        child = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
             capture_output=True,
             text=True,
-            check=True,
             timeout=300,
-        ).stdout.split()
-        for hash_seed in ("0", "1")
-    ]
+        )
+        assert child.returncode == 0, child.stderr  # an exceeded budget shows here
+        outputs.append(child.stdout.split())
     assert outputs[0][:2] == [GOLDEN["merge/0"]["log"], GOLDEN["grid-partition/0"]["log"]]
     assert outputs[0] == outputs[1]

@@ -53,7 +53,7 @@ class FakeDaemon:
     def __init__(self):
         self.hna = []
         self.routing_table = RoutingTable()
-        self.on_routes_changed = []
+        self.on_routes_changed = None
 
     @property
     def hna_version(self):
@@ -71,7 +71,7 @@ class FakeDaemon:
         table = self.routing_table
         table.patch(
             {
-                route_key(IPv4Network(p)): (IPv4Network(p), RouteEntry(hop, hops))
+                route_key(IPv4Network(p)): RouteEntry(hop, hops)
                 for p, hop, hops in entries
             },
             list(table.routes),
@@ -345,8 +345,7 @@ def test_emergency_rules_follow_route_changes():
         (EMERGENCY_FORWARD_PRIORITY, IPv4Network("192.168.2.0/24"))
     ].action == ForwardTo("wmr2")
     bench.daemon.set_routes([("192.168.2.0/24", "wmr3", 2)])
-    for callback in bench.daemon.on_routes_changed:
-        callback()
+    bench.daemon.on_routes_changed()
     assert bench.switch.table.rules[
         (EMERGENCY_FORWARD_PRIORITY, IPv4Network("192.168.2.0/24"))
     ].action == ForwardTo("wmr3")

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsdn.eftm import MasterSelector
-from meshsdn.engine import Event, Simulator, fmt_time, to_seconds, to_us
+from meshsdn.engine import Event, Simulator, fmt_time, to_us
 from meshsdn.simulation import run_scenario
 
-from support import builtin_scenario
+from support import builtin_scenario, pending, to_seconds
 
 
 def test_events_fire_in_time_order():
@@ -54,7 +54,7 @@ def test_cancelled_event_does_not_fire():
     sim.schedule(5, handle.cancel)
     sim.run_until(20)
     assert fired == []
-    assert sim.pending() == 0
+    assert pending(sim) == 0
 
 
 def test_negative_delay_rejected():
@@ -152,9 +152,9 @@ def test_lane_fires_every_event_in_heap_order(steps):
                 handles[step[1] % len(handles)].cancel()
             elif step[0] == "run":
                 sim.run_until(sim.now() + step[1])
-                fired.append(("pending", sim.pending()))
+                fired.append(("pending", pending(sim)))
         sim.run_until(sim.now() + 100)
-        return fired, sim.now(), sim.pending()
+        return fired, sim.now(), pending(sim)
 
     assert replay(Simulator(lane_delay=LANE)) == replay(Simulator())
 
@@ -164,9 +164,9 @@ def test_event_handle_fields():
     fired = []
     handle = sim.schedule(42, lambda: fired.append("x"), target="wmr1", kind="hello")
     assert isinstance(handle, Event)
-    assert sim.pending() == 1
+    assert pending(sim) == 1
     handle.cancel()
-    assert sim.pending() == 0
+    assert pending(sim) == 0
     sim.run_until(100)
     assert fired == []
 
@@ -184,7 +184,7 @@ def test_event_handle_contract():
     assert fired == ["early"]
     early.cancel()  # after firing: nothing changes
     late.cancel()  # before firing: it never fires
-    assert sim.pending() == 0
+    assert pending(sim) == 0
     sim.run_until(30)
     assert fired == ["early"]
 
@@ -194,7 +194,7 @@ def test_pending_leaves_cancelled_events_out():
     handles = [sim.schedule(delay, lambda: None) for delay in (5, 5, 7, 9)]
     handles[0].cancel()
     handles[2].cancel()
-    assert sim.pending() == 2
+    assert pending(sim) == 2
 
 
 def test_a_class_level_cancel_sees_every_keepalive_reply(monkeypatch):

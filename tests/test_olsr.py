@@ -18,6 +18,8 @@ from meshsdn.scenario import scenario_from_mapping
 from meshsdn.simulation import Simulation
 from meshsdn.topology import Link
 
+from support import forwarding_map, sym_neighbors
+
 PINNED = OlsrConfig(jitter=0.0, randomize_phase=False)
 
 
@@ -91,9 +93,9 @@ def test_three_consecutive_hellos_bring_a_neighbor_up():
     # Hellos leave at 0, 5, 10 s and arrive 1 ms later; the third one flips
     # the link symmetric.
     wire.sim.run_until(to_us(10.0005))
-    assert a.sym_neighbors() == [] and b.sym_neighbors() == []
+    assert sym_neighbors(a) == [] and sym_neighbors(b) == []
     wire.sim.run_until(to_us(10.3))
-    assert a.sym_neighbors() == ["b"] and b.sym_neighbors() == ["a"]
+    assert sym_neighbors(a) == ["b"] and sym_neighbors(b) == ["a"]
 
 
 def test_sym_triggers_lsa_exchange_and_routes():
@@ -101,11 +103,11 @@ def test_sym_triggers_lsa_exchange_and_routes():
     wire.sim.run_until(to_us(10.3))
     assert set(a.link_state) == {"b"} and set(b.link_state) == {"a"}
     assert b.link_state["a"].hna == (IPv4Network("192.168.1.0/24"),)
-    fm = b.routing_table.forwarding_map()
+    fm = forwarding_map(b.routing_table)
     assert fm[IPv4Network("10.0.0.1/32")] == ("a", 1)
     assert fm[IPv4Network("192.168.1.0/24")] == ("a", 1)
     # a's view of b likewise
-    assert a.routing_table.forwarding_map()[IPv4Network("10.0.0.2/32")] == ("b", 1)
+    assert forwarding_map(a.routing_table)[IPv4Network("10.0.0.2/32")] == ("b", 1)
 
 
 def test_silence_expires_neighbor_and_link_state():
@@ -116,11 +118,11 @@ def test_silence_expires_neighbor_and_link_state():
     # scheduled by that Hello fires at 25.001 and removes the record.  The
     # stored LSA (landed 10.002, validity 15 s) expires alongside it.
     wire.sim.run_until(to_us(24.9))
-    assert b.sym_neighbors() == ["a"]
+    assert sym_neighbors(b) == ["a"]
     wire.sim.run_until(to_us(25.3))
     assert b.neighbors == {} and b.link_state == {}
-    assert b.routing_table.forwarding_map() == {}
-    assert a.routing_table.forwarding_map() == {
+    assert forwarding_map(b.routing_table) == {}
+    assert forwarding_map(a.routing_table) == {
         IPv4Network("192.168.1.0/24"): (None, 0)
     }
 
@@ -134,10 +136,10 @@ def test_sensing_restarts_from_one_after_expiry():
     # Hellos resume with the 30 s tick; the old record is gone, so symmetry
     # needs three fresh Hellos again (30, 35, 40) rather than one.
     wire.sim.run_until(to_us(35.5))
-    assert b.sym_neighbors() == []
+    assert sym_neighbors(b) == []
     wire.sim.run_until(to_us(40.1))
-    assert b.sym_neighbors() == ["a"]
-    assert b.routing_table.forwarding_map()[IPv4Network("10.0.0.1/32")] == ("a", 1)
+    assert sym_neighbors(b) == ["a"]
+    assert forwarding_map(b.routing_table)[IPv4Network("10.0.0.1/32")] == ("a", 1)
 
 
 def test_duplicate_floods_are_suppressed():
@@ -173,7 +175,7 @@ def test_remote_edges_need_mutual_advertisement():
     b.handle_flood(z_msg, link)
     # The half-advertised c-z edge must stay out of the graph, so z gets no
     # route even though its address is known from its own LSA.
-    assert IPv4Network("10.0.0.4/32") not in b.routing_table.forwarding_map()
+    assert IPv4Network("10.0.0.4/32") not in forwarding_map(b.routing_table)
     z_fixed = FloodMsg("z", 2, (IPv4Address("10.0.0.4"),), ("c",), (), to_us(30.0))
     b.handle_flood(z_fixed, link)
     graph = b.graph()
@@ -281,7 +283,7 @@ CHAIN_DOC = {
 def test_converged_chain_routes_from_wmr1():
     sim = Simulation(scenario_from_mapping(dict(CHAIN_DOC), source="chain"), seed=0)
     sim.run()
-    fm = sim.wmrs["wmr1"].daemon.routing_table.forwarding_map()
+    fm = forwarding_map(sim.wmrs["wmr1"].daemon.routing_table)
     net = IPv4Network
     assert fm[net("192.168.1.0/24")] == (None, 0)
     assert fm[net("10.0.0.2/32")] == ("wmr2", 1)
@@ -319,11 +321,13 @@ def test_equal_cost_routes_prefer_lower_first_hop_address():
 
 
 def test_longest_prefix_lookup():
-    table = RoutingTable(
+    table = RoutingTable()
+    table.patch(
         {
-            IPv4Network(prefix): RouteEntry(hop, 1)
+            route_key(IPv4Network(prefix)): RouteEntry(hop, 1)
             for prefix, hop in [("10.0.0.0/16", "x"), ("10.0.2.0/24", "y"), ("10.0.2.7/32", "z")]
-        }
+        },
+        (),
     )
     assert table.lookup(IPv4Address("10.0.2.7")).next_hop == "z"
     assert table.lookup(IPv4Address("10.0.2.9")).next_hop == "y"
@@ -371,7 +375,7 @@ def assert_lookups(table, entries, probes):
 def patch_table(table, old, new):
     """Patch ``table`` from the routes ``old`` to ``new``, as a recompute does."""
     table.patch(
-        {route_key(p): (p, e) for p, e in new.items() if old.get(p) is not e},
+        {route_key(p): e for p, e in new.items() if old.get(p) is not e},
         [route_key(p) for p in old if p not in new],
     )
 
@@ -379,31 +383,31 @@ def patch_table(table, old, new):
 @settings(max_examples=200, deadline=None)
 @given(route_tables, route_tables, route_tables, st.lists(pool_addresses, min_size=1, max_size=8))
 def test_lookup_matches_linear_scan_after_replacement(first, second, third, probes):
-    routes = dict(first)
-    table = RoutingTable(routes)
+    changed = {route_key(p): e for p, e in first.items()}
+    table = RoutingTable()
+    table.patch(changed, ())
     assert_lookups(table, first, probes)
-    # Changing the dict the table was built from does not reach the table ...
-    routes.clear()
-    routes.update(second)
+    # Changing the dict the table was patched from does not reach the table ...
+    changed.clear()
     assert_lookups(table, first, probes)
     # ... and the table itself only changes by a patch.
-    default = IPv4Network("0.0.0.0/0")
     with pytest.raises(TypeError):
-        table.routes[route_key(default)] = (default, RouteEntry("d", 1))
+        table.routes[route_key(IPv4Network("0.0.0.0/0"))] = RouteEntry("d", 1)
     with pytest.raises(AttributeError):
         table.routes = {}
     # A patch reaches the routes and the lookup index alike ...
     patch_table(table, first, second)
-    assert dict(table.routes.values()) == second
+    assert forwarding_map(table) == second
     assert_lookups(table, second, probes)
     patch_table(table, second, third)
-    assert dict(table.routes.values()) == third
+    assert forwarding_map(table) == third
     assert_lookups(table, third, probes)
-    # ... also on a table no lookup has read yet, and on one built empty.
+    # ... also on a table no lookup has read yet, and on one left empty.
     for start in (first, {}):
-        fresh = RoutingTable(start)
+        fresh = RoutingTable()
+        patch_table(fresh, {}, start)
         patch_table(fresh, start, third)
-        assert dict(fresh.routes.values()) == third
+        assert forwarding_map(fresh) == third
         assert_lookups(fresh, third, probes)
 
 
@@ -501,7 +505,7 @@ def lone_daemon(hellos_to_up=1, route_maps=None):
 
     def log(kind, data):
         if kind == "OlsrRouteChange" and route_maps is not None:
-            routes = daemon.routing_table.forwarding_map()
+            routes = forwarding_map(daemon.routing_table)
             assert data["entries"] == len(routes)
             route_maps.append(routes)
 
@@ -532,8 +536,8 @@ def assert_matches_full_rebuild(daemon):
     assert daemon.graph() == reference_graph(daemon)
     # The kept tree, node by node, first hop included.
     assert daemon._routes.tree.tree() == reference_tree(daemon)
-    assert daemon.routing_table.forwarding_map() == reference_forwarding_map(daemon)
-    assert daemon.sym_neighbors() == sorted(reference_graph(daemon)[ME])
+    assert forwarding_map(daemon.routing_table) == reference_forwarding_map(daemon)
+    assert sym_neighbors(daemon) == sorted(reference_graph(daemon)[ME])
     assert_sym_links(daemon)
 
 
@@ -564,7 +568,7 @@ def test_kept_graph_and_routes_match_a_full_rebuild(hellos_to_up, steps):
     seqs: dict[str, int] = {}
     advertised: dict[str, tuple] = {}
     for step in steps:
-        before, logged = daemon.routing_table.forwarding_map(), len(route_maps)
+        before, logged = forwarding_map(daemon.routing_table), len(route_maps)
         if step[0] == "hello":
             hello_from(daemon, step[1])
         elif step[0] == "lsa":
@@ -590,7 +594,7 @@ def test_kept_graph_and_routes_match_a_full_rebuild(hellos_to_up, steps):
             sim.run_until(sim.now() + to_us(step[1]))
         assert_matches_full_rebuild(daemon)
         if len(route_maps) == logged:
-            assert daemon.routing_table.forwarding_map() == before
+            assert forwarding_map(daemon.routing_table) == before
     # A route change is logged when, and only when, some route was gained,
     # lost, or moved to another next hop or hop count.
     for previous, routes in zip([{}, *route_maps], route_maps):

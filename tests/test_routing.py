@@ -1,11 +1,12 @@
-"""The first-hop tree kept by repair against a full search."""
+"""The first-hop tree kept by repair against a full search, and the route
+key that names each prefix."""
 import random
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv4Network
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshsdn.routing import FirstHopTree, first_hop_tree
+from meshsdn.routing import FirstHopTree, PrefixRoutes, first_hop_tree, route_key, route_prefix
 
 NODES = tuple(f"n{i}" for i in range(12))
 SOURCE = NODES[0]
@@ -73,3 +74,14 @@ def test_repaired_tree_matches_a_full_search_after_every_step(case_seed, n, step
         # What moved is exactly the nodes whose hop count or first hop did.
         after = positions(tree)
         assert moved == {v for v in before.keys() | after.keys() if before.get(v) != after.get(v)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 0xFFFFFFFF), st.integers(0, 32))
+def test_a_route_key_gives_back_its_prefix(addr, length):
+    prefix = IPv4Network((addr, length), strict=False)
+    assert route_prefix(route_key(prefix)) == prefix
+    # An offered address is keyed as its /32 is, without building it.
+    routes = PrefixRoutes({}, SOURCE, ())
+    routes.offer("n1", [IPv4Address(addr)], [prefix])
+    assert routes._offers["n1"] == (route_key(IPv4Network((addr, 32))), route_key(prefix))
