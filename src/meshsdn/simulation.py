@@ -4,7 +4,9 @@ One :class:`Simulation` owns the event engine, the physical topology, one
 runtime object per node (router, controller, host), the traffic sources, and
 the metric log.  The transport here and the runtimes it delivers to are the
 only places that consult physical link state: a message sent over a Down
-link, or in flight when the link goes down, silently disappears.
+link, or in flight when the link goes down, silently disappears.  Every
+node sends through its :class:`LinkEnd` objects, which hold the far end's
+receiving method, bound once at build.
 """
 from __future__ import annotations
 
@@ -36,12 +38,26 @@ from .traffic import FluidTraffic, PingManager
 BROADCAST = IPv4Address("255.255.255.255")
 
 
+class LinkEnd:
+    """One node's end of a link, through which it sends: the link, and the
+    far end's ``on_packet`` as ``receive``.  An end between two routing
+    nodes also holds what the flood rule reads of the far end, its daemon's
+    ``seen_seq.get``, as ``seen``.  The topology never changes once built,
+    so :meth:`NodeRuntime.bind_ends` sets these once, when every runtime
+    exists."""
+
+    __slots__ = ("link", "receive", "seen")
+
+    def __init__(self, link: Link) -> None:
+        self.link = link
+
+
 class NodeRuntime:
     """What every node shares: its node's address and int address set,
-    its links by peer, and one handler per payload type it accepts, called
-    as ``handler(msg, src)``.
+    its link ends by peer, and one handler per payload type it accepts,
+    called as ``handler(msg, src)``.
     A router or controller, given the prefixes it announces, also runs the
-    routing daemon over its router and controller links.
+    routing daemon over the ends of its router and controller links.
 
     The topology is complete before any runtime exists and its links never
     change, so all of these are fixed at construction.  Each kind of node
@@ -57,19 +73,20 @@ class NodeRuntime:
         self.address = node.addresses[0]
         # The node's addresses as ints, tested against ``Packet.dst_int``.
         self.local = node.local
-        self.link_to = {link.other(node.id): link for link in sim.topo.links_of(node.id)}
+        self.link_to = {link.other(node.id): LinkEnd(link) for link in sim.topo.links_of(node.id)}
         self.handlers: dict[type, Callable[[Any, IPv4Address], None]] = {
             cp.PingRequest: lambda msg, src: self.originate(
                 src, "ping", cp.PingReply(msg.probe_id, msg.seq, msg.sent_at)
             ),
             cp.PingReply: lambda msg, src: sim.pings.on_reply(msg),
         }
+        self._olsr_links: tuple[tuple[str, LinkEnd], ...] = ()
         if hna is not None:
             nodes = sim.topo.nodes
             olsr_links = tuple(
                 sorted(
-                    (peer, link)
-                    for peer, link in self.link_to.items()
+                    (peer, end)
+                    for peer, end in self.link_to.items()
                     if nodes[peer].kind in ("wmr", "controller")
                 )
             )
@@ -88,9 +105,9 @@ class NodeRuntime:
 
     def originate(self, dst: IPv4Address, kind: str, payload: object) -> None:
         """Send from a controller or host over its only link, the attach link."""
-        (link,) = self.link_to.values()
+        (end,) = self.link_to.values()
         packet = Packet(self.address, dst, kind, payload)  # type: ignore[arg-type]
-        self.sim.transmit(link, self.node_id, packet)
+        self.sim.transmit(end, packet)
 
     def send_control(self, dst: IPv4Address, payload: object) -> None:
         self.originate(dst, "control", payload)
@@ -100,21 +117,24 @@ class NodeRuntime:
         if handler is not None:
             handler(packet.payload, packet.src)
 
-    def _olsr_broadcast(self, links: Sequence[Link], msg: object) -> None:
-        """Send one OLSR frame carrying ``msg`` over each of ``links``."""
-        me, transmit = self.node_id, self.sim.transmit
+    def _olsr_broadcast(self, ends: Sequence[LinkEnd], msg: object) -> None:
+        """Send one OLSR frame carrying ``msg`` through each of ``ends``."""
+        transmit = self.sim.transmit
         frame = Packet(self.address, BROADCAST, "olsr", msg)
-        for link in links:
-            transmit(link, me, frame)
+        for end in ends:
+            transmit(end, frame)
 
-    def bind_olsr_ends(self, daemons: dict[str, OlsrDaemon]) -> None:
-        """Keep, per OLSR link, the ``get`` of its far end's ``seen_seq``
-        from ``daemons``, which runs one daemon per router and controller."""
-        self._seen_by = {link: daemons[peer].seen_seq.get for peer, link in self._olsr_links}
+    def bind_ends(self, runtimes: dict[str, "NodeRuntime"]) -> None:
+        """Bind each of this node's link ends to the runtime at its far end;
+        ``runtimes`` holds every node's, by node id."""
+        for peer, end in self.link_to.items():
+            end.receive = runtimes[peer].on_packet
+        for peer, end in self._olsr_links:
+            end.seen = runtimes[peer].daemon.seen_seq.get
 
-    def _olsr_flood(self, links: Sequence[Link], msg: FloodMsg) -> None:
-        """Send ``msg``, a flood originated or relayed here, over each of
-        ``links`` whose far end would accept it.
+    def _olsr_flood(self, ends: Sequence[LinkEnd], msg: FloodMsg) -> None:
+        """Send ``msg``, a flood originated or relayed here, through each of
+        ``ends`` whose far end would accept it.
 
         A copy whose receiver's ``seen_seq`` already reaches its sequence
         number (the receiver saw it, is its origin, or sent it here) is dead
@@ -124,13 +144,13 @@ class NodeRuntime:
         built only if some copy goes out.
         """
         origin, seq = msg.origin, msg.seq
-        seen_by, me, transmit = self._seen_by, self.node_id, self.sim.transmit
+        transmit = self.sim.transmit
         frame = None
-        for link in links:
-            if seen_by[link](origin, 0) < seq:
+        for end in ends:
+            if end.seen(origin, 0) < seq:
                 if frame is None:
                     frame = Packet(self.address, BROADCAST, "olsr", msg)
-                transmit(link, me, frame)
+                transmit(end, frame)
 
 
 class WmrRuntime(NodeRuntime):
@@ -145,10 +165,10 @@ class WmrRuntime(NodeRuntime):
         super().__init__(sim, node, [*self.access_networks, *default_route])
         scenario = sim.scenario
         nodes = sim.topo.nodes
-        # Each attached host's link, by the int value of its address.
+        # Each attached host's link end, by the int value of its address.
         self._host_links = {
-            int(nodes[peer].addresses[0]): link
-            for peer, link in self.link_to.items()
+            int(nodes[peer].addresses[0]): end
+            for peer, end in self.link_to.items()
             if nodes[peer].kind == "host"
         }
         # The switch host's route lookup: the table's own, which every route
@@ -209,7 +229,7 @@ class WmrRuntime(NodeRuntime):
         return node_id in self.link_to
 
     def send_to_neighbor(self, neighbor: str, packet: Packet) -> None:
-        self.sim.transmit(self.link_to[neighbor], self.node_id, packet)
+        self.sim.transmit(self.link_to[neighbor], packet)
 
     def deliver_local(self, packet: Packet) -> None:
         dst = packet.dst_int
@@ -218,9 +238,9 @@ class WmrRuntime(NodeRuntime):
             return
         # A packet for an access subnet with no such host simply vanishes,
         # like a frame to an unanswered ARP.
-        link = self._host_links.get(dst)
-        if link is not None:
-            self.sim.transmit(link, self.node_id, packet)
+        end = self._host_links.get(dst)
+        if end is not None:
+            self.sim.transmit(end, packet)
 
     def raise_packet_in(self, packet: Packet) -> None:
         self.send_control(self.selector.master, cp.PacketInMsg(self.node_id, packet.dst))
@@ -237,7 +257,7 @@ class ControllerRuntime(NodeRuntime):
             sim.scenario.controller,
             sim.engine,
             pull_snapshot=lambda: sim.wmrs[attach].daemon.snapshot(),
-            attachment_up=lambda: self.link_to[attach].up,
+            attachment_up=lambda: self.link_to[attach].link.up,
             send=self.send_control,
             log=sim.log.append,
             path_overrides=overrides,
@@ -345,16 +365,9 @@ class Simulation:
             )
         for h in s.hosts:
             self.hosts[h.id] = HostRuntime(self, self.topo.nodes[h.id])
-        routing = [*self.wmrs.values(), *self.controllers.values()]
-        daemons = {runtime.node_id: runtime.daemon for runtime in routing}
-        for runtime in routing:
-            runtime.bind_olsr_ends(daemons)
-        # Each node's receiving method, bound once for every transmission.
-        self._on_packet: dict[str, Callable[[Packet, Link], None]] = {
-            node_id: runtime.on_packet
-            for runtimes in (self.wmrs, self.controllers, self.hosts)
-            for node_id, runtime in runtimes.items()
-        }
+        runtimes: dict[str, NodeRuntime] = {**self.wmrs, **self.controllers, **self.hosts}
+        for runtime in runtimes.values():
+            runtime.bind_ends(runtimes)
 
         self.pings = PingManager(
             self.engine,
@@ -400,13 +413,11 @@ class Simulation:
 
     # -- transport ----------------------------------------------------------
 
-    def transmit(self, link: Link, sender: str, packet: Packet) -> None:
-        if not link.up:
-            return
-        receiver = link.b if link.a == sender else link.a
-        self.engine.schedule(
-            link.delay_us, partial(self._on_packet[receiver], packet, link), kind="deliver"
-        )
+    def transmit(self, end: LinkEnd, packet: Packet) -> None:
+        """Send ``packet`` to the far end of ``end``, if its link is Up."""
+        link = end.link
+        if link.up:
+            self.engine.schedule(link.delay_us, partial(end.receive, packet, link), kind="deliver")
 
     # -- run & measure ------------------------------------------------------
 

@@ -83,7 +83,7 @@ class Packet:
     ) -> None:
         self.src = src
         self.dst = dst
-        self.dst_int = int(dst)
+        self.dst_int = dst._ip  # int(dst), without a call
         self.kind = kind
         self.payload = payload
         self.flow_id = flow_id

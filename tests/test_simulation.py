@@ -53,6 +53,7 @@ def test_link_down_drops_what_is_in_flight_and_link_up_carries_again():
     sim = Simulation(scenario_from_mapping(TWO_ROUTERS, source="t"))
     wmr1, wmr2 = sim.wmrs["wmr1"], sim.wmrs["wmr2"]
     link = sim.topo.link_between("wmr1", "wmr2")
+    end = wmr1.link_to["wmr2"]
     delay = link.delay_us
     received = []
     # Record what wmr2's on_packet hands on, in place of handling it.  The
@@ -65,15 +66,15 @@ def test_link_down_drops_what_is_in_flight_and_link_up_carries_again():
     late_hello = HelloMsg("wmr1", wmr1.address)
 
     def send_control(msg) -> None:
-        sim.transmit(link, "wmr1", Packet(wmr1.address, wmr2.address, "control", msg))
+        sim.transmit(end, Packet(wmr1.address, wmr2.address, "control", msg))
 
-    wmr1._olsr_broadcast([link], hello)
+    wmr1._olsr_broadcast([end], hello)
     send_control(probe)
     engine = sim.engine
     engine.schedule(delay // 2, lambda: sim.topo.set_link_state("wmr1", "wmr2", False))
     engine.schedule(delay // 2 + 1, lambda: send_control(late_probe))  # sent while down
     engine.schedule(delay + 10, lambda: sim.topo.set_link_state("wmr1", "wmr2", True))
-    engine.schedule(delay + 20, lambda: wmr1._olsr_broadcast([link], late_hello))
+    engine.schedule(delay + 20, lambda: wmr1._olsr_broadcast([end], late_hello))
     engine.run_until(3 * delay)
 
     # Equal Hellos compare equal, so tell the messages apart by identity.
@@ -95,7 +96,8 @@ def test_a_host_or_controller_drops_what_its_link_loses_in_flight(node, router):
     lost, carried = cp.PingReply("p", 1, 0), cp.PingReply("p", 2, 0)
 
     def send(msg) -> None:
-        sim.transmit(link, router, Packet(sim.wmrs[router].address, runtime.address, "ping", msg))
+        end = sim.wmrs[router].link_to[node]
+        sim.transmit(end, Packet(sim.wmrs[router].address, runtime.address, "ping", msg))
 
     send(lost)
     engine = sim.engine
@@ -125,7 +127,9 @@ def test_a_flood_copy_goes_only_to_a_neighbour_below_its_number():
     """Each daemon hands every flood, originated or relayed, to the
     transport for all its symmetric links, the one it arrived on included.
     Exactly the copies whose receiver's ``seen_seq`` is below the flood's
-    number go out; the copy back to the sender never does."""
+    number go out; the copy back to the sender never does.  This runs on a
+    chain; ``test_relaying_skips_only_copies_the_receiver_would_drop``
+    checks the rule on random meshes."""
     sim = Simulation(scenario_from_mapping(CHAIN, source="t"))
     routing = {**sim.wmrs, **sim.controllers}
     offered, sent = [], []  # (sender, link, msg) per copy
@@ -134,23 +138,24 @@ def test_a_flood_copy_goes_only_to_a_neighbour_below_its_number():
     transmit = sim.transmit
     flooding = []
 
-    def watched_transmit(link, sender, packet):
+    def watched_transmit(end, packet):
         if flooding:
-            sent.append((sender, link, packet.payload))
-        transmit(link, sender, packet)
+            sent.append((flooding[-1], end.link, packet.payload))
+        transmit(end, packet)
 
     def watch(node, runtime):
         daemon = runtime.daemon
         flood, handle_flood = daemon._flood, daemon.handle_flood
 
-        def watched_flood(links, msg):
-            for link in links:
+        def watched_flood(ends, msg):
+            for end in ends:
+                link = end.link
                 receiver = routing[link.other(node)].daemon
                 offered.append((node, link, msg))
                 back.append(link is arrived.get(node))
                 below.append(receiver.seen_seq.get(msg.origin, 0) < msg.seq)
             flooding.append(node)
-            flood(links, msg)
+            flood(ends, msg)
             flooding.pop()
 
         def watched_handle_flood(msg, link):
@@ -173,14 +178,39 @@ def test_a_flood_copy_goes_only_to_a_neighbour_below_its_number():
     assert any(below) and not all(below)
 
 
+def in_flight_mesh_doc(rng: random.Random) -> dict:
+    """A random mesh whose links have mixed delays and flip while flood
+    copies are in flight: with every timer in step, each flip lands a few
+    ms after a flood starts; otherwise at a random instant."""
+    doc = random_mesh_doc(rng)
+    for link in doc["links"]:
+        link["delay_ms"] = rng.choice((0.5, 1.0, 2.0, 5.0, 12.0))
+    if rng.random() < 0.5:
+        doc["olsr"] = {"jitter": 0.0, "randomize_phase": False}
+    links = [(link["a"], link["b"]) for link in doc["links"]]
+    for _ in range(rng.randint(4, 12)):
+        at = 5.0 * rng.randint(4, 11) + rng.uniform(0.0, 0.03)
+        doc["events"].append(
+            {
+                "at_s": round(at, 6),
+                "action": rng.choice(["link-down", "link-up"]),
+                "link": list(rng.choice(links)),
+            }
+        )
+    doc["events"].sort(key=lambda event: event["at_s"])
+    return doc
+
+
 @settings(max_examples=12, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_relaying_skips_only_copies_the_receiver_would_drop(seed):
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_relaying_skips_only_copies_the_receiver_would_drop(seed, in_flight):
     """A flood leaves out a copy whose receiver already holds its sequence
     number or is its origin.  Sending every copy instead, as the reference
     broadcast does (back to the sender too), logs the same bytes, link
-    flips included, and takes at least as many events."""
-    doc = random_mesh_doc(random.Random(seed))
+    flips included, and takes at least as many events.  With ``in_flight``
+    the links have mixed delays and flip while copies are in flight."""
+    rng = random.Random(seed)
+    doc = in_flight_mesh_doc(rng) if in_flight else random_mesh_doc(rng)
     scenario = scenario_from_mapping(doc, source=f"mesh{seed}")
     elided = Simulation(scenario, seed)
     log = elided.run().log.to_ndjson()

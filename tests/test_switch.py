@@ -428,3 +428,11 @@ def test_sweep_returns_what_a_full_scan_would(steps):
             sweep()
         sweep()  # after every step; after a sweep step it finds nothing
         assert dict(table.rules) == reference
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_a_packet_keeps_its_destination_as_an_int(raw):
+    # Packet reads the int from the address without calling int(); the
+    # two must agree on every Python the project supports.
+    dst = IPv4Address(raw)
+    assert Packet(IPv4Address("10.0.0.1"), dst, "data").dst_int == int(dst) == raw
